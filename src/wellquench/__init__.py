@@ -8,9 +8,9 @@ dimension, and independent numerical oracles for all of it.
 __version__ = "0.1.0"
 
 from .spectral import (DensityField, ModeCoefficients, WellConfig,
-                       density_field, mode_coefficient, mode_coefficients,
+                       density_field, mode_coefficients,
                        truncation_for_tolerance, wavefunction)
-from .survival import (RegimeReport, TimeSeries, asymptote_confined,
+from .survival import (RegimeReport, asymptote_confined,
                        asymptote_free, crossover_time, escape_integral,
                        escape_probability_aligned, escape_probability_exact,
                        escape_small_delta, regime_report, survival_amplitude)
@@ -25,9 +25,9 @@ from .oracle import (GridState, adaptive_quadrature, initial_state, overlap,
 
 __all__ = [
     "WellConfig", "ModeCoefficients", "DensityField",
-    "mode_coefficient", "mode_coefficients", "wavefunction", "density_field",
+    "mode_coefficients", "wavefunction", "density_field",
     "truncation_for_tolerance",
-    "TimeSeries", "RegimeReport", "survival_amplitude",
+    "RegimeReport", "survival_amplitude",
     "escape_probability_exact", "escape_probability_aligned",
     "escape_small_delta", "escape_integral", "asymptote_free",
     "asymptote_confined", "crossover_time", "regime_report",

@@ -4,6 +4,10 @@ Each subcommand writes machine-readable output (CSV with '#' header lines, or
 JSON lines) with full provenance in the header and 17-significant-digit
 floats, so identical invocations produce byte-identical files.
 
+Every option and its default is declared once, in ``COMMANDS``; argparse is
+generated from that table, and a ``--config`` file is read by turning its
+``key = value`` lines into flags placed before the command line's own.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 non-convergence.
 """
@@ -14,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,36 +30,11 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 
-
-class UsageError(Exception):
-    pass
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    delta: float = 0.0
-    n_modes: int | None = None
-    tolerance: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.n_modes is None) == (self.tolerance is None):
-            raise UsageError("exactly one of --n / --tol must be set")
-        if self.n_modes is not None and self.n_modes < 1:
-            raise UsageError("--n must be >= 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise UsageError("--tol must be positive")
-        if self.delta < 0:
-            raise UsageError("--delta must be >= 0")
-
-    def resolve_modes(self, config: spectral.WellConfig, observable: str) -> int:
-        if self.n_modes is not None:
-            return self.n_modes
-        return spectral.truncation_for_tolerance(config, observable, self.tolerance)
+#: rulers of the ``fractal --sigma`` rows
+SIGMA_EPSILONS = [1e-6, 1e-5, 1e-4, 1e-3]
+#: ruler multiples of the base spacing for the ``fractal`` length measurement
+LENGTH_STRIDES = [1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70,
+                  100, 150, 200, 300, 500, 700, 1000]
 
 
 def _fmt(value) -> str:
@@ -73,14 +52,12 @@ def _write_table(path, header: dict, columns: list[str], rows, fmt: str):
         lines.append("# columns: " + ",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
-    elif fmt == "jsonl":
+    else:
         lines.append(json.dumps({"meta": header}, sort_keys=True))
         for row in rows:
             record = {c: (float(v) if not isinstance(v, (int, np.integer)) else int(v))
                       for c, v in zip(columns, row)}
             lines.append(json.dumps(record, sort_keys=True))
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -89,8 +66,13 @@ def _write_table(path, header: dict, columns: list[str], rows, fmt: str):
             handle.write(text)
 
 
-def _base_header(cfg: RunConfig, well: spectral.WellConfig, n_modes: int,
-                 **extra) -> dict:
+def _resolve_modes(args, well: spectral.WellConfig, observable: str) -> int:
+    if args.tol is None:
+        return args.n
+    return spectral.truncation_for_tolerance(well, observable, args.tol)
+
+
+def _base_header(args, well: spectral.WellConfig, n_modes: int, **extra) -> dict:
     header = {
         "artifact_version": __version__,
         "delta": well.delta,
@@ -98,82 +80,72 @@ def _base_header(cfg: RunConfig, well: spectral.WellConfig, n_modes: int,
         "period": well.period,
         "n_modes": n_modes,
     }
-    if cfg.tolerance is not None:
-        header["tolerance"] = cfg.tolerance
+    if getattr(args, "tol", None) is not None:
+        header["tolerance"] = args.tol
     header.update(extra)
     return header
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    well = spectral.WellConfig(cfg.delta)
-    n_modes = cfg.resolve_modes(well, "coefficients")
+def cmd_coeffs(args) -> int:
+    well = spectral.WellConfig(args.delta)
+    n_modes = _resolve_modes(args, well, "coefficients")
     coeffs = spectral.mode_coefficients(well, n_modes)
-    header = _base_header(cfg, well, n_modes,
+    header = _base_header(args, well, n_modes,
                           completeness_deficit=coeffs.completeness_deficit)
     rows = [(n + 1, coeffs.values[n]) for n in range(n_modes)]
-    _write_table(cfg.out, header, ["n", "a_n"], rows, cfg.fmt)
+    _write_table(args.out, header, ["n", "a_n"], rows, args.format)
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    well = spectral.WellConfig(cfg.delta)
-    n_modes = cfg.n_modes if cfg.n_modes is not None else 800
-    nx = cfg.extras.get("nx", 512)
-    nt = cfg.extras.get("nt", 512)
+def cmd_evolve(args) -> int:
+    well = spectral.WellConfig(args.delta)
+    n_modes, nx, nt = args.n, args.nx, args.nt
     x_grid = np.linspace(0.0, well.width, nx)
     t_grid = np.linspace(0.0, well.period, nt)
     coeffs = spectral.mode_coefficients(well, n_modes)
     field_ = spectral.density_field(well, coeffs, x_grid, t_grid)
-    header = _base_header(cfg, well, n_modes, nx=nx, nt=nt,
+    header = _base_header(args, well, n_modes, nx=nx, nt=nt,
                           x_min=0.0, x_max=well.width,
                           t_min=0.0, t_max=well.period)
     columns = ["t"] + [f"x{i}" for i in range(nx)]
     rows = ([t] + list(row) for t, row in zip(t_grid, field_.values))
-    _write_table(cfg.out, header, columns, rows, cfg.fmt)
+    _write_table(args.out, header, columns, rows, args.format)
     return EXIT_OK
 
 
-def cmd_escape(cfg: RunConfig) -> int:
-    well = spectral.WellConfig(cfg.delta)
-    n_modes = cfg.resolve_modes(well, "survival")
-    t_min = cfg.extras.get("t_min", 1e-8)
-    t_max = cfg.extras.get("t_max", 1e-2)
-    points = cfg.extras.get("points", 121)
-    spacing = cfg.extras.get("spacing", "log")
+def cmd_escape(args) -> int:
+    well = spectral.WellConfig(args.delta)
+    n_modes = _resolve_modes(args, well, "survival")
+    t_min, t_max, points = args.t_min, args.t_max, args.points
     if points < 2 or t_max <= t_min:
-        raise UsageError("need points >= 2 and --t-max > --t-min")
-    if spacing == "log":
+        raise ValueError("need points >= 2 and --t-max > --t-min")
+    if args.spacing == "log":
         if t_min <= 0:
-            raise UsageError("--t-min must be positive for log spacing")
+            raise ValueError("--t-min must be positive for log spacing")
         times = np.logspace(math.log10(t_min), math.log10(t_max), points)
-    elif spacing == "linear":
-        times = np.linspace(t_min, t_max, points)
     else:
-        raise UsageError(f"unknown spacing {spacing!r}")
+        times = np.linspace(t_min, t_max, points)
     exact = survival.escape_probability_exact(well, times, n_modes)
     small = survival.escape_small_delta(well, times, n_modes)
     integral = np.array([survival.escape_integral(well.delta, float(t))
                          for t in times])
     free = survival.asymptote_free(times)
     confined = survival.asymptote_confined(well.delta, times)
-    header = _base_header(cfg, well, n_modes,
+    header = _base_header(args, well, n_modes,
                           crossover_time=survival.crossover_time(well.delta),
-                          spacing=spacing)
+                          spacing=args.spacing)
     rows = zip(times, exact, small, integral, free, confined)
-    _write_table(cfg.out, header,
+    _write_table(args.out, header,
                  ["t", "exact", "small_delta", "integral",
                   "asymptote_free", "asymptote_confined"],
-                 rows, cfg.fmt)
+                 rows, args.format)
     return EXIT_OK
 
 
-def cmd_universal(cfg: RunConfig) -> int:
-    n_modes = cfg.n_modes if cfg.n_modes is not None else universal.DEFAULT_MODES
-    xi_min = cfg.extras.get("xi_min", 0.0)
-    xi_max = cfg.extras.get("xi_max", 1.0)
-    points = cfg.extras.get("points", 512)
+def cmd_universal(args) -> int:
+    n_modes, xi_min, xi_max, points = args.n, args.xi_min, args.xi_max, args.points
     if points < 2 or xi_max <= xi_min:
-        raise UsageError("need points >= 2 and --xi-max > --xi-min")
+        raise ValueError("need points >= 2 and --xi-max > --xi-min")
     xi = np.linspace(xi_min, xi_max, points)
     values = universal.universal_function(xi, n_modes)
     tail = universal.universal_tail_bound(n_modes)
@@ -183,123 +155,64 @@ def cmd_universal(cfg: RunConfig) -> int:
         "xi_min": xi_min, "xi_max": xi_max, "points": points,
         "tail_bound": tail,
     }
-    _write_table(cfg.out, header, ["xi", "F", "tail_bound"],
-                 ((x, v, tail) for x, v in zip(xi, values)), cfg.fmt)
-    valleys_out = cfg.extras.get("valleys_out")
-    if valleys_out:
-        p_max = cfg.extras.get("p_max", 4)
-        valleys = universal.valley_locations(p_max, n_modes=min(n_modes, 10**5))
-        vheader = {"artifact_version": __version__, "p_max": p_max,
-                   "n_modes": min(n_modes, 10**5)}
+    _write_table(args.out, header, ["xi", "F", "tail_bound"],
+                 ((x, v, tail) for x, v in zip(xi, values)), args.format)
+    if args.valleys_out:
+        valley_modes = min(n_modes, 10**5)
+        valleys = universal.valley_locations(args.p_max, n_modes=valley_modes)
+        vheader = {"artifact_version": __version__, "p_max": args.p_max,
+                   "n_modes": valley_modes}
         vrows = [(e.numerator, e.denominator_root, e.location, e.depth)
                  for e in valleys.entries]
-        _write_table(valleys_out, vheader, ["q", "p", "location", "depth"],
-                     vrows, cfg.fmt)
+        _write_table(args.valleys_out, vheader, ["q", "p", "location", "depth"],
+                     vrows, args.format)
     return EXIT_OK
 
 
-def cmd_fractal(cfg: RunConfig) -> int:
-    n_modes = cfg.n_modes if cfg.n_modes is not None else 10**5
-    if cfg.extras.get("selftest"):
+def cmd_fractal(args) -> int:
+    if args.selftest:
         eps = np.logspace(-5, -2, 10)
         fit = fractal.dimension_fit(eps, eps**-0.25)
         print(f"selftest dimension = {fit.dimension:.6f}")
         return EXIT_OK if abs(fit.dimension - 1.25) < 1e-9 else EXIT_VERIFICATION
-    if cfg.extras.get("histogram"):
-        epsilon = cfg.extras.get("epsilon", 1e-5)
-        sample = fractal.phase_sum_samples(epsilon)
-        report = fractal.normality_diagnostics(sample,
-                                               bins=cfg.extras.get("bins", 61))
+    if args.histogram:
+        sample = fractal.phase_sum_samples(args.epsilon)
+        report = fractal.normality_diagnostics(sample, bins=args.bins)
         header = {
-            "artifact_version": __version__, "epsilon": epsilon,
+            "artifact_version": __version__, "epsilon": args.epsilon,
             "cutoff": sample.cutoff, "count": sample.values.size,
             "mean": report.mean, "std": report.std,
             "skewness": report.skewness,
             "excess_kurtosis": report.excess_kurtosis,
         }
         rows = zip(report.bin_edges[:-1], report.bin_edges[1:], report.counts)
-        _write_table(cfg.out, header, ["bin_left", "bin_right", "count"],
-                     rows, cfg.fmt)
+        _write_table(args.out, header, ["bin_left", "bin_right", "count"],
+                     rows, args.format)
         return EXIT_OK
-    if cfg.extras.get("sigma"):
-        epsilons = cfg.extras.get("epsilons", [1e-6, 1e-5, 1e-4, 1e-3])
-        slope, samples = fractal.phase_sum_scaling(epsilons)
+    if args.sigma:
+        slope, samples = fractal.phase_sum_scaling(SIGMA_EPSILONS)
         header = {"artifact_version": __version__, "sigma_slope": slope}
         rows = [(s.epsilon, s.std) for s in samples]
-        _write_table(cfg.out, header, ["epsilon", "sigma"], rows, cfg.fmt)
+        _write_table(args.out, header, ["epsilon", "sigma"], rows, args.format)
         return EXIT_OK
-    base = cfg.extras.get("base_intervals", 10**5)
-    strides = cfg.extras.get("strides",
-                             [1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70,
-                              100, 150, 200, 300, 500, 700, 1000])
-    fit, lengths = fractal.profile_dimension(strides, base_intervals=base,
-                                             n_modes=n_modes)
+    fit, lengths = fractal.profile_dimension(
+        LENGTH_STRIDES, base_intervals=args.base_intervals, n_modes=args.n)
     header = {
-        "artifact_version": __version__, "n_modes": n_modes,
-        "base_intervals": base,
+        "artifact_version": __version__, "n_modes": args.n,
+        "base_intervals": args.base_intervals,
         "dimension": fit.dimension, "slope": fit.slope,
         "residual": fit.residual,
     }
     rows = [(m.ruler, m.chord, m.variation) for m in lengths]
-    _write_table(cfg.out, header, ["epsilon", "l_chord", "l_variation"],
-                 rows, cfg.fmt)
+    _write_table(args.out, header, ["epsilon", "l_chord", "l_variation"],
+                 rows, args.format)
     return EXIT_OK
 
 
-def _oracle_checks(coarse: bool) -> list[dict]:
-    """The oracle invariants as named checks with measured values."""
-    checks = []
-    well = spectral.WellConfig(0.2)
-    n_points = 1025 if not coarse else 65
-    # stationary eigenmode: density must not move
-    mode = oracle.eigenmode_state(well, {1: 1.0 + 0.0j}, n_points)
-    dt = 4.0 * mode.dx**2
-    evolved = oracle.propagate(mode, dt, 400)
-    drift = float(np.abs(np.abs(evolved.amplitudes) ** 2
-                         - np.abs(mode.amplitudes) ** 2).max())
-    checks.append({"name": "stationary_mode_density", "value": drift,
-                   "threshold": 1e-8, "ok": drift < 1e-8})
-    # unitarity over many steps
-    state = oracle.initial_state(well, n_points)
-    walked = oracle.propagate(state, dt, 1000)
-    norm_drift = abs(walked.norm - state.norm)
-    checks.append({"name": "norm_drift_1000_steps", "value": norm_drift,
-                   "threshold": 1e-10, "ok": norm_drift < 1e-10})
-    # quadrature constants against their closed forms
-    free = oracle.adaptive_quadrature("free", tol=1e-9)
-    confined = oracle.adaptive_quadrature("confined", tol=1e-9)
-    err_free = abs(free - survival.FREE_KERNEL_CONSTANT)
-    err_conf = abs(confined - survival.CONFINED_KERNEL_CONSTANT)
-    checks.append({"name": "free_kernel_constant", "value": err_free,
-                   "threshold": 1e-6, "ok": err_free < 1e-6})
-    checks.append({"name": "confined_kernel_constant", "value": err_conf,
-                   "threshold": 1e-6, "ok": err_conf < 1e-6})
-    # grid propagator against the spectral wavefunction
-    n_cn = 1025 if not coarse else 65
-    t_target = 0.005
-    start = oracle.initial_state(well, n_cn)
-    dt = 8.0 * start.dx**2
-    steps = int(math.ceil(t_target / dt))
-    moved = oracle.propagate(start, t_target / steps, steps)
-    coeffs = spectral.mode_coefficients(well, 2000)
-    reference = spectral.wavefunction(well, coeffs, moved.x_grid, t_target)
-    l2 = float(np.sqrt(moved.dx * np.sum(np.abs(moved.amplitudes - reference) ** 2)))
-    checks.append({"name": "propagator_vs_spectral_l2", "value": l2,
-                   "threshold": 2e-3, "ok": l2 < 2e-3})
-    # survival amplitude against the overlap quadrature
-    amp = survival.survival_amplitude(well, t_target, 2000)
-    target = oracle.from_samples(moved.x_grid, reference, t_target)
-    quad = oracle.overlap(oracle.initial_state(well, n_cn), target)
-    diff = abs(amp - quad)
-    checks.append({"name": "survival_vs_overlap", "value": diff,
-                   "threshold": 1e-6, "ok": diff < 1e-6})
-    return checks
-
-
-def cmd_oracle_check(cfg: RunConfig) -> int:
-    checks = _oracle_checks(bool(cfg.extras.get("coarse")))
+def cmd_oracle_check(args) -> int:
+    checks = oracle.invariant_checks(args.coarse)
     ok = all(c["ok"] for c in checks)
-    if cfg.extras.get("json"):
+    if args.json:
         sys.stdout.write(json.dumps({"ok": ok, "checks": checks},
                                     sort_keys=True) + "\n")
     else:
@@ -311,167 +224,151 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key = value document; '#' starts a comment."""
-    values = {}
-    with open(path) as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+class Opt(NamedTuple):
+    """One option and its single default; ``type=bool`` makes a switch."""
+
+    default: object = None
+    type: type = str
+    help: str | None = None
+    choices: list | None = None
+
+
+_IO = {
+    "--config": Opt(help="flat key = value file; flags override"),
+    "--out": Opt(help="output path (default stdout)"),
+    "--format": Opt("csv", choices=["csv", "jsonl"]),
+}
+
+
+def _delta(default: float) -> dict:
+    return {"--delta": Opt(default, float, "wall shift")}
+
+
+def _modes(n: int | None = None, tol: float | None = None) -> dict:
+    """--n, plus --tol where a tail bound can be inverted; an explicit --n
+    replaces the default tolerance."""
+    options = {"--n": Opt(n, int, "mode count")}
+    if tol is not None:
+        options["--tol"] = Opt(tol, float, "truncation tolerance")
+    return options
+
+
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: dict[str, Opt]
+
+
+COMMANDS = {
+    "coeffs": Command(cmd_coeffs, "expansion coefficient table",
+                      {**_IO, **_delta(0.0), **_modes(tol=1e-6)}),
+    "evolve": Command(cmd_evolve, "probability density over one period", {
+        **_IO, **_delta(0.2), **_modes(800),
+        "--nx": Opt(512, int), "--nt": Opt(512, int)}),
+    "escape": Command(cmd_escape, "escape probability time series", {
+        **_IO, **_delta(0.003), **_modes(tol=1e-12),
+        "--t-min": Opt(1e-8, float), "--t-max": Opt(1e-2, float),
+        "--points": Opt(121, int), "--spacing": Opt("log", choices=["log", "linear"])}),
+    "universal": Command(cmd_universal, "limit profile samples and valleys", {
+        **_IO, **_modes(universal.DEFAULT_MODES),
+        "--xi-min": Opt(0.0, float), "--xi-max": Opt(1.0, float),
+        "--points": Opt(512, int),
+        "--valleys-out": Opt(help="also write the valley list here"),
+        "--p-max": Opt(4, int)}),
+    "fractal": Command(cmd_fractal, "curve lengths, dimension, phase sums", {
+        **_IO, **_modes(10**5),
+        "--base-intervals": Opt(10**5, int),
+        "--histogram": Opt(False, bool,
+                           "emit the phase-sum histogram instead of lengths"),
+        "--epsilon": Opt(1e-5, float, "ruler for --histogram"),
+        "--bins": Opt(61, int),
+        "--sigma": Opt(False, bool,
+                       "emit (epsilon, sigma) rows instead of lengths"),
+        "--selftest": Opt(False, bool, "fit a synthetic eps^-1/4 law and exit")}),
+    "oracle-check": Command(cmd_oracle_check, "run the independent-oracle suite", {
+        "--coarse": Opt(False, bool,
+                        "deliberately coarse grids (expected to fail)"),
+        "--json": Opt(False, bool)}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"usage error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # value options default to None so a config file can fill them in;
-    # the effective defaults live in _EXTRA_KEYS and _config_from_args
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wellquench",
         description="Sudden wall-shift dynamics: escape laws, the universal "
                     "limit profile, and its fractal dimension.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key = value file; flags override")
-        p.add_argument("--delta", type=float, help="wall shift")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--n", type=int, help="mode count")
-        group.add_argument("--tol", type=float, help="truncation tolerance")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "jsonl"], dest="fmt")
-
-    p = sub.add_parser("coeffs", help="expansion coefficient table")
-    common(p)
-
-    p = sub.add_parser("evolve", help="probability density over one period")
-    common(p)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--nt", type=int)
-
-    p = sub.add_parser("escape", help="escape probability time series")
-    common(p)
-    p.add_argument("--t-min", type=float)
-    p.add_argument("--t-max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--spacing", choices=["log", "linear"])
-
-    p = sub.add_parser("universal", help="limit profile samples and valleys")
-    common(p)
-    p.add_argument("--xi-min", type=float)
-    p.add_argument("--xi-max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--valleys-out", help="also write the valley list here")
-    p.add_argument("--p-max", type=int)
-
-    p = sub.add_parser("fractal", help="curve lengths, dimension, phase sums")
-    common(p)
-    p.add_argument("--base-intervals", type=int)
-    p.add_argument("--histogram", action="store_true", default=None,
-                   help="emit the phase-sum histogram instead of lengths")
-    p.add_argument("--epsilon", type=float, help="ruler for --histogram")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--sigma", action="store_true", default=None,
-                   help="emit (epsilon, sigma) rows instead of lengths")
-    p.add_argument("--selftest", action="store_true", default=None,
-                   help="fit a synthetic eps^-1/4 law and exit")
-
-    p = sub.add_parser("oracle-check", help="run the independent-oracle suite")
-    p.add_argument("--coarse", action="store_true",
-                   help="deliberately coarse grids (expected to fail)")
-    p.add_argument("--json", action="store_true")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        modes = p.add_mutually_exclusive_group()
+        for flag, opt in command.options.items():
+            kind = ({"action": "store_true"} if opt.type is bool
+                    else {"type": opt.type, "choices": opt.choices})
+            (modes if flag in ("--n", "--tol") else p).add_argument(
+                flag, default=opt.default, help=opt.help, **kind)
     return parser
 
 
-def _as_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+def _config_tokens(path: str, options: dict) -> list[str]:
+    """A flat ``key = value`` file as flag tokens; '#' starts a comment.
+
+    Keys are flag names without the dashes (``t-min`` or ``t_min``); a switch
+    is set by a true value (1, true, yes, on) and left alone otherwise.
+    """
+    tokens = []
+    with open(path) as handle:
+        for raw in handle:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            if not sep:
+                raise ValueError(f"bad config line: {raw.strip()!r}")
+            if flag not in options:  # argparse would accept an abbreviation
+                raise ValueError(f"unknown config key {key!r}")
+            if options[flag].type is not bool:
+                tokens += [flag, value]
+            elif value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(flag)
+    return tokens
 
 
-# per-command extras: name -> (cast from config text, default)
-_EXTRA_KEYS: dict[str, dict] = {
-    "coeffs": {},
-    "evolve": {"nx": (int, 512), "nt": (int, 512)},
-    "escape": {"t_min": (float, 1e-8), "t_max": (float, 1e-2),
-               "points": (int, 121), "spacing": (str, "log")},
-    "universal": {"xi_min": (float, 0.0), "xi_max": (float, 1.0),
-                  "points": (int, 512), "valleys_out": (str, None),
-                  "p_max": (int, 4)},
-    "fractal": {"base_intervals": (int, 10**5), "histogram": (_as_bool, False),
-                "epsilon": (float, 1e-5), "bins": (int, 61),
-                "sigma": (_as_bool, False), "selftest": (_as_bool, False)},
-}
-
-_DELTA_DEFAULTS = {"coeffs": 0.0, "evolve": 0.2, "escape": 0.003,
-                   "universal": 0.0, "fractal": 0.0}
-
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "evolve": cmd_evolve,
-    "escape": cmd_escape,
-    "universal": cmd_universal,
-    "fractal": cmd_fractal,
-}
-
-
-def _config_from_args(args) -> RunConfig:
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return default
-
-    n_modes = pick("n", int, None)
-    tolerance = pick("tol", float, None)
-    if n_modes is not None and tolerance is not None:
-        raise UsageError("give either a mode count or a tolerance, not both")
-    if n_modes is None and tolerance is None:
-        # per-command defaults: coefficient/escape sweeps by tolerance,
-        # grid-valued commands by an explicit mode count
-        if args.command == "coeffs":
-            tolerance = 1e-6
-        elif args.command == "escape":
-            tolerance = 1e-12
-        else:
-            n_modes = {"evolve": 800, "universal": universal.DEFAULT_MODES,
-                       "fractal": 10**5}[args.command]
-    extras = {}
-    for key, (cast, default) in _EXTRA_KEYS[args.command].items():
-        extras[key] = pick(key, cast, default)
-    return RunConfig(
-        delta=float(pick("delta", float, _DELTA_DEFAULTS[args.command])),
-        n_modes=n_modes, tolerance=tolerance,
-        out=pick("out", str, None), fmt=pick("fmt", str, "csv"),
-        extras=extras,
-    )
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parsed options of one invocation, config file and defaults applied."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    options = COMMANDS[args.command].options
+    if getattr(args, "config", None):
+        # file values go first, so the command line's own flags win
+        at = argv.index(args.command) + 1
+        argv[at:at] = _config_tokens(args.config, options)
+        args = parser.parse_args(argv)
+    if "--tol" in options and args.n is not None:
+        args.tol = None  # an explicit mode count replaces the default tolerance
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "oracle-check":
-            cfg = RunConfig(delta=0.2, n_modes=1, tolerance=None,
-                            extras={"coarse": args.coarse, "json": args.json})
-            return cmd_oracle_check(cfg)
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = parse_args(argv)
+        return COMMANDS[args.command].run(args)
     except QuadratureConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except WellQuenchError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except (ValueError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

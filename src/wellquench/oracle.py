@@ -4,6 +4,8 @@ Nothing here shares numerics with the spectral route: the propagator solves
 the Schrodinger equation on a real-space grid with a norm-preserving implicit
 scheme, overlaps are trapezoid sums of sampled states, and the closed-form
 constants of the escape asymptotes are reproduced by direct quadrature.
+``invariant_checks`` runs these routes against each other and against the
+spectral route.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import numpy as np
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
-from . import _oscillatory
+from . import _oscillatory, survival
 from .errors import GridMismatchError
-from .spectral import WellConfig
+from .spectral import WellConfig, mode_coefficients, wavefunction
 
 
 @dataclass(frozen=True)
@@ -50,21 +52,6 @@ def uniform_grid(config: WellConfig, n_points: int) -> np.ndarray:
     if n_points < 3:
         raise ValueError("need at least 3 grid points")
     return np.linspace(0.0, config.width, n_points)
-
-
-def points_with_interior_node(config: WellConfig, target: int) -> int:
-    """Smallest point count >= target that places x = 1 exactly on the grid.
-
-    The sudden-shift initial state is zero on (1, L]; putting its kink on a
-    node keeps the sampled state an exact restriction of the continuum one.
-    """
-    n = target
-    while n <= target + 10**6:
-        j = (n - 1) / config.width
-        if abs(j - round(j)) < 1e-9:
-            return n
-        n += 1
-    raise ValueError("no suitable grid size found near the target")
 
 
 def initial_state(config: WellConfig, n_points: int) -> GridState:
@@ -151,24 +138,18 @@ def adaptive_quadrature(kind: str, domain=(0.0, math.inf), tol: float = 1e-9,
     """Quadrature for the escape-law kernels with estimated error below tol.
 
     ``kind`` is one of "free", "confined", "escape" (the latter takes the
-    oscillation rate ``alpha`` = delta / sqrt(t)), or "zero" for the trivial
-    integrand.  Semi-infinite domains get an analytic oscillatory tail;
-    finite ones are integrated directly.  Raises QuadratureConvergenceError
-    when the target cannot be met.
+    oscillation rate ``alpha`` = delta / sqrt(t)).  Semi-infinite domains get
+    an analytic oscillatory tail; finite ones are integrated directly.  Raises
+    QuadratureConvergenceError when the target cannot be met.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     lower, upper = float(domain[0]), float(domain[1])
-    if kind == "zero":
-        if math.isinf(upper):
-            raise ValueError("the zero integrand needs a finite domain")
-        return _oscillatory.finite_integral(lambda y: np.zeros_like(y),
-                                            lower, upper, tol)
     try:
         power, takes_alpha = _KERNELS[kind]
     except KeyError:
         raise ValueError(f"unknown integrand {kind!r}; expected one of "
-                         f"{sorted(_KERNELS) + ['zero']}") from None
+                         f"{sorted(_KERNELS)}") from None
     if takes_alpha:
         if alpha is None:
             raise ValueError("the escape kernel needs alpha = delta/sqrt(t)")
@@ -178,12 +159,49 @@ def adaptive_quadrature(kind: str, domain=(0.0, math.inf), tol: float = 1e-9,
         raise ValueError("kernel integrals start at 0")
     if math.isinf(upper):
         return _oscillatory.kernel_integral(power, alpha=alpha, tol=tol)
+    return _oscillatory.finite_integral(
+        lambda y: _oscillatory._kernel(y, power, alpha), lower, upper, tol)
 
-    def integrand(y):
-        ys = np.where(y < 1e-12, 1.0, y)
-        vals = np.sin(ys * ys / 2.0) ** 2 / ys**power
-        if takes_alpha:
-            vals = vals * np.sin(alpha * ys) ** 2
-        return np.where(y < 1e-12, 0.0, vals)
 
-    return _oscillatory.finite_integral(integrand, lower, upper, tol)
+def invariant_checks(coarse: bool = False) -> list[dict]:
+    """The oracle suite as named checks: {name, value, threshold, ok}.
+
+    ``coarse`` uses grids far too small to pass, to show that the checks can
+    fail.
+    """
+    checks = []
+
+    def check(name: str, value: float, threshold: float):
+        checks.append({"name": name, "value": value, "threshold": threshold,
+                       "ok": value < threshold})
+
+    well = WellConfig(0.2)
+    n_points = 1025 if not coarse else 65
+    # stationary eigenmode: density must not move
+    mode = eigenmode_state(well, {1: 1.0 + 0.0j}, n_points)
+    dt = 4.0 * mode.dx**2
+    evolved = propagate(mode, dt, 400)
+    check("stationary_mode_density", float(np.abs(
+        np.abs(evolved.amplitudes) ** 2 - np.abs(mode.amplitudes) ** 2).max()), 1e-8)
+    # unitarity over many steps
+    state = initial_state(well, n_points)
+    walked = propagate(state, dt, 1000)
+    check("norm_drift_1000_steps", abs(walked.norm - state.norm), 1e-10)
+    # quadrature constants against their closed forms
+    for kind, exact in (("free", survival.FREE_KERNEL_CONSTANT),
+                        ("confined", survival.CONFINED_KERNEL_CONSTANT)):
+        value = adaptive_quadrature(kind, tol=1e-9)
+        check(f"{kind}_kernel_constant", abs(value - exact), 1e-6)
+    # grid propagator against the spectral wavefunction
+    t_target = 0.005
+    steps = int(math.ceil(t_target / (8.0 * state.dx**2)))
+    moved = propagate(state, t_target / steps, steps)
+    coeffs = mode_coefficients(well, 2000)
+    reference = wavefunction(well, coeffs, moved.x_grid, t_target)
+    check("propagator_vs_spectral_l2", float(np.sqrt(
+        moved.dx * np.sum(np.abs(moved.amplitudes - reference) ** 2))), 2e-3)
+    # survival amplitude against the overlap quadrature
+    amp = survival.survival_amplitude(well, t_target, 2000)
+    quad = overlap(state, from_samples(moved.x_grid, reference, t_target))
+    check("survival_vs_overlap", abs(amp - quad), 1e-6)
+    return checks

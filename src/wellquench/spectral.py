@@ -82,19 +82,12 @@ class DensityField:
             raise ValueError("density matrix shape does not match the grids")
 
 
-def mode_coefficient(config: WellConfig, n: int) -> float:
-    """Overlap a_n of the pre-quench ground state with expanded-well mode n.
+def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
+    """Overlaps a_n, n = 1..n_modes, of the pre-quench ground state.
 
     a_n = (2 / (pi sqrt(L))) sin(pi n / L) / (1 - (n/L)^2); the 0/0 point at
     n/L = 1 is filled with the analytic limit 1/sqrt(L) via a local expansion.
     """
-    if n < 1 or n != int(n):
-        raise ValueError(f"mode index must be a positive integer, got {n}")
-    return float(mode_coefficients(config, int(n)).values[-1])
-
-
-def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
-    """Vectorized a_n for n = 1..n_modes."""
     if n_modes < 1:
         raise ValueError("need at least one mode")
     L = config.width
@@ -108,6 +101,17 @@ def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
         es = e[singular]
         a[singular] = (1.0 / math.sqrt(L)) * (1.0 - es / 2.0 + _EXPANSION_C2 * es * es)
     return ModeCoefficients(values=a, truncation=n_modes, config=config)
+
+
+def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
+    """``t`` as an array of at least one dimension; ValueError if any entry is
+    NaN or infinite, or negative unless ``signed``."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(ts).all():
+        raise ValueError(f"{name} must be finite")
+    if not signed and ts.size and ts.min() < 0.0:
+        raise ValueError(f"{name} must be >= 0")
+    return ts
 
 
 def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:
@@ -127,8 +131,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if x_arr.min() < 0.0 or x_arr.max() > config.width * (1.0 + 1e-12):
         raise ValueError(f"position outside [0, {config.width}]")
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    _valid_times(t)
     L = config.width
     a = coeffs.values
     energies = mode_energies(config, coeffs.truncation)
@@ -154,8 +157,7 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
             raise ValueError(f"{name} grid must be non-empty and sorted ascending")
     if x_grid[0] < 0.0 or x_grid[-1] > config.width * (1.0 + 1e-12):
         raise ValueError(f"positions outside [0, {config.width}]")
-    if t_grid[0] < 0.0:
-        raise ValueError("time must be >= 0")
+    _valid_times(t_grid)
     L = config.width
     a = coeffs.values
     energies = mode_energies(config, coeffs.truncation)
@@ -198,17 +200,6 @@ def survival_tail_bound(config: WellConfig, n_modes: int) -> float:
     """
     tau = coefficient_tail_bound(config, n_modes)
     return 2.0 * tau + tau * tau
-
-
-def pointwise_tail_bound(config: WellConfig, n_modes: int) -> float:
-    """Bound on the pointwise wavefunction truncation error (slow, ~1/N).
-
-    |psi - psi_N| <= sqrt(2/L) sum_{n > N} |a_n| with |a_n| <= 2 L^{3/2}
-    sqrt(corr) / (pi n^2).
-    """
-    L = config.width
-    corr = _tail_correction(config, n_modes)
-    return (2.0 * math.sqrt(2.0) * L / math.pi) * math.sqrt(corr) / n_modes
 
 
 _TAIL_BOUNDS = {

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _oscillatory
 from .errors import TruncationInconsistencyError
-from .spectral import (WellConfig, mode_coefficients, mode_energies,
-                       truncation_for_tolerance)
+from .spectral import (WellConfig, _valid_times, mode_coefficients,
+                       mode_energies, truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
 FREE_KERNEL_CONSTANT = math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
@@ -34,28 +34,6 @@ _NEGATIVE_ERROR = -1e-8
 _NOISE_FLOOR = 1e-12
 
 _CHUNK_BUDGET = 2**24
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """A sampled scalar observable over time with provenance metadata."""
-
-    times: np.ndarray
-    values: np.ndarray
-    meta: dict
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if self.meta.get("probability") and values.size:
-            if values.min() < 0.0 or values.max() > 1.0:
-                raise ValueError("probability series must stay within [0, 1]")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -78,9 +56,7 @@ def _weights_and_energies(config: WellConfig, n_modes: int):
 def survival_amplitude(config: WellConfig, t, n_modes: int):
     """A(t) = sum_{n=1..N} a_n^2 e^{-i E_n t}; scalar or array ``t``."""
     a2, energies = _weights_and_energies(config, n_modes)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.size and ts.min() < 0.0:
-        raise ValueError("time must be >= 0")
+    ts = _valid_times(t)
     out = np.empty(ts.shape, dtype=complex)
     chunk = max(1, _CHUNK_BUDGET // n_modes)
     for i in range(0, ts.size, chunk):
@@ -129,9 +105,7 @@ def _apply_noise_clamp(values: np.ndarray) -> np.ndarray:
 def escape_probability_exact(config: WellConfig, t, n_modes: int):
     """1 - |A(t)|^2 from the truncated mode sum; scalar or array ``t``."""
     a2, energies = _weights_and_energies(config, n_modes)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.size and ts.min() < 0.0:
-        raise ValueError("time must be >= 0")
+    ts = _valid_times(t)
     out = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=False))
     return out if np.ndim(t) else float(out[0])
 
@@ -147,9 +121,7 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     order-one fractions of the period by the ground-phase bookkeeping.
     """
     a2, energies = _weights_and_energies(config, n_modes)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.size and ts.min() < 0.0:
-        raise ValueError("time must be >= 0")
+    ts = _valid_times(t)
     out = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
     return out if np.ndim(t) else float(out[0])
 
@@ -164,9 +136,7 @@ def escape_small_delta(config: WellConfig, t, n_modes: int):
     n = np.arange(2, n_modes + 1, dtype=float)
     weights = np.sin(math.pi * n * delta) ** 2 / n**4
     half_phase_rates = (math.pi * n) ** 2 / 2.0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.size and ts.min() < 0.0:
-        raise ValueError("time must be >= 0")
+    ts = _valid_times(t)
     out = np.empty(ts.shape)
     chunk = max(1, _CHUNK_BUDGET // max(1, n.size))
     for i in range(0, ts.size, chunk):
@@ -184,8 +154,7 @@ def escape_integral(delta: float, t: float, tol: float = 1e-7) -> float:
     """
     if delta < 0.0:
         raise ValueError("wall shift must be >= 0")
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    _valid_times(t)
     if t == 0.0 or delta == 0.0:
         return 0.0
     alpha = delta / math.sqrt(t)
@@ -195,20 +164,16 @@ def escape_integral(delta: float, t: float, tol: float = 1e-7) -> float:
 
 def asymptote_free(t) -> np.ndarray | float:
     """Escape before the wavefront reaches the displaced wall: ~ t^{3/2}."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("time must be >= 0")
+    t_arr = _valid_times(t)
     out = FREE_LAW_COEFFICIENT * t_arr**1.5
-    return out if np.ndim(t) else float(out)
+    return out if np.ndim(t) else float(out[0])
 
 
 def asymptote_confined(delta: float, t) -> np.ndarray | float:
     """Escape after reflections set in: ~ delta^2 t^{1/2}."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("time must be >= 0")
+    t_arr = _valid_times(t)
     out = CONFINED_LAW_COEFFICIENT * delta * delta * np.sqrt(t_arr)
-    return out if np.ndim(t) else float(out)
+    return out if np.ndim(t) else float(out[0])
 
 
 def crossover_time(delta: float) -> float:
@@ -258,20 +223,3 @@ def regime_report(delta: float, early_window, late_window,
         prefactor_early=amplitudes[0],
         prefactor_late=amplitudes[1],
     )
-
-
-def escape_series(config: WellConfig, times, n_modes: int,
-                  method: str = "exact") -> TimeSeries:
-    """Escape probability sweep packaged with its provenance."""
-    times = np.asarray(times, dtype=float)
-    if method == "exact":
-        values = escape_probability_exact(config, times, n_modes)
-    elif method == "small_delta":
-        values = escape_small_delta(config, times, n_modes)
-    elif method == "integral":
-        values = np.array([escape_integral(config.delta, float(t)) for t in times])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    meta = {"method": method, "n_modes": n_modes, "delta": config.delta,
-            "probability": True}
-    return TimeSeries(times=times, values=values, meta=meta)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import GridMismatchError
-from .spectral import WellConfig
+from .spectral import WellConfig, _valid_times
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -49,10 +49,6 @@ class UniversalCurve:
         object.__setattr__(self, "xi_grid", xi)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def spacing(self) -> float:
-        return float(self.xi_grid[1] - self.xi_grid[0])
-
 
 @dataclass(frozen=True)
 class ValleyEntry:
@@ -73,12 +69,12 @@ class ValleyList:
 def universal_function(xi, n_modes: int = DEFAULT_MODES):
     """Truncated evaluation of the limit profile at arbitrary xi.
 
-    The function is periodic with period 1, so any real xi is accepted.
+    The function is periodic with period 1, so any finite xi is accepted.
     Terms fall off as 1/n^2; see universal_tail_bound for the cutoff error.
     """
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
-    xs = np.atleast_1d(np.asarray(xi, dtype=float))
+    xs = _valid_times(xi, "xi", signed=True)
     out = np.zeros(xs.shape)
     chunk = max(1, _CHUNK_BUDGET // max(1, xs.size))
     for start in range(2, n_modes + 1, chunk):

@@ -1,16 +1,27 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wellquench.cli import main
+import wellquench
+from wellquench.cli import COMMANDS, main, parse_args
 
 
 def run_cli(args):
     return main(args)
+
+
+def run_module(*args):
+    """``python -m wellquench.cli ARGS`` on the package these tests import."""
+    paths = [str(Path(wellquench.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-m", "wellquench.cli", *args],
+                          capture_output=True, text=True, timeout=600, env=env)
 
 
 def parse_csv(path):
@@ -216,18 +227,95 @@ class TestExitCodes:
         assert info.value.code == 2
 
     def test_oracle_check_passes(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "wellquench.cli", "oracle-check", "--json"],
-            capture_output=True, text=True, timeout=600)
+        result = run_module("oracle-check", "--json")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
         assert payload["ok"] is True
         assert all(c["ok"] for c in payload["checks"])
 
     def test_oracle_check_coarse_fails(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "wellquench.cli", "oracle-check",
-             "--coarse"],
-            capture_output=True, text=True, timeout=600)
+        result = run_module("oracle-check", "--coarse")
         assert result.returncode == 1
         assert "FAIL" in result.stdout
+
+
+def run_for_exit(argv):
+    """Exit code of one invocation, whether main returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv, config", [
+        (["escape", "--delta", "nan"], None),
+        (["universal", "--n", "1"], None),
+        (["fractal", "--histogram", "--epsilon", "0.7"], None),
+        (["evolve", "--config", "{cfg}"], "nx = abc\n"),
+        (["coeffs", "--n", "3", "--out", "{dir}/missing/x.csv"], None),
+        (["coeffs", "--config", "{dir}/missing.cfg"], None),
+        (["coeffs", "--config", "{cfg}"], "bogus = 3\n"),
+        (["coeffs", "--config", "{cfg}"], "format = xml\n"),
+        (["coeffs", "--config", "{cfg}"], "n 3\n"),
+        (["escape", "--n", "10", "--tol", "1e-6"], None),
+        (["evolve", "--tol", "1e-6"], None),
+        (["universal", "--tol", "1e-6"], None),
+        (["fractal", "--tol", "1e-6"], None),
+        (["universal", "--delta", "0.1"], None),
+        (["fractal", "--delta", "0.1"], None),
+    ])
+    def test_usage_errors_exit_2_with_one_line(self, argv, config, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        argv = [a.format(cfg=cfg, dir=tmp_path) for a in argv]
+        assert run_for_exit(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def sample_value(opt):
+    """A non-default value for an option, as command-line text."""
+    if opt.choices:
+        return opt.choices[-1]
+    return {int: "7", float: "0.25", str: "x.out"}[opt.type]
+
+
+def option_cases():
+    for command, spec in COMMANDS.items():
+        for flag, opt in spec.options.items():
+            if "--config" in spec.options and flag != "--config":
+                yield pytest.param(command, flag, opt, id=f"{command}{flag}")
+
+
+class TestConfigParity:
+    @pytest.mark.parametrize("command, flag, opt", option_cases())
+    @pytest.mark.parametrize("spelling", ["dash", "underscore"])
+    def test_config_key_parses_like_its_flag(self, command, flag, opt, spelling,
+                                             tmp_path):
+        key = flag[2:] if spelling == "dash" else flag[2:].replace("-", "_")
+        if opt.type is bool:
+            flag_argv, line = [flag], f"{key} = true\n"
+        else:
+            value = sample_value(opt)
+            flag_argv, line = [flag, value], f"{key} = {value}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line)
+        from_flag = vars(parse_args([command, *flag_argv]))
+        from_file = vars(parse_args([command, "--config", str(cfg)]))
+        from_file.pop("config", None)
+        from_flag.pop("config", None)
+        assert from_file == from_flag
+        assert from_flag != vars(parse_args([command]))
+
+    def test_false_switch_in_config_leaves_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = no\n")
+        assert parse_args(["fractal", "--config", str(cfg)]).sigma is False
+
+    def test_explicit_mode_count_replaces_default_tolerance(self):
+        assert parse_args(["coeffs"]).tol == 1e-6
+        args = parse_args(["coeffs", "--n", "5"])
+        assert (args.n, args.tol) == (5, None)

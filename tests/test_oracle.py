@@ -7,8 +7,7 @@ from scipy.integrate import quad
 from wellquench import _oscillatory
 from wellquench.errors import GridMismatchError, QuadratureConvergenceError
 from wellquench.oracle import (GridState, adaptive_quadrature, eigenmode_state,
-                               initial_state, overlap,
-                               points_with_interior_node, propagate,
+                               initial_state, overlap, propagate,
                                uniform_grid)
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
 
@@ -27,12 +26,6 @@ class TestGridState:
         beyond = state.x_grid > 1.0
         assert np.abs(state.amplitudes[beyond]).max() == 0.0
         assert state.norm == pytest.approx(1.0, abs=1e-6)
-
-    def test_interior_node_helper(self):
-        w = WellConfig(0.2)
-        n = points_with_interior_node(w, 4096)
-        j = (n - 1) / w.width
-        assert abs(j - round(j)) < 1e-9
 
 
 class TestPropagate:
@@ -144,9 +137,6 @@ class TestAdaptiveQuadrature:
         confined = math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))
         assert value == pytest.approx(alpha**2 * confined, rel=2e-2)
 
-    def test_zero_integrand(self):
-        assert adaptive_quadrature("zero", domain=(0.0, 1.0)) == 0.0
-
     def test_finite_domain_against_scipy(self):
         value = adaptive_quadrature("free", domain=(0.0, 5.0), tol=1e-10)
         zeros = [math.sqrt(2.0 * math.pi * k) for k in (1, 2, 3)]
@@ -163,8 +153,6 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature("free", alpha=1.0)     # alpha forbidden
         with pytest.raises(ValueError):
             adaptive_quadrature("nonsense")
-        with pytest.raises(ValueError):
-            adaptive_quadrature("zero")                # needs finite domain
 
     def test_nonconvergence_raises_with_diagnostics(self):
         with pytest.raises(QuadratureConvergenceError):

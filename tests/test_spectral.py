@@ -7,9 +7,9 @@ from scipy.integrate import quad
 from wellquench import spectral
 from wellquench.errors import TruncationCapError
 from wellquench.spectral import (WellConfig, coefficient_tail_bound,
-                                 density_field, mode_coefficient,
-                                 mode_coefficients, survival_tail_bound,
-                                 truncation_for_tolerance, wavefunction)
+                                 density_field, mode_coefficients,
+                                 survival_tail_bound, truncation_for_tolerance,
+                                 wavefunction)
 
 
 def overlap_quadrature(delta, n):
@@ -39,26 +39,25 @@ class TestWellConfig:
 
 class TestModeCoefficient:
     def test_no_shift_orthonormality(self):
-        w = WellConfig(0.0)
-        assert mode_coefficient(w, 1) == pytest.approx(1.0, abs=1e-14)
-        assert mode_coefficient(w, 3) == pytest.approx(0.0, abs=1e-14)
+        values = mode_coefficients(WellConfig(0.0), 3).values
+        assert values[0] == pytest.approx(1.0, abs=1e-14)
+        assert values[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_against_quadrature_oracle(self):
-        w = WellConfig(0.2)
+        values = mode_coefficients(WellConfig(0.2), 8).values
         for n in (1, 2, 3, 5, 8):
-            assert mode_coefficient(w, n) == pytest.approx(
+            assert values[n - 1] == pytest.approx(
                 overlap_quadrature(0.2, n), abs=1e-12)
 
     def test_frozen_leading_coefficient(self):
         # quadrature oracle value, delta = 0.2
-        assert mode_coefficient(WellConfig(0.2), 1) == pytest.approx(
+        assert mode_coefficients(WellConfig(0.2), 1).values[0] == pytest.approx(
             0.950975481489623, abs=1e-12)
 
     def test_removable_singularity_exact_hit(self):
         # delta = 1 puts mode 2 exactly at n/L = 1
-        w = WellConfig(1.0)
-        assert mode_coefficient(w, 2) == pytest.approx(1.0 / math.sqrt(2.0),
-                                                       abs=1e-12)
+        values = mode_coefficients(WellConfig(1.0), 2).values
+        assert values[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_continuity_across_window(self):
         # formula branch just outside the window vs the expansion inside
@@ -66,14 +65,14 @@ class TestModeCoefficient:
         for e in (1.2e-6, -1.2e-6):
             L = n / (1.0 + e)
             w = WellConfig(L - 1.0)
-            outside = mode_coefficient(w, n)
+            outside = mode_coefficients(w, n).values[n - 1]
             expansion = (1.0 / math.sqrt(L)) * (
                 1.0 - e / 2.0 + (0.25 - math.pi**2 / 6.0) * e * e)
             assert abs(outside - expansion) / abs(expansion) < 1e-6
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            mode_coefficient(WellConfig(0.1), 0)
+            mode_coefficients(WellConfig(0.1), 0)
 
 
 class TestCompleteness:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wellquench import oracle, spectral, survival
+from wellquench import oracle, spectral, survival, universal
 from wellquench.errors import TruncationInconsistencyError
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
 from wellquench.survival import (CONFINED_KERNEL_CONSTANT,
                                  CONFINED_LAW_COEFFICIENT,
                                  FREE_KERNEL_CONSTANT, FREE_LAW_COEFFICIENT,
-                                 TimeSeries, asymptote_confined,
+                                 asymptote_confined,
                                  asymptote_free, crossover_time,
                                  escape_integral, escape_probability_exact,
                                  escape_small_delta, regime_report,
@@ -257,18 +257,34 @@ class TestInvariants:
         assert np.abs(large - small).max() <= bound
 
 
-class TestTimeSeries:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=np.array([1.0, 0.5]), values=np.array([0.0, 0.0]),
-                       meta={})
-        with pytest.raises(ValueError):
-            TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.0, 1.5]),
-                       meta={"probability": True})
+_WELL = WellConfig(0.01)
+_COEFFS = mode_coefficients(_WELL, 20)
 
-    def test_series_builder(self):
-        w = WellConfig(0.003)
-        series = survival.escape_series(w, np.logspace(-6, -4, 5), 4000,
-                                        method="exact")
-        assert series.meta["method"] == "exact"
-        assert series.values.shape == (5,)
+
+class TestTimeValidation:
+    """Every public function taking times (or xi = t/T) rejects non-finite
+    values, and negative ones where the argument is a time."""
+
+    @pytest.mark.parametrize("call, signed", [
+        (lambda t: spectral.wavefunction(_WELL, _COEFFS, 0.5, t), False),
+        (lambda t: spectral.density_field(_WELL, _COEFFS, [0.5], [t]), False),
+        (lambda t: survival_amplitude(_WELL, t, 20), False),
+        (lambda t: escape_probability_exact(_WELL, t, 20), False),
+        (lambda t: survival.escape_probability_aligned(_WELL, [0.0, t], 20), False),
+        (lambda t: escape_small_delta(_WELL, t, 20), False),
+        (lambda t: escape_integral(0.01, t), False),
+        (lambda t: asymptote_free(np.array([1e-3, t])), False),
+        (lambda t: asymptote_confined(0.01, t), False),
+        (lambda xi: universal.universal_function(xi, 20), True),
+        (lambda xi: universal.scaled_escape_limit(0.01, [0.0, xi], 20), False),
+    ], ids=["wavefunction", "density_field", "survival_amplitude",
+            "escape_probability_exact", "escape_probability_aligned",
+            "escape_small_delta", "escape_integral", "asymptote_free",
+            "asymptote_confined", "universal_function", "scaled_escape_limit"])
+    def test_rejects_non_finite_and_negative(self, call, signed):
+        call(0.001)
+        for bad in (math.nan, math.inf, -math.inf) + (() if signed else (-1e-3,)):
+            with pytest.raises(ValueError):
+                call(bad)
+        if signed:
+            call(-0.25)
