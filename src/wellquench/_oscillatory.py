@@ -8,6 +8,7 @@ parts (the surviving smooth piece has a closed form in terms of Si).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,20 +37,51 @@ def _panel_edges(upper: float, alpha: float | None) -> np.ndarray:
     zeros = np.sqrt(2.0 * math.pi * ks)
     edges = np.concatenate([[0.0], zeros[zeros < upper], [upper]])
     width = math.pi / max(alpha or 1.0, 1.0)  # resolve the sin^2(alpha y) period
-    pieces = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        parts = max(1, int(math.ceil((b - a) / width)))
-        pieces.append(np.linspace(a, b, parts + 1))
-    return np.unique(np.concatenate(pieces))
+    a, b = edges[:-1], edges[1:]
+    parts = np.maximum(1, np.ceil((b - a) / width)).astype(np.int64)
+    # i * step + a for i < parts: np.linspace(a, b, parts + 1) without its end
+    step = np.repeat((b - a) / parts, parts)
+    i = np.arange(step.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.append(i * step + np.repeat(a, parts), upper)
 
 
-def _composite_gauss(power: int, alpha: float | None, edges: np.ndarray,
-                     order: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return _read_only(*np.polynomial.legendre.leggauss(order))
+
+
+def _layout(power: int, edges: np.ndarray, order: int):
+    """Nodes ys, weights hw and alpha-free kernel values of the composite rule."""
+    nodes, weights = _gauss_rule(order)
     a, b = edges[:-1], edges[1:]
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     ys = mid[:, None] + half[:, None] * nodes[None, :]
-    return float((half[:, None] * weights[None, :] * _kernel(ys, power, alpha)).sum())
+    free = _kernel(ys, power, None)
+    return ys, half[:, None] * weights[None, :], free
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_layout(power: int, upper: float, order: int):
+    """``_layout`` on the unrefined width-pi panels up to one of the fixed
+    ``upper`` values, shared by every call with alpha <= 1 or alpha None.
+    Layouts for alpha > 1 differ per alpha, each up to tens of MB, and are
+    not kept."""
+    return _read_only(*_layout(power, _panel_edges(upper, None), order))
+
+
+def _composite_gauss(layout, alpha: float | None) -> float:
+    ys, hw, free = layout
+    if alpha is None:
+        return float((hw * free).sum())
+    # the same products, in the same order, as _kernel(ys, power, alpha)
+    return float((hw * (free * np.sin(alpha * ys) ** 2)).sum())
 
 
 def _c4_tail(beta: float, upper: float) -> float:
@@ -95,8 +127,8 @@ def kernel_integral(power: int, alpha: float | None = None,
     raised with diagnostics.
     """
     if alpha is not None:
-        if alpha < 0.0:
-            raise ValueError("oscillation rate must be >= 0")
+        if math.isnan(alpha) or alpha < 0.0:
+            raise ValueError(f"oscillation rate must be >= 0, got {alpha}")
         if alpha == 0.0:
             return 0.0
         if alpha >= _MEAN_FIELD_ALPHA:
@@ -104,18 +136,24 @@ def kernel_integral(power: int, alpha: float | None = None,
             return 0.5 * kernel_integral(4, None, tol)
         # keep the dropped-oscillation tail bound alpha/(8 Y^4) under tol/2
         upper = max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25)
+        # alpha <= 1 resolves with the width-pi panels of the bare kernel
+        shared = alpha <= 1.0 and upper == 150.0
     else:
-        upper = 60.0
-    edges = _panel_edges(upper, alpha)
+        upper, shared = 60.0, True
+    edges = None if shared else _panel_edges(upper, alpha)
     for refinement in range(3):
-        coarse = _composite_gauss(power, alpha, edges, 12)
-        fine = _composite_gauss(power, alpha, edges, 20)
+        # one order at a time: a large-alpha layout holds ~10^6 nodes
+        coarse, fine = (_composite_gauss(
+            _shared_layout(power, upper, order) if edges is None
+            else _layout(power, edges, order), alpha) for order in (12, 20))
         tail_value, tail_err = _tail(power, alpha, upper)
         value = fine + tail_value
         estimate = abs(fine - coarse) + tail_err
         scale = max(abs(value), 1e-30)
         if estimate <= max(tol, tol * scale):
             return value
+        if edges is None:
+            edges = _panel_edges(upper, alpha)
         mids = (edges[:-1] + edges[1:]) / 2.0
         edges = np.sort(np.concatenate([edges, mids]))
     raise QuadratureConvergenceError(
@@ -132,9 +170,9 @@ def finite_integral(func, lower: float, upper: float, tol: float = 1e-9) -> floa
         return 0.0
     panels = 8
     previous = None
+    nodes, weights = _gauss_rule(12)
     for _ in range(12):
         edges = np.linspace(lower, upper, panels + 1)
-        nodes, weights = np.polynomial.legendre.leggauss(12)
         mid = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1:] - edges[:-1]) / 2.0
         ys = mid[:, None] + half[:, None] * nodes[None, :]

@@ -153,6 +153,8 @@ def adaptive_quadrature(kind: str, domain=(0.0, math.inf), tol: float = 1e-9,
     if takes_alpha:
         if alpha is None:
             raise ValueError("the escape kernel needs alpha = delta/sqrt(t)")
+        if math.isnan(alpha) or alpha < 0.0:
+            raise ValueError(f"oscillation rate must be >= 0, got {alpha}")
     elif alpha is not None:
         raise ValueError(f"integrand {kind!r} does not take alpha")
     if lower != 0.0:

@@ -152,8 +152,8 @@ def escape_integral(delta: float, t: float, tol: float = 1e-7) -> float:
     evaluated by panel quadrature between the kernel zeros with an analytic
     oscillatory tail.  Returns 0 at t = 0 (the continuous limit).
     """
-    if delta < 0.0:
-        raise ValueError("wall shift must be >= 0")
+    if not math.isfinite(delta) or delta < 0.0:
+        raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
     _valid_times(t)
     if t == 0.0 or delta == 0.0:
         return 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wellquench import oracle, spectral, survival, universal
+from wellquench import _oscillatory, oracle, spectral, survival, universal
 from wellquench.errors import TruncationInconsistencyError
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
 from wellquench.survival import (CONFINED_KERNEL_CONSTANT,
@@ -177,6 +177,20 @@ class TestEscapeIntegral:
             escape_integral(-0.1, 1e-3)
         with pytest.raises(ValueError):
             escape_integral(0.1, -1e-3)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                escape_integral(delta, 1e-3)
+        with pytest.raises(ValueError):
+            escape_integral(0.1, math.nan)
+        with pytest.raises(ValueError, match="oscillation rate"):
+            _oscillatory.kernel_integral(4, alpha=math.nan)
+        for domain in ((0.0, math.inf), (0.0, 5.0)):
+            for alpha in (math.nan, -1.0):
+                with pytest.raises(ValueError, match="oscillation rate"):
+                    oracle.adaptive_quadrature("escape", domain, alpha=alpha)
+        # an infinite rate is the fully averaged limit, not an error
+        assert _oscillatory.kernel_integral(4, alpha=math.inf) == \
+            0.5 * _oscillatory.kernel_integral(4)
 
 
 class TestAsymptotes:
