@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientSpanError
+from .spectral import _FFT_LIMIT, _residue_sums
 from .universal import UniversalCurve, require_uniform, universal_curve
 
 _CHUNK_BUDGET = 2**24
-_FFT_LIMIT = 2**23  # largest 1/eps routed through the FFT fast path
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,9 @@ def dimension_fit(epsilons, lengths) -> DimensionFit:
     ls = np.asarray(lengths, dtype=float)
     if eps.shape != ls.shape or eps.ndim != 1:
         raise ValueError("epsilons and lengths must be matching 1-d arrays")
+    for name, values in (("rulers", eps), ("lengths", ls)):
+        if not (np.isfinite(values).all() and (values > 0.0).all()):
+            raise ValueError(f"{name} must be finite and positive")
     if eps.size < 5:
         raise InsufficientSpanError(f"need >= 5 rulers, got {eps.size}")
     if eps.max() / eps.min() < 99.999:
@@ -123,6 +126,9 @@ def profile_dimension(strides, base_intervals: int = 10**5,
     base_intervals = int(base_intervals)
     if not strides or strides[0] < 1:
         raise ValueError("strides must be positive integers")
+    if base_intervals < strides[-1]:
+        raise ValueError(f"base intervals {base_intervals} are fewer than the "
+                         f"largest stride {strides[-1]}")
     base = universal_curve(base_intervals, n_modes,
                            extra_points=max(strides))
     lengths = []
@@ -147,8 +153,8 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     When 1/eps is an integer the sums collapse onto residues n^2 mod (1/eps)
     and one FFT produces every m at once; otherwise they are summed directly.
     """
-    if epsilon <= 0.0:
-        raise ValueError("ruler must be positive")
+    if not math.isfinite(epsilon) or epsilon <= 0.0:
+        raise ValueError(f"ruler must be finite and positive, got {epsilon}")
     cutoff = int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
     if cutoff < 2:
         raise ValueError(f"ruler {epsilon:g} leaves no modes below the cutoff")
@@ -157,9 +163,8 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     if abs(inverse - round(inverse)) < 1e-9 * inverse and round(inverse) <= _FFT_LIMIT:
         K = int(round(inverse))
         n = np.arange(2, cutoff + 1, dtype=np.int64)
-        residue_weights = np.zeros(K)
-        np.add.at(residue_weights, (n * n) % K, 1.0)
-        sums = -np.fft.fft(residue_weights).imag  # sum_n sin(2 pi m n^2 / K)
+        # sum_n sin(2 pi m n^2 / K)
+        sums = -_residue_sums(np.ones(n.size), n * n, K).imag
         values = np.concatenate([sums[1:], sums[:1]])[:count]  # m = 1..K
     else:
         n = np.arange(2, cutoff + 1, dtype=float)

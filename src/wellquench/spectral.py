@@ -27,6 +27,13 @@ _EXPANSION_C2 = 0.25 - math.pi**2 / 6.0
 
 DEFAULT_MODE_CAP = 10**6
 
+#: largest lattice denominator K summed by residue FFT
+_FFT_LIMIT = 2**23
+# xs * K must lie this many ulps (of its largest entry) from an integer; the
+# largest entry stays below 2**40 so that many ulps still pin one integer
+_LATTICE_ULPS = 8
+_LATTICE_SPAN = 2.0**40
+
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -112,6 +119,42 @@ def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
     if not signed and ts.size and ts.min() < 0.0:
         raise ValueError(f"{name} must be >= 0")
     return ts
+
+
+def _residue_sums(weights, nsq, K: int) -> np.ndarray:
+    """S_j = sum_n w_n exp(-2 pi i n^2 j / K) for j = 0..K-1.
+
+    ``nsq`` holds the integers n^2.  A phase depends on n^2 only through its
+    residue mod K, so the weights are binned by residue and one FFT gives
+    every j.  Absolute error is about 1e-16 log2(K) sum |w_n|.
+    """
+    return np.fft.fft(np.bincount(nsq % K, weights, minlength=K))
+
+
+def _grid_numerators(xs: np.ndarray, n_terms: int):
+    """(K, j) with ``xs`` equal to j / K up to rounding, j reduced mod K.
+
+    K is the inverse of the first step and must be an integer no larger than
+    _FFT_LIMIT or than ``n_terms * xs.size`` (beyond that one FFT of length K
+    costs more than summing ``n_terms`` modes at each point); every xs * K
+    must then be within a few ulps of an integer.  Returns None otherwise,
+    and the caller sums the modes directly.
+    """
+    if xs.size < 2:
+        return None
+    inverse = 1.0 / abs(xs[1] - xs[0]) if xs[1] != xs[0] else math.inf
+    if not 0.5 <= inverse < min(_FFT_LIMIT, n_terms * xs.size) + 0.5:
+        return None
+    K = round(inverse)
+    if abs(inverse - K) > 1e-6 * K:
+        return None
+    scaled = xs * K
+    j = np.rint(scaled)
+    span = float(np.abs(scaled).max())
+    if (span >= _LATTICE_SPAN or np.abs(scaled - j).max()
+            > _LATTICE_ULPS * np.finfo(float).eps * span):
+        return None
+    return K, np.mod(j, K).astype(np.int64)
 
 
 def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import _oscillatory
 from .errors import TruncationInconsistencyError
-from .spectral import (WellConfig, _valid_times, mode_coefficients,
-                       mode_energies, truncation_for_tolerance)
+from .spectral import (WellConfig, _grid_numerators, _residue_sums,
+                       _valid_times, mode_coefficients, mode_energies,
+                       truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
 FREE_KERNEL_CONSTANT = math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
@@ -119,11 +120,31 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     8 delta^2 times the universal profile; the physical escape
     (escape_probability_exact) agrees with it at short times but differs at
     order-one fractions of the period by the ground-phase bookkeeping.
+    Times on a lattice j T / K of the period T are summed by residue FFT.
     """
     a2, energies = _weights_and_energies(config, n_modes)
     ts = _valid_times(t)
-    out = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
+    lattice = _grid_numerators(ts / config.period, n_modes - 1)
+    if lattice is None:
+        core = _escape_core(a2, energies, ts, aligned=True)
+    else:
+        core = _aligned_on_lattice(a2[1:], *lattice)
+    out = _apply_noise_clamp(core)
     return out if np.ndim(t) else float(out[0])
+
+
+def _aligned_on_lattice(weights, K: int, j: np.ndarray) -> np.ndarray:
+    """_escape_core's aligned combination at t = j T / K.
+
+    E_n T = 2 pi n^2 exactly, so with S_j = sum_{n>=2} w_n e^{-2 pi i n^2 j/K}
+    the sums are Re B = S_0 - Re S_j and Im S_j, read from one residue FFT
+    whose bin 0 is the reference (B is exactly 0 at j = 0).
+    """
+    n = np.arange(2, weights.size + 2, dtype=np.int64)
+    sums = _residue_sums(weights, n * n, K)
+    re_b = sums.real[0] - sums.real[j]
+    im_b = sums.imag[j]
+    return 2.0 * re_b - re_b * re_b - im_b * im_b
 
 
 def escape_small_delta(config: WellConfig, t, n_modes: int):

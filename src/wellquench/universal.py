@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import GridMismatchError
-from .spectral import WellConfig, _valid_times
+from .spectral import (WellConfig, _grid_numerators, _residue_sums,
+                       _valid_times)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -71,10 +72,16 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
     The function is periodic with period 1, so any finite xi is accepted.
     Terms fall off as 1/n^2; see universal_tail_bound for the cutoff error.
+    Points on a lattice j/K are read off the residue-FFT profile; any other
+    input is summed directly.
     """
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
     xs = _valid_times(xi, "xi", signed=True)
+    lattice = _grid_numerators(xs, n_modes - 1)
+    if lattice is not None:
+        K, j = lattice
+        return _grid_profile(K, n_modes)[j]
     out = np.zeros(xs.shape)
     chunk = max(1, _CHUNK_BUDGET // max(1, xs.size))
     for start in range(2, n_modes + 1, chunk):
@@ -83,6 +90,23 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
         phases = 2.0 * math.pi * np.outer(xs, n * n)
         out += (weights * (1.0 - np.cos(phases))).sum(axis=1)
     return out if np.ndim(xi) else float(out[0])
+
+
+def _grid_profile(K: int, n_modes: int) -> np.ndarray:
+    """F(j/K) for j = 0..K-1 from one residue FFT.
+
+    The reference is the FFT's own bin 0, so F(0) is exactly 0.  Bins j and
+    K - j hold the same cosine sum but the FFT rounds them differently, so
+    both are read from j <= K/2 and F is exactly reflection symmetric.  F is
+    a sum of non-negative terms; where they all vanish (n = 2 alone, at
+    4j = 0 mod K) rounding leaves -1e-16, which is cut to 0.
+    """
+    n = np.arange(2, n_modes + 1, dtype=np.int64)
+    nsq = n * n
+    weights = nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
+    cos_sums = _residue_sums(weights, nsq, K).real
+    j = np.arange(K)
+    return np.maximum(cos_sums[0] - cos_sums[np.minimum(j, K - j)], 0.0)
 
 
 def universal_tail_bound(n_modes: int) -> float:
@@ -107,15 +131,8 @@ def universal_curve(intervals: int, n_modes: int = DEFAULT_MODES,
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
     K = int(intervals)
-    n = np.arange(2, n_modes + 1, dtype=np.int64)
-    nsq = n * n
-    weights = nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
-    residue_weights = np.zeros(K)
-    np.add.at(residue_weights, nsq % K, weights)
-    cos_sums = np.fft.fft(residue_weights).real  # sum_n w_n cos(2 pi j n^2 / K)
-    period_values = weights.sum() - cos_sums
     idx = np.arange(K + 1 + extra_points)
-    values = period_values[idx % K]
+    values = _grid_profile(K, n_modes)[idx % K]
     xi = idx / float(K)
     return UniversalCurve(xi_grid=xi, values=values, truncation=n_modes,
                           tail_bound=universal_tail_bound(n_modes))

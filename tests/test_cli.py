@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -184,6 +185,17 @@ class TestFractal:
         assert columns == ["epsilon", "sigma"]
         assert abs(float(header["sigma_slope"]) + 0.25) < 0.07
 
+    @pytest.mark.parametrize("flag, digest", [
+        ("--sigma", "06703cb56a292df77ba0cc01efb67989cc2cecfbcac037f130b6bda39d610011"),
+        ("--histogram", "0d2eea3fe0854f36baaf8081f5117c8140a89e620bc370ca6cc0ef1c4505a50a"),
+    ])
+    def test_phase_sum_files_unchanged(self, flag, digest, tmp_path):
+        # SHA-256 of the default files as written before the phase sums
+        # moved onto the shared residue engine
+        out = tmp_path / "p.csv"
+        assert run_cli(["fractal", flag, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, tmp_path):
@@ -264,6 +276,8 @@ class TestErrorContract:
         (["fractal", "--tol", "1e-6"], None),
         (["universal", "--delta", "0.1"], None),
         (["fractal", "--delta", "0.1"], None),
+        (["fractal", "--base-intervals", "100"], None),
+        (["fractal", "--histogram", "--epsilon", "nan"], None),
     ])
     def test_usage_errors_exit_2_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

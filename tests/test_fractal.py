@@ -61,6 +61,17 @@ class TestDimensionFit:
         fit = dimension_fit(eps, np.full(10, 3.7))
         assert fit.dimension == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_lengths_and_rulers_that_are_not_positive(self, bad):
+        eps = np.logspace(-5, -2, 10)
+        lengths = eps**-0.25
+        lengths[3] = bad
+        with pytest.raises(ValueError, match="lengths must be finite and positive"):
+            dimension_fit(eps, lengths)
+        eps[3] = bad
+        with pytest.raises(ValueError, match="rulers must be finite and positive"):
+            dimension_fit(eps, np.full(10, 3.7))
+
     def test_span_validation(self):
         with pytest.raises(InsufficientSpanError):
             dimension_fit([1e-3, 2e-3, 4e-3, 8e-3], [1, 1, 1, 1])
@@ -88,6 +99,13 @@ class TestProfileDimension:
         by_ruler = {m.ruler: m.chord for m in lengths}
         for half, full in ((5e-5, 1e-4), (5e-4, 1e-3), (5e-3, 1e-2)):
             assert by_ruler[half] >= 0.9 * by_ruler[full]
+
+    def test_base_grid_coarser_than_a_stride_rejected(self):
+        # base_intervals // stride == 0 would give a zero length and a NaN
+        # dimension
+        with pytest.raises(ValueError, match="largest stride 1000"):
+            profile_dimension(self.STRIDES, base_intervals=100, n_modes=1000)
+        profile_dimension([1, 10, 100, 1000, 2000], base_intervals=2000, n_modes=1000)
 
     def test_deterministic(self):
         fit_a, lengths_a = profile_dimension([10, 30, 100, 300, 1000],
@@ -133,6 +151,23 @@ class TestPhaseSums:
     def test_ruler_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             phase_sum_samples(0.2)  # cutoff would fall below n = 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_ruler_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="ruler must be finite and positive"):
+            phase_sum_samples(bad)
+
+    @pytest.mark.parametrize("inverse", [1000, 4096, 20011, 37500, 10**5, 10**6])
+    def test_fft_route_equals_add_at_copy(self, inverse):
+        # the residue binning before the shared engine: np.add.at then FFT;
+        # bincount adds in the same order, so the values are the same bits
+        sample = phase_sum_samples(1.0 / inverse)
+        n = np.arange(2, sample.cutoff + 1, dtype=np.int64)
+        residue_weights = np.zeros(inverse)
+        np.add.at(residue_weights, (n * n) % inverse, 1.0)
+        sums = -np.fft.fft(residue_weights).imag
+        expected = np.concatenate([sums[1:], sums[:1]])[:sample.values.size]
+        assert np.array_equal(sample.values, expected)
 
 
 class TestScaling:

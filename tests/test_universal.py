@@ -1,10 +1,18 @@
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wellquench.cli import main
 from wellquench.errors import GridMismatchError
+from wellquench.spectral import WellConfig, _grid_numerators
+from wellquench.survival import (_apply_noise_clamp, _escape_core,
+                                 _weights_and_energies,
+                                 escape_probability_aligned)
 from wellquench.universal import (MODE_WEIGHT_TOTAL, UPPER_BOUND,
                                   UniversalCurve, require_uniform,
                                   scaled_escape_limit, universal_curve,
@@ -17,6 +25,37 @@ def direct_sum(xi, n_modes):
     n = np.arange(2, n_modes + 1, dtype=float)
     weights = n * n / (1.0 - n * n) ** 2
     return float(np.sum(weights * (1.0 - np.cos(2.0 * math.pi * n * n * xi))))
+
+
+def chunked_direct(xi, n_modes):
+    """The direct route of universal_function as it was before lattice inputs
+    were read off the residue FFT; off-lattice results must equal it bit for bit."""
+    xs = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.zeros(xs.shape)
+    chunk = max(1, 2**24 // max(1, xs.size))
+    for start in range(2, n_modes + 1, chunk):
+        n = np.arange(start, min(start + chunk, n_modes + 1), dtype=float)
+        weights = n * n / (1.0 - n * n) ** 2
+        phases = 2.0 * math.pi * np.outer(xs, n * n)
+        out += (weights * (1.0 - np.cos(phases))).sum(axis=1)
+    return out
+
+
+def exact_residue_sum(numerators, K, n_modes):
+    """F(j/K) by math.fsum with each phase reduced exactly as (n^2 j mod K)/K."""
+    n = np.arange(2, n_modes + 1, dtype=np.int64)
+    weights = (n * n).astype(float) / (1.0 - (n * n).astype(float)) ** 2
+    return np.array([math.fsum(weights * (1.0 - np.cos(
+        2.0 * math.pi * ((n * n * int(j)) % K) / K))) for j in numerators])
+
+
+def valley_probes(p_max, spacing):
+    """The points valley_locations evaluates, in its order: each q/p^2 and
+    its two neighbours."""
+    locations = dict.fromkeys(Fraction(q, p * p) for p in range(2, p_max + 1)
+                              for q in range(p * p + 1))
+    xs = np.array([float(f) for f in locations])
+    return np.concatenate([xs, xs - spacing, xs + spacing])
 
 
 class TestProfileValues:
@@ -145,3 +184,126 @@ class TestValleys:
     def test_p_max_validation(self):
         with pytest.raises(ValueError):
             valley_locations(1)
+
+
+#: a mode count that never makes the lattice test fall back on cost
+NO_COST_LIMIT = 10**9
+
+
+class TestResidueGrid:
+    """The lattice route against exact residues, the direct loop and itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(2, 4096), n_modes=st.integers(2, 5000),
+           picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_grid_matches_exact_residue_sum(self, K, n_modes, picks):
+        js = sorted({min(K, int(p * K)) for p in picks})
+        reference = exact_residue_sum(js, K, n_modes)
+        grid = universal_function(np.linspace(0.0, 1.0, K + 1), n_modes)
+        curve = universal_curve(K, n_modes).values
+        assert np.abs(grid[js] - reference).max() <= 1e-14
+        assert np.abs(curve[js] - reference).max() <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(2, 4096), n_modes=st.integers(2, 5000),
+           extra=st.integers(0, 50))
+    def test_reflection_and_periodic_continuation(self, K, n_modes, extra):
+        values = universal_curve(K, n_modes, extra_points=extra).values
+        period = values[:K + 1]
+        assert np.array_equal(period, period[::-1])
+        assert np.array_equal(values[K:], values[:extra + 1])
+
+    def test_never_negative_and_zero_at_origin(self):
+        # with sum(w) as the reference instead of FFT bin 0,
+        # universal_curve(199, 55276).values[0] was -3.3e-16
+        for K in [*range(2, 300), 511, 1000, 4096, 65536, 99991, 100000]:
+            for n_modes in (2, 3, 50, 5000, 55276):
+                values = universal_curve(K, n_modes).values
+                assert values[0] == 0.0 and values[K] == 0.0
+                assert values.min() >= 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(2, 4096), size=st.integers(2, 300),
+           nudge=st.floats(1e-12, 1e-6), sign=st.sampled_from([-1.0, 1.0]),
+           where=st.floats(0.0, 1.0), n_modes=st.integers(2, 3000))
+    def test_nudged_lattice_is_summed_directly(self, K, size, nudge, sign,
+                                               where, n_modes):
+        xs = np.arange(size) / K
+        K_found, j = _grid_numerators(xs, NO_COST_LIMIT)
+        assert K_found == K and np.array_equal(j, np.arange(size) % K)
+        xs[min(size - 1, int(where * size))] += sign * nudge
+        assert _grid_numerators(xs, NO_COST_LIMIT) is None
+        assert np.array_equal(universal_function(xs, n_modes),
+                              chunked_direct(xs, n_modes))
+
+    def test_sparse_points_of_a_fine_lattice_are_summed_directly(self):
+        # one FFT of length 2^23 would cost ~1 s and ~600 MB for two points
+        xs = np.array([0.0, 2.0**-23])
+        assert _grid_numerators(xs, 10**5 - 1) is None
+        assert np.array_equal(universal_function(xs, 10**5), chunked_direct(xs, 10**5))
+        assert _grid_numerators(xs, NO_COST_LIMIT) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(2, 6), q=st.integers(1, 35),
+           log_half_width=st.floats(-3.5, -2.5), points=st.integers(220, 290))
+    def test_zoom_windows_are_summed_directly(self, p, q, log_half_width, points):
+        center = (q % (p * p - 1) + 1) / (p * p)
+        half_width = 10.0 ** log_half_width
+        xs = np.linspace(center - half_width, center + half_width, points)
+        assert _grid_numerators(xs, NO_COST_LIMIT) is None
+        assert np.array_equal(universal_function(xs, 2000), chunked_direct(xs, 2000))
+
+    @settings(max_examples=20, deadline=None)
+    @given(p_max=st.integers(2, 5), log_spacing=st.floats(-4.5, -3.5))
+    def test_valley_probes_are_summed_directly(self, p_max, log_spacing):
+        probes = valley_probes(p_max, 10.0 ** log_spacing)
+        assert _grid_numerators(probes, NO_COST_LIMIT) is None
+        assert np.array_equal(universal_function(probes, 2000),
+                              chunked_direct(probes, 2000))
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_delta=st.floats(-3.0, math.log10(0.5)), K=st.integers(2, 1024),
+           n_modes=st.integers(2, 3000))
+    def test_aligned_escape_on_period_lattice_matches_direct_route(
+            self, log_delta, K, n_modes):
+        config = WellConfig(10.0 ** log_delta)
+        ts = np.linspace(0.0, 1.0, K + 1) * config.period
+        grid = escape_probability_aligned(config, ts, n_modes)
+        a2, energies = _weights_and_energies(config, n_modes)
+        direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
+        # the direct route rounds each phase E_n t to a few ulps
+        phase_rounding = float(np.sum(a2[1:] * energies[1:])) * ts.max()
+        tol = 8.0 * np.finfo(float).eps * (phase_rounding + 1.0)
+        assert grid[0] == 0.0
+        assert np.abs(grid - direct).max() <= tol
+
+    @settings(max_examples=20, deadline=None)
+    @given(log_delta=st.floats(-3.0, -1.0), times=st.lists(
+        st.floats(1e-6, 2.0), min_size=1, max_size=6), n_modes=st.integers(2, 3000))
+    def test_aligned_escape_off_lattice_is_the_direct_route(self, log_delta,
+                                                           times, n_modes):
+        config = WellConfig(10.0 ** log_delta)
+        ts = np.array(times) * math.pi
+        assume(_grid_numerators(ts / config.period, NO_COST_LIMIT) is None)
+        a2, energies = _weights_and_energies(config, n_modes)
+        direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
+        assert np.array_equal(escape_probability_aligned(config, ts, n_modes), direct)
+
+
+class TestDefaultProfileOutput:
+    def test_universal_defaults_near_direct_sum(self, tmp_path):
+        # lattice values differ from the direct loop by its own phase
+        # rounding at N = 1e5 (up to 2.7e-11, at xi = 365/511); against
+        # exact residues the file is within 1e-15
+        out = tmp_path / "profile.csv"
+        assert main(["universal", "--out", str(out)]) == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.read_text().splitlines()
+                         if not line.startswith("#")])
+        xi, values = rows[:, 0], rows[:, 1]
+        assert np.array_equal(xi, np.linspace(0.0, 1.0, 512))
+        picks = sorted({*range(0, 512, 7), 365, 511})
+        direct = chunked_direct(xi[picks], 10**5)
+        assert np.abs(values[picks] - direct).max() <= 3e-11
+        exact = exact_residue_sum([365], 511, 10**5)[0]
+        assert abs(values[365] - exact) <= 1e-15
