@@ -124,7 +124,9 @@ def kernel_integral(power: int, alpha: float | None = None,
     Without ``alpha`` the factor in brackets is absent.  The result carries an
     internally estimated error below ``tol`` (absolute, relative to the scale
     of the value for the shifted kernel) or QuadratureConvergenceError is
-    raised with diagnostics.
+    raised with diagnostics.  The estimate is |fine - coarse| plus the tail
+    bound; |fine - coarse| bounds the error of the 12-point rule, so it is a
+    conservative estimate for the 20-point value returned.
     """
     if alpha is not None:
         if math.isnan(alpha) or alpha < 0.0:
@@ -134,8 +136,9 @@ def kernel_integral(power: int, alpha: float | None = None,
         if alpha >= _MEAN_FIELD_ALPHA:
             # fully averaged regime: I -> (1/2) int sin^2(y^2/2)/y^4
             return 0.5 * kernel_integral(4, None, tol)
-        # keep the dropped-oscillation tail bound alpha/(8 Y^4) under tol/2
-        upper = max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25)
+        # keep the tail bounds alpha/(8 Y^4) and 0.5/Y^5 under tol/2 each
+        upper = max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25,
+                    (1.0 / tol) ** 0.2)
         # alpha <= 1 resolves with the width-pi panels of the bare kernel
         shared = alpha <= 1.0 and upper == 150.0
     else:

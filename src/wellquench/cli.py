@@ -37,21 +37,18 @@ LENGTH_STRIDES = [1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70,
                   100, 150, 200, 300, 500, 700, 1000]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
 def _write_table(path, header: dict, columns: list[str], rows, fmt: str):
     """Shared writer: '#'-header CSV or JSON lines, deterministic formatting."""
     lines = []
     if fmt == "csv":
+        # %.17g prints an integer below 1e17 as its digits and any float so
+        # that it reads back to the same bits
         for key, value in header.items():
-            lines.append(f"# {key} = {value if isinstance(value, str) else _fmt(value)}")
+            lines.append(f"# {key} = " + (value if isinstance(value, str)
+                                          else "%.17g" % value))
         lines.append("# columns: " + ",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        row_format = ",".join(["%.17g"] * len(columns))
+        lines.extend(row_format % tuple(row) for row in rows)
     else:
         lines.append(json.dumps({"meta": header}, sort_keys=True))
         for row in rows:
@@ -72,17 +69,13 @@ def _resolve_modes(args, well: spectral.WellConfig, observable: str) -> int:
     return spectral.truncation_for_tolerance(well, observable, args.tol)
 
 
-def _base_header(args, well: spectral.WellConfig, n_modes: int, **extra) -> dict:
-    header = {
-        "artifact_version": __version__,
-        "delta": well.delta,
-        "width": well.width,
-        "period": well.period,
-        "n_modes": n_modes,
-    }
-    if getattr(args, "tol", None) is not None:
-        header["tolerance"] = args.tol
-    header.update(extra)
+def _base_header(well: spectral.WellConfig | None = None, **fields) -> dict:
+    """Provenance header: the version, the well's geometry when there is one,
+    then ``fields`` in order; a field set to None (an unset --tol) is left out."""
+    header = {"artifact_version": __version__}
+    if well is not None:
+        header.update(delta=well.delta, width=well.width, period=well.period)
+    header.update((key, value) for key, value in fields.items() if value is not None)
     return header
 
 
@@ -90,7 +83,7 @@ def cmd_coeffs(args) -> int:
     well = spectral.WellConfig(args.delta)
     n_modes = _resolve_modes(args, well, "coefficients")
     coeffs = spectral.mode_coefficients(well, n_modes)
-    header = _base_header(args, well, n_modes,
+    header = _base_header(well, n_modes=n_modes, tolerance=args.tol,
                           completeness_deficit=coeffs.completeness_deficit)
     rows = [(n + 1, coeffs.values[n]) for n in range(n_modes)]
     _write_table(args.out, header, ["n", "a_n"], rows, args.format)
@@ -104,11 +97,11 @@ def cmd_evolve(args) -> int:
     t_grid = np.linspace(0.0, well.period, nt)
     coeffs = spectral.mode_coefficients(well, n_modes)
     field_ = spectral.density_field(well, coeffs, x_grid, t_grid)
-    header = _base_header(args, well, n_modes, nx=nx, nt=nt,
+    header = _base_header(well, n_modes=n_modes, nx=nx, nt=nt,
                           x_min=0.0, x_max=well.width,
                           t_min=0.0, t_max=well.period)
     columns = ["t"] + [f"x{i}" for i in range(nx)]
-    rows = ([t] + list(row) for t, row in zip(t_grid, field_.values))
+    rows = ([t] + row.tolist() for t, row in zip(t_grid.tolist(), field_.values))
     _write_table(args.out, header, columns, rows, args.format)
     return EXIT_OK
 
@@ -131,7 +124,7 @@ def cmd_escape(args) -> int:
                          for t in times])
     free = survival.asymptote_free(times)
     confined = survival.asymptote_confined(well.delta, times)
-    header = _base_header(args, well, n_modes,
+    header = _base_header(well, n_modes=n_modes, tolerance=args.tol,
                           crossover_time=survival.crossover_time(well.delta),
                           spacing=args.spacing)
     rows = zip(times, exact, small, integral, free, confined)
@@ -149,19 +142,14 @@ def cmd_universal(args) -> int:
     xi = np.linspace(xi_min, xi_max, points)
     values = universal.universal_function(xi, n_modes)
     tail = universal.universal_tail_bound(n_modes)
-    header = {
-        "artifact_version": __version__,
-        "n_modes": n_modes,
-        "xi_min": xi_min, "xi_max": xi_max, "points": points,
-        "tail_bound": tail,
-    }
+    header = _base_header(n_modes=n_modes, xi_min=xi_min, xi_max=xi_max,
+                          points=points, tail_bound=tail)
     _write_table(args.out, header, ["xi", "F", "tail_bound"],
                  ((x, v, tail) for x, v in zip(xi, values)), args.format)
     if args.valleys_out:
         valley_modes = min(n_modes, 10**5)
         valleys = universal.valley_locations(args.p_max, n_modes=valley_modes)
-        vheader = {"artifact_version": __version__, "p_max": args.p_max,
-                   "n_modes": valley_modes}
+        vheader = _base_header(p_max=args.p_max, n_modes=valley_modes)
         vrows = [(e.numerator, e.denominator_root, e.location, e.depth)
                  for e in valleys.entries]
         _write_table(args.valleys_out, vheader, ["q", "p", "location", "depth"],
@@ -178,31 +166,25 @@ def cmd_fractal(args) -> int:
     if args.histogram:
         sample = fractal.phase_sum_samples(args.epsilon)
         report = fractal.normality_diagnostics(sample, bins=args.bins)
-        header = {
-            "artifact_version": __version__, "epsilon": args.epsilon,
-            "cutoff": sample.cutoff, "count": sample.values.size,
-            "mean": report.mean, "std": report.std,
-            "skewness": report.skewness,
-            "excess_kurtosis": report.excess_kurtosis,
-        }
+        header = _base_header(epsilon=args.epsilon, cutoff=sample.cutoff,
+                              count=sample.values.size, mean=report.mean,
+                              std=report.std, skewness=report.skewness,
+                              excess_kurtosis=report.excess_kurtosis)
         rows = zip(report.bin_edges[:-1], report.bin_edges[1:], report.counts)
         _write_table(args.out, header, ["bin_left", "bin_right", "count"],
                      rows, args.format)
         return EXIT_OK
     if args.sigma:
         slope, samples = fractal.phase_sum_scaling(SIGMA_EPSILONS)
-        header = {"artifact_version": __version__, "sigma_slope": slope}
+        header = _base_header(sigma_slope=slope)
         rows = [(s.epsilon, s.std) for s in samples]
         _write_table(args.out, header, ["epsilon", "sigma"], rows, args.format)
         return EXIT_OK
     fit, lengths = fractal.profile_dimension(
         LENGTH_STRIDES, base_intervals=args.base_intervals, n_modes=args.n)
-    header = {
-        "artifact_version": __version__, "n_modes": args.n,
-        "base_intervals": args.base_intervals,
-        "dimension": fit.dimension, "slope": fit.slope,
-        "residual": fit.residual,
-    }
+    header = _base_header(n_modes=args.n, base_intervals=args.base_intervals,
+                          dimension=fit.dimension, slope=fit.slope,
+                          residual=fit.residual)
     rows = [(m.ruler, m.chord, m.variation) for m in lengths]
     _write_table(args.out, header, ["epsilon", "l_chord", "l_variation"],
                  rows, args.format)

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientSpanError
-from .spectral import _FFT_LIMIT, _residue_sums
+from .spectral import _FFT_LIMIT, _direct_sums, _residue_sums
 from .universal import UniversalCurve, require_uniform, universal_curve
-
-_CHUNK_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,7 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     else:
         n = np.arange(2, cutoff + 1, dtype=float)
         rates = 2.0 * math.pi * n * n * epsilon
-        values = np.empty(count)
-        chunk = max(1, _CHUNK_BUDGET // max(1, n.size))
-        for i in range(0, count, chunk):
-            m = np.arange(i + 1, min(i + chunk, count) + 1, dtype=float)
-            values[i:i + len(m)] = np.sin(np.outer(m, rates)).sum(axis=1)
+        values = _direct_sums(np.arange(1, count + 1, dtype=float), rates, np.sin)
     return PhaseSumSample(epsilon=epsilon, values=values,
                           mean=float(values.mean()),
                           std=float(values.std(ddof=0)))

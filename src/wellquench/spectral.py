@@ -27,6 +27,9 @@ _EXPANSION_C2 = 0.25 - math.pi**2 / 6.0
 
 DEFAULT_MODE_CAP = 10**6
 
+#: most phases one block of a direct mode sum holds (128 MB of doubles)
+_CHUNK_BUDGET = 2**24
+
 #: largest lattice denominator K summed by residue FFT
 _FFT_LIMIT = 2**23
 # xs * K must lie this many ulps (of its largest entry) from an integer; the
@@ -129,6 +132,20 @@ def _residue_sums(weights, nsq, K: int) -> np.ndarray:
     every j.  Absolute error is about 1e-16 log2(K) sum |w_n|.
     """
     return np.fft.fft(np.bincount(nsq % K, weights, minlength=K))
+
+
+def _direct_sums(points: np.ndarray, rates: np.ndarray, terms) -> np.ndarray:
+    """S_i = sum_n terms(points_i * rates_n)[n] for every point.
+
+    ``terms`` maps a block of phases (points down, modes across) to the
+    summands of the same shape.  Blocks hold whole rows of at most
+    _CHUNK_BUDGET phases, so each S_i is one sum over every n and the budget
+    sets the memory, never the bits.
+    """
+    chunk = max(1, _CHUNK_BUDGET // max(1, rates.size))
+    # an empty input still makes one (empty) block, which sets the dtype
+    return np.concatenate([terms(np.outer(points[i:i + chunk], rates)).sum(axis=1)
+                           for i in range(0, max(1, points.size), chunk)])
 
 
 def _grid_numerators(xs: np.ndarray, n_terms: int):

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import _oscillatory
 from .errors import TruncationInconsistencyError
-from .spectral import (WellConfig, _grid_numerators, _residue_sums,
-                       _valid_times, mode_coefficients, mode_energies,
-                       truncation_for_tolerance)
+from .spectral import (WellConfig, _direct_sums, _grid_numerators,
+                       _residue_sums, _valid_times, mode_coefficients,
+                       mode_energies, truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
 FREE_KERNEL_CONSTANT = math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
@@ -33,8 +33,6 @@ CONFINED_LAW_COEFFICIENT = 16.0 * math.pi * CONFINED_KERNEL_CONSTANT
 # reported as-is, and only violations within the noise floor are clamped
 _NEGATIVE_ERROR = -1e-8
 _NOISE_FLOOR = 1e-12
-
-_CHUNK_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,7 @@ def survival_amplitude(config: WellConfig, t, n_modes: int):
     """A(t) = sum_{n=1..N} a_n^2 e^{-i E_n t}; scalar or array ``t``."""
     a2, energies = _weights_and_energies(config, n_modes)
     ts = _valid_times(t)
-    out = np.empty(ts.shape, dtype=complex)
-    chunk = max(1, _CHUNK_BUDGET // n_modes)
-    for i in range(0, ts.size, chunk):
-        phases = np.outer(ts[i:i + chunk], energies)
-        out[i:i + chunk] = (a2 * np.exp(-1j * phases)).sum(axis=1)
+    out = _direct_sums(ts, energies, lambda p: a2 * np.exp(-1j * p))
     return out if np.ndim(t) else complex(out[0])
 
 
@@ -80,15 +74,10 @@ def _escape_core(a2, energies, ts, aligned: bool):
         reference = 1.0
     else:
         reference = math.fsum(a2)
-    out = np.empty(ts.shape)
-    chunk = max(1, _CHUNK_BUDGET // max(1, a2.size))
-    for i in range(0, ts.size, chunk):
-        phases = np.outer(ts[i:i + chunk], energies)
-        re_b = (a2 * 2.0 * np.sin(phases / 2.0) ** 2).sum(axis=1)
-        im_b = -(a2 * np.sin(phases)).sum(axis=1)
-        out[i:i + chunk] = ((1.0 - reference) * (1.0 + reference)
-                            + 2.0 * reference * re_b - re_b * re_b - im_b * im_b)
-    return out
+    re_b = _direct_sums(ts, energies, lambda p: a2 * 2.0 * np.sin(p / 2.0) ** 2)
+    im_b = -_direct_sums(ts, energies, lambda p: a2 * np.sin(p))
+    return ((1.0 - reference) * (1.0 + reference)
+            + 2.0 * reference * re_b - re_b * re_b - im_b * im_b)
 
 
 def _apply_noise_clamp(values: np.ndarray) -> np.ndarray:
@@ -158,11 +147,8 @@ def escape_small_delta(config: WellConfig, t, n_modes: int):
     weights = np.sin(math.pi * n * delta) ** 2 / n**4
     half_phase_rates = (math.pi * n) ** 2 / 2.0
     ts = _valid_times(t)
-    out = np.empty(ts.shape)
-    chunk = max(1, _CHUNK_BUDGET // max(1, n.size))
-    for i in range(0, ts.size, chunk):
-        osc = np.sin(np.outer(ts[i:i + chunk], half_phase_rates)) ** 2
-        out[i:i + chunk] = (16.0 / math.pi**2) * (osc * weights).sum(axis=1)
+    out = (16.0 / math.pi**2) * _direct_sums(
+        ts, half_phase_rates, lambda p: np.sin(p) ** 2 * weights)
     return out if np.ndim(t) else float(out[0])
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.special import polygamma
 
 from .errors import GridMismatchError
-from .spectral import (WellConfig, _grid_numerators, _residue_sums,
-                       _valid_times)
+from .spectral import (WellConfig, _direct_sums, _grid_numerators,
+                       _residue_sums, _valid_times)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -29,8 +29,6 @@ DEFAULT_MODES = 10**5
 #: F never exceeds 2 sum_{n>=2} n^2/(n^2-1)^2 = 2 (pi^2/12 + 1/16)
 MODE_WEIGHT_TOTAL = math.pi**2 / 12.0 + 1.0 / 16.0
 UPPER_BOUND = 2.0 * MODE_WEIGHT_TOTAL
-
-_CHUNK_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,10 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
     if lattice is not None:
         K, j = lattice
         return _grid_profile(K, n_modes)[j]
-    out = np.zeros(xs.shape)
-    chunk = max(1, _CHUNK_BUDGET // max(1, xs.size))
-    for start in range(2, n_modes + 1, chunk):
-        n = np.arange(start, min(start + chunk, n_modes + 1), dtype=float)
-        weights = n * n / (1.0 - n * n) ** 2
-        phases = 2.0 * math.pi * np.outer(xs, n * n)
-        out += (weights * (1.0 - np.cos(phases))).sum(axis=1)
+    n = np.arange(2, n_modes + 1, dtype=float)
+    nsq = n * n
+    weights = nsq / (1.0 - nsq) ** 2
+    out = _direct_sums(xs, nsq, lambda p: weights * (1.0 - np.cos(2.0 * math.pi * p)))
     return out if np.ndim(xi) else float(out[0])
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellquench import _oscillatory
+from wellquench.survival import CONFINED_KERNEL_CONSTANT
 
 
 def reference_panel_edges(upper, alpha):
@@ -28,7 +29,8 @@ def upper_for(alpha, tol=1e-7):
     """The cut-off kernel_integral chooses for this rate and tolerance."""
     if alpha is None:
         return 60.0
-    return max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25)
+    return max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25,
+               (1.0 / tol) ** 0.2)
 
 
 rates = st.one_of(st.none(), st.floats(min_value=0.0, max_value=200.0,
@@ -102,3 +104,15 @@ def test_large_rates_are_not_memoised():
     for alpha in (1.5, 7.0, 40.0):
         _oscillatory.kernel_integral(4, alpha=alpha, tol=1e-7)
     assert _oscillatory._shared_layout.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("alpha", [1e-3, 1e-2])
+def test_tight_tolerances_converge_to_the_small_rate_series(alpha, tol):
+    # the cut-off grows with 1/tol, so the 0.5/Y^5 tail bound no longer
+    # stalls the estimate above tol (at Y = 150 it is 6.6e-12); the series
+    # I = C a^2 - (pi/6) a^3 + (sqrt(pi/2)/12) a^4 drops O(a^6 / 100) terms
+    series = (CONFINED_KERNEL_CONSTANT * alpha**2 - (math.pi / 6.0) * alpha**3
+              + math.sqrt(math.pi / 2.0) / 12.0 * alpha**4)
+    value = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
+    assert abs(value - series) <= tol

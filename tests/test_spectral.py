@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wellquench import spectral
+from wellquench import fractal, spectral, survival, universal
 from wellquench.errors import TruncationCapError
 from wellquench.spectral import (WellConfig, coefficient_tail_bound,
                                  density_field, mode_coefficients,
@@ -201,3 +201,41 @@ class TestSurvivalTailBound:
     def test_bound_shrinks_cubically(self):
         w = WellConfig(0.1)
         assert survival_tail_bound(w, 200) < survival_tail_bound(w, 100) / 7.5
+
+
+_ENGINE_WELL = WellConfig(0.05)
+_ENGINE_TIMES = np.logspace(-6, 0, 25) * math.pi
+_ENGINE_XI = np.linspace(0.1234, 0.3456789, 23)  # no j/K lattice
+# every route that sums modes through spectral._direct_sums; with budgets of
+# 1, 7 and 97 phases a block holds one row or several, as the mode count sets
+_DIRECT_ROUTES = {
+    "survival_amplitude": lambda n: survival.survival_amplitude(
+        _ENGINE_WELL, _ENGINE_TIMES, n),
+    "escape_exact": lambda n: survival.escape_probability_exact(
+        _ENGINE_WELL, _ENGINE_TIMES, n),
+    "escape_aligned": lambda n: survival.escape_probability_aligned(
+        _ENGINE_WELL, _ENGINE_TIMES, n),
+    "escape_small_delta": lambda n: survival.escape_small_delta(
+        _ENGINE_WELL, _ENGINE_TIMES, n),
+    "universal_function": lambda n: universal.universal_function(_ENGINE_XI, n),
+    "phase_sum_samples": lambda n: fractal.phase_sum_samples(1.0 / (n + 0.5)).values,
+}
+
+
+class TestDirectSums:
+    @pytest.mark.parametrize("n_modes", [30, 300])
+    @pytest.mark.parametrize("budget", [1, 7, 97])
+    @pytest.mark.parametrize("route", sorted(_DIRECT_ROUTES))
+    def test_budget_sets_memory_never_bits(self, monkeypatch, route, budget,
+                                           n_modes):
+        default = _DIRECT_ROUTES[route](n_modes)
+        monkeypatch.setattr(spectral, "_CHUNK_BUDGET", budget)
+        blocked = _DIRECT_ROUTES[route](n_modes)
+        assert blocked.dtype == default.dtype
+        assert np.array_equal(blocked, default)
+
+    def test_empty_points_give_an_empty_sum_of_the_terms_dtype(self):
+        rates = np.arange(1.0, 5.0)
+        for terms, dtype in ((np.sin, float), (lambda p: np.exp(1j * p), complex)):
+            sums = spectral._direct_sums(np.empty(0), rates, terms)
+            assert sums.shape == (0,) and sums.dtype == dtype

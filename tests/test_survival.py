@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellquench import _oscillatory, oracle, spectral, survival, universal
 from wellquench.errors import TruncationInconsistencyError
@@ -280,6 +282,20 @@ class TestInvariants:
         large = escape_probability_exact(w, ts, 4 * n_small)
         bound = spectral.survival_tail_bound(w, n_small)
         assert np.abs(large - small).max() <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_delta=st.floats(-3.0, math.log10(0.5)), log_t=st.floats(-8.0, 0.0),
+           sizes=st.lists(st.integers(2, 3000), min_size=2, max_size=2,
+                          unique=True))
+    def test_further_modes_move_escape_within_tail_bound(self, log_delta,
+                                                         log_t, sizes):
+        # N <= 3000 keeps the bound (>= 1e-11) far above rounding
+        w = WellConfig(10.0 ** log_delta)
+        n_small, n_large = sorted(sizes)
+        t = 10.0 ** log_t
+        change = (escape_probability_exact(w, t, n_large)
+                  - escape_probability_exact(w, t, n_small))
+        assert abs(change) <= spectral.survival_tail_bound(w, n_small)
 
 
 _WELL = WellConfig(0.01)

@@ -29,7 +29,12 @@ def direct_sum(xi, n_modes):
 
 def chunked_direct(xi, n_modes):
     """The direct route of universal_function as it was before lattice inputs
-    were read off the residue FFT; off-lattice results must equal it bit for bit."""
+    were read off the residue FFT, summing modes in column blocks.
+
+    Off-lattice results equal it bit for bit only while one block holds every
+    mode (points * (n_modes - 1) <= 2**24), which covers the sizes the tests
+    below use; universal_function now sums each point's modes in one row.
+    """
     xs = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.zeros(xs.shape)
     chunk = max(1, 2**24 // max(1, xs.size))
@@ -288,6 +293,27 @@ class TestResidueGrid:
         a2, energies = _weights_and_energies(config, n_modes)
         direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
         assert np.array_equal(escape_probability_aligned(config, ts, n_modes), direct)
+
+
+class TestWholeRowSums:
+    def test_many_points_stay_within_rounding_of_the_column_blocks(self):
+        # 250 points x 1e5 modes span two column blocks of the old loop.
+        # Each route is a pairwise sum within a few ulps of the exact sum of
+        # the same terms (at most 4 ulps of max F at 250 and 512 points), so the
+        # two may differ by up to 8 ulps (at 512 points they differ by 6)
+        n_modes = 10**5
+        xs = np.linspace(0.123456, 0.3456789, 250)
+        assert _grid_numerators(xs, NO_COST_LIMIT) is None
+        assert xs.size * (n_modes - 1) > 2**24
+        rows = universal_function(xs, n_modes)
+        blocks = chunked_direct(xs, n_modes)
+        ulp = np.spacing(UPPER_BOUND)
+        assert np.abs(rows - blocks).max() <= 8 * ulp
+        nsq = np.arange(2, n_modes + 1, dtype=float) ** 2
+        weights = nsq / (1.0 - nsq) ** 2
+        for i in range(0, xs.size, 37):
+            terms = weights * (1.0 - np.cos(2.0 * math.pi * (xs[i] * nsq)))
+            assert abs(rows[i] - math.fsum(terms)) <= 4 * ulp
 
 
 class TestDefaultProfileOutput:
