@@ -1,4 +1,10 @@
-"""Quadrature engine for the quadratic-phase kernels sin^2(y^2/2) / y^p.
+"""Quadrature oracle for the quadratic-phase kernels sin^2(y^2/2) / y^p.
+
+``kernel_integral`` is the independent route that the closed forms are
+tested against: the kernel constants of the two escape laws and the Fresnel
+form of the continuum escape (``survival.escape_integral``), with which it
+shares no numerics.  Outside ``oracle`` no result of the package is
+computed with it.
 
 The semi-infinite integrals are split at Y into a finite part, integrated by
 composite Gauss-Legendre on panels bounded by the zeros y = sqrt(2 pi k) of
@@ -45,43 +51,23 @@ def _panel_edges(upper: float, alpha: float | None) -> np.ndarray:
     return np.append(i * step + np.repeat(a, parts), upper)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    return _read_only(*np.polynomial.legendre.leggauss(order))
+    rule = np.polynomial.legendre.leggauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
-def _layout(power: int, edges: np.ndarray, order: int):
-    """Nodes ys, weights hw and alpha-free kernel values of the composite rule."""
+def _composite_gauss(power: int, edges: np.ndarray, alpha: float | None,
+                     order: int) -> float:
     nodes, weights = _gauss_rule(order)
     a, b = edges[:-1], edges[1:]
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     ys = mid[:, None] + half[:, None] * nodes[None, :]
-    free = _kernel(ys, power, None)
-    return ys, half[:, None] * weights[None, :], free
-
-
-@functools.lru_cache(maxsize=None)
-def _shared_layout(power: int, upper: float, order: int):
-    """``_layout`` on the unrefined width-pi panels up to one of the fixed
-    ``upper`` values, shared by every call with alpha <= 1 or alpha None.
-    Layouts for alpha > 1 differ per alpha, each up to tens of MB, and are
-    not kept."""
-    return _read_only(*_layout(power, _panel_edges(upper, None), order))
-
-
-def _composite_gauss(layout, alpha: float | None) -> float:
-    ys, hw, free = layout
-    if alpha is None:
-        return float((hw * free).sum())
-    # the same products, in the same order, as _kernel(ys, power, alpha)
-    return float((hw * (free * np.sin(alpha * ys) ** 2)).sum())
+    return float((half[:, None] * weights[None, :]
+                  * _kernel(ys, power, alpha)).sum())
 
 
 def _c4_tail(beta: float, upper: float) -> float:
@@ -139,51 +125,22 @@ def kernel_integral(power: int, alpha: float | None = None,
         # keep the tail bounds alpha/(8 Y^4) and 0.5/Y^5 under tol/2 each
         upper = max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25,
                     (1.0 / tol) ** 0.2)
-        # alpha <= 1 resolves with the width-pi panels of the bare kernel
-        shared = alpha <= 1.0 and upper == 150.0
     else:
-        upper, shared = 60.0, True
-    edges = None if shared else _panel_edges(upper, alpha)
+        upper = 60.0
+    edges = _panel_edges(upper, alpha)
     for refinement in range(3):
         # one order at a time: a large-alpha layout holds ~10^6 nodes
-        coarse, fine = (_composite_gauss(
-            _shared_layout(power, upper, order) if edges is None
-            else _layout(power, edges, order), alpha) for order in (12, 20))
+        coarse, fine = (_composite_gauss(power, edges, alpha, order)
+                        for order in (12, 20))
         tail_value, tail_err = _tail(power, alpha, upper)
         value = fine + tail_value
         estimate = abs(fine - coarse) + tail_err
         scale = max(abs(value), 1e-30)
         if estimate <= max(tol, tol * scale):
             return value
-        if edges is None:
-            edges = _panel_edges(upper, alpha)
         mids = (edges[:-1] + edges[1:]) / 2.0
         edges = np.sort(np.concatenate([edges, mids]))
     raise QuadratureConvergenceError(
         f"quadratic-phase integral did not converge: power={power} "
         f"alpha={alpha} upper={upper} panels={edges.size - 1} "
         f"estimate={estimate:.3e} tol={tol:.3e}")
-
-
-def finite_integral(func, lower: float, upper: float, tol: float = 1e-9) -> float:
-    """Composite Gauss-Legendre on a finite interval with doubling refinement."""
-    if upper < lower:
-        raise ValueError("empty integration domain")
-    if upper == lower:
-        return 0.0
-    panels = 8
-    previous = None
-    nodes, weights = _gauss_rule(12)
-    for _ in range(12):
-        edges = np.linspace(lower, upper, panels + 1)
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        ys = mid[:, None] + half[:, None] * nodes[None, :]
-        value = float((half[:, None] * weights[None, :] * func(ys)).sum())
-        if previous is not None and abs(value - previous) <= max(tol, tol * abs(value)):
-            return value
-        previous = value
-        panels *= 2
-    raise QuadratureConvergenceError(
-        f"finite-interval quadrature did not converge on [{lower}, {upper}] "
-        f"with tol={tol:.3e}")

@@ -51,10 +51,9 @@ def _write_table(path, header: dict, columns: list[str], rows, fmt: str):
         lines.extend(row_format % tuple(row) for row in rows)
     else:
         lines.append(json.dumps({"meta": header}, sort_keys=True))
-        for row in rows:
-            record = {c: (float(v) if not isinstance(v, (int, np.integer)) else int(v))
-                      for c, v in zip(columns, row)}
-            lines.append(json.dumps(record, sort_keys=True))
+        # np.float64 is a float and encodes with float's repr
+        lines.extend(json.dumps(dict(zip(columns, row)), sort_keys=True)
+                     for row in rows)
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -170,7 +169,8 @@ def cmd_fractal(args) -> int:
                               count=sample.values.size, mean=report.mean,
                               std=report.std, skewness=report.skewness,
                               excess_kurtosis=report.excess_kurtosis)
-        rows = zip(report.bin_edges[:-1], report.bin_edges[1:], report.counts)
+        rows = zip(report.bin_edges[:-1], report.bin_edges[1:],
+                   report.counts.tolist())
         _write_table(args.out, header, ["bin_left", "bin_right", "count"],
                      rows, args.format)
         return EXIT_OK
@@ -341,7 +341,13 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return COMMANDS[args.command].run(args)
+        # an overflow or NaN is an error here, not a warning and a bad number
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return COMMANDS[args.command].run(args)
+    except ArithmeticError as exc:
+        print(f"usage error: input out of floating-point range: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except QuadratureConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -1,11 +1,12 @@
 """Independent verification paths: grid propagator, overlap, quadrature.
 
-Nothing here shares numerics with the spectral route: the propagator solves
+Nothing here shares numerics with the routes it checks: the propagator solves
 the Schrodinger equation on a real-space grid with a norm-preserving implicit
-scheme, overlaps are trapezoid sums of sampled states, and the closed-form
-constants of the escape asymptotes are reproduced by direct quadrature.
-``invariant_checks`` runs these routes against each other and against the
-spectral route.
+scheme, overlaps are trapezoid sums of sampled states, and the escape-law
+kernel integrals are computed by panel quadrature on [0, inf), the oracle of
+their closed forms (the two kernel constants and the Fresnel form of
+``survival.escape_integral``).  ``invariant_checks`` runs these routes
+against each other and against the spectral route.
 """
 
 from __future__ import annotations
@@ -133,18 +134,17 @@ _KERNELS = {
 }
 
 
-def adaptive_quadrature(kind: str, domain=(0.0, math.inf), tol: float = 1e-9,
+def adaptive_quadrature(kind: str, tol: float = 1e-9,
                         alpha: float | None = None) -> float:
-    """Quadrature for the escape-law kernels with estimated error below tol.
+    """int_0^inf of an escape-law kernel with estimated error below tol.
 
     ``kind`` is one of "free", "confined", "escape" (the latter takes the
-    oscillation rate ``alpha`` = delta / sqrt(t)).  Semi-infinite domains get
-    an analytic oscillatory tail; finite ones are integrated directly.  Raises
+    oscillation rate ``alpha`` = delta / sqrt(t)).  This is the oracle of the
+    closed-form kernel constants and of ``survival.escape_integral``.  Raises
     QuadratureConvergenceError when the target cannot be met.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    lower, upper = float(domain[0]), float(domain[1])
     try:
         power, takes_alpha = _KERNELS[kind]
     except KeyError:
@@ -157,12 +157,7 @@ def adaptive_quadrature(kind: str, domain=(0.0, math.inf), tol: float = 1e-9,
             raise ValueError(f"oscillation rate must be >= 0, got {alpha}")
     elif alpha is not None:
         raise ValueError(f"integrand {kind!r} does not take alpha")
-    if lower != 0.0:
-        raise ValueError("kernel integrals start at 0")
-    if math.isinf(upper):
-        return _oscillatory.kernel_integral(power, alpha=alpha, tol=tol)
-    return _oscillatory.finite_integral(
-        lambda y: _oscillatory._kernel(y, power, alpha), lower, upper, tol)
+    return _oscillatory.kernel_integral(power, alpha=alpha, tol=tol)
 
 
 def invariant_checks(coarse: bool = False) -> list[dict]:

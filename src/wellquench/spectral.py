@@ -277,7 +277,7 @@ def truncation_for_tolerance(config: WellConfig, observable: str, tol: float,
     probability.  Monotone nonincreasing in ``tol``.  Raises
     TruncationCapError when even ``hard_cap`` modes are not enough.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too, which would select the hard cap
         raise ValueError("tolerance must be positive")
     try:
         bound = _TAIL_BOUNDS[observable]

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import modfresnelp
 
-from . import _oscillatory
 from .errors import TruncationInconsistencyError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _residue_sums, _valid_times, mode_coefficients,
@@ -152,12 +152,23 @@ def escape_small_delta(config: WellConfig, t, n_modes: int):
     return out if np.ndim(t) else float(out[0])
 
 
-def escape_integral(delta: float, t: float, tol: float = 1e-7) -> float:
-    """Continuum form of the short-time escape probability.
+def escape_integral(delta: float, t: float) -> float:
+    """Continuum form of the short-time escape probability, in closed form.
 
-    16 pi t^{3/2} int_0^inf sin^2(y delta / sqrt(t)) sin^2(y^2/2) / y^4 dy,
-    evaluated by panel quadrature between the kernel zeros with an analytic
-    oscillatory tail.  Returns 0 at t = 0 (the continuous limit).
+    16 pi t^{3/2} I(a) for a = delta / sqrt(t), where
+    I(a) = int_0^inf sin^2(a y) sin^2(y^2/2) / y^4 dy has fourth derivative
+    2 sqrt(pi/2) (cos a^2 + sin a^2), I(0) = I'(0) = 0, I''(0) = 2 C and
+    I'''(0+) = -pi (C = CONFINED_KERNEL_CONSTANT, F = FREE_KERNEL_CONSTANT
+    = sqrt(pi/2) / 3).  Integrated back, with T = int_a^inf e^{i s^2} ds:
+
+        I = (F / 2) [1 - sin a^2 - cos a^2 - a^2 (sin a^2 - cos a^2)
+                     - 2 a^3 (Re T + Im T) + 3 a (Im T - Re T)].
+
+    Below a = 0.03 this cancels, and the exact series
+    C a^2 - (pi/6) a^3 + (F/4) a^4 + (F/60) a^6 is used; from a = 200 it loses
+    ~a^2 ulps, and I is the mean field F / 2.  Relative error: <= 1e-12 below
+    0.03, 4e-12 up to 30, 2e-9 up to 200 and 7e-10 beyond; tests pin it to the
+    quadrature oracle ``_oscillatory.kernel_integral``.  Returns 0 at t = 0.
     """
     if not math.isfinite(delta) or delta < 0.0:
         raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
@@ -165,7 +176,19 @@ def escape_integral(delta: float, t: float, tol: float = 1e-7) -> float:
     if t == 0.0 or delta == 0.0:
         return 0.0
     alpha = delta / math.sqrt(t)
-    value = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
+    a2 = alpha * alpha
+    if alpha < 0.03:
+        value = (CONFINED_KERNEL_CONSTANT * a2 - (math.pi / 6.0) * a2 * alpha
+                 + FREE_KERNEL_CONSTANT * (a2 * a2 / 4.0 + a2 * a2 * a2 / 60.0))
+    elif alpha < 200.0:
+        sin2, cos2 = math.sin(a2), math.cos(a2)
+        tail = modfresnelp(alpha)[0]
+        value = (FREE_KERNEL_CONSTANT / 2.0) * (
+            1.0 - sin2 - cos2 - a2 * (sin2 - cos2)
+            - 2.0 * a2 * alpha * (tail.real + tail.imag)
+            + 3.0 * alpha * (tail.imag - tail.real))
+    else:
+        value = FREE_KERNEL_CONSTANT / 2.0
     return 16.0 * math.pi * t**1.5 * value
 
 

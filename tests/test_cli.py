@@ -1,13 +1,18 @@
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wellquench
 from wellquench.cli import COMMANDS, main, parse_args
@@ -278,6 +283,11 @@ class TestErrorContract:
         (["fractal", "--delta", "0.1"], None),
         (["fractal", "--base-intervals", "100"], None),
         (["fractal", "--histogram", "--epsilon", "nan"], None),
+        (["coeffs", "--delta", "1e200"], None),
+        (["escape", "--delta", "1e300", "--n", "16"], None),
+        (["escape", "--t-max", "1e300", "--n", "16"], None),
+        (["escape", "--tol", "nan"], None),
+        (["universal", "--xi-max", "inf", "--n", "16"], None),
     ])
     def test_usage_errors_exit_2_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -288,6 +298,58 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+#: values a flag may receive; no int above 64, so no draw allocates much
+EDGE_TOKENS = ["nan", "inf", "-1", "0", "1e300", "x", ""]
+VALID_TOKENS = {int: ["1", "2", "16", "64"], float: ["1e-3", "0.5"]}
+
+
+def fuzzed_argv(command, directory):
+    """One command with a drawn subset of its flags, each set to a drawn
+    token; --n and --base-intervals are pinned small unless drawn."""
+    options = COMMANDS[command].options
+
+    def value(flag):
+        opt = options[flag]
+        if opt.choices:
+            return st.sampled_from(EDGE_TOKENS + opt.choices)
+        if opt.type is str:  # --out, --valleys-out, --config
+            return st.sampled_from([str(directory / "file"),
+                                    str(directory / "missing" / "file"), ""])
+        return st.sampled_from(EDGE_TOKENS + VALID_TOKENS[opt.type])
+
+    @st.composite
+    def draw_argv(draw):
+        argv = [command]
+        flags = draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+        for flag in flags:
+            argv += ([flag] if options[flag].type is bool
+                     else [flag, draw(value(flag))])
+        if "--n" in options and not {"--n", "--tol"} & set(flags):
+            argv += ["--n", "16"]
+        if "--base-intervals" in options and "--base-intervals" not in flags:
+            argv += ["--base-intervals", "1000"]
+        return argv
+
+    return draw_argv()
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_exits_with_a_code_and_at_most_one_line(
+            self, data, tmp_path_factory):
+        command = data.draw(st.sampled_from(sorted(COMMANDS)))
+        argv = data.draw(fuzzed_argv(command, tmp_path_factory.mktemp("argv")))
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run_for_exit(argv)
+        assert code in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def sample_value(opt):

@@ -2,9 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from wellquench import _oscillatory
 from wellquench.errors import GridMismatchError, QuadratureConvergenceError
 from wellquench.oracle import (GridState, adaptive_quadrature, eigenmode_state,
                                initial_state, overlap, propagate,
@@ -137,15 +135,6 @@ class TestAdaptiveQuadrature:
         confined = math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))
         assert value == pytest.approx(alpha**2 * confined, rel=2e-2)
 
-    def test_finite_domain_against_scipy(self):
-        value = adaptive_quadrature("free", domain=(0.0, 5.0), tol=1e-10)
-        zeros = [math.sqrt(2.0 * math.pi * k) for k in (1, 2, 3)]
-        reference, err = quad(
-            lambda y: math.sin(y * y / 2.0) ** 2 / y**4 if y > 1e-12 else 0.0,
-            0.0, 5.0, points=zeros, limit=200)
-        assert err < 1e-10
-        assert value == pytest.approx(reference, abs=1e-9)
-
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             adaptive_quadrature("escape")              # alpha required
@@ -155,6 +144,7 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature("nonsense")
 
     def test_nonconvergence_raises_with_diagnostics(self):
-        with pytest.raises(QuadratureConvergenceError):
-            _oscillatory.finite_integral(lambda y: np.sin(1e8 * y * y),
-                                         0.0, 10.0, tol=1e-14)
+        # rounding alone leaves |fine - coarse| near 1e-16
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"power=4 alpha=None .* panels=\d+ "):
+            adaptive_quadrature("free", tol=1e-18)

@@ -1,5 +1,5 @@
-"""The vectorised panel layout and the shared alpha <= 1 kernel values of the
-oscillatory quadrature, pinned to the per-panel linspace route they replace."""
+"""The quadrature oracle: its vectorised panel layout pinned to the per-panel
+linspace route it replaced, and its values pinned bit for bit."""
 
 import math
 
@@ -58,52 +58,40 @@ def test_panel_edges_match_linspace_route(alpha, tol):
 
 def test_results_do_not_depend_on_call_order():
     sequence = [0.5, 3.0, 0.5, None, 0.5, 1.0, 0.01]
-    _oscillatory._shared_layout.cache_clear()
     first = [_oscillatory.kernel_integral(4, alpha=a, tol=1e-7) for a in sequence]
-    _oscillatory._shared_layout.cache_clear()
     backwards = [_oscillatory.kernel_integral(4, alpha=a, tol=1e-7)
                  for a in reversed(sequence)][::-1]
     assert first == backwards
     assert first[0] == first[2] == first[4]
 
 
-@pytest.mark.parametrize("alpha", [None, 1e-3, 0.3, 1.0])
-def test_shared_layout_equals_a_fresh_one(alpha):
-    # the memoised nodes and weights reproduce the unshared route bit for bit
-    upper = upper_for(alpha)
-    edges = _oscillatory._panel_edges(upper, alpha)
-    for order in (12, 20):
-        shared = _oscillatory._composite_gauss(
-            _oscillatory._shared_layout(4, upper, order), alpha)
-        fresh = _oscillatory._composite_gauss(
-            _oscillatory._layout(4, edges, order), alpha)
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        a, b = edges[:-1], edges[1:]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        ys = mid[:, None] + half[:, None] * nodes[None, :]
-        direct = float((half[:, None] * weights[None, :]
-                        * _oscillatory._kernel(ys, 4, alpha)).sum())
-        assert shared == fresh == direct
+# kernel_integral(4, alpha, tol) at tol = 1e-7 and 1e-9, as computed when the
+# alpha <= 1 panel layouts were shared between calls
+PINNED_BITS = {
+    None: (0.41777137910516693, 0.41777137910516693),
+    1e-3: (6.261335806877072e-07, 6.261335806877072e-07),
+    0.3: (0.043112982772047385, 0.043112982772047385),
+    1.0: (0.213644657756583, 0.213644657756583),
+    3.0: (0.2092047592463834, 0.2092047592462967),
+    40.0: (0.20888560386244368, 0.20888560386635127),
+    250.0: (0.20888568955258346, 0.20888568955258346),
+}
+
+
+@pytest.mark.parametrize("alpha", list(PINNED_BITS))
+def test_kernel_integral_keeps_its_bits(alpha):
+    for tol, expected in zip((1e-7, 1e-9), PINNED_BITS[alpha]):
+        assert _oscillatory.kernel_integral(4, alpha=alpha, tol=tol) == expected
 
 
 def test_memoised_arrays_are_read_only():
-    _oscillatory.kernel_integral(4, alpha=0.5, tol=1e-7)
-    arrays = [*_oscillatory._shared_layout(4, 150.0, 12),
-              *_oscillatory._gauss_rule(20)]
-    for cached, fresh in zip(_oscillatory._gauss_rule(12),
-                             np.polynomial.legendre.leggauss(12)):
-        assert np.array_equal(cached, fresh)
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-
-
-def test_large_rates_are_not_memoised():
-    _oscillatory._shared_layout.cache_clear()
-    for alpha in (1.5, 7.0, 40.0):
-        _oscillatory.kernel_integral(4, alpha=alpha, tol=1e-7)
-    assert _oscillatory._shared_layout.cache_info().currsize == 0
+    for order in (12, 20):
+        for cached, fresh in zip(_oscillatory._gauss_rule(order),
+                                 np.polynomial.legendre.leggauss(order)):
+            assert np.array_equal(cached, fresh)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-13])

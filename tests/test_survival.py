@@ -158,6 +158,49 @@ class TestEscapeIntegral:
         assert np.all(np.diff(np.abs(gaps - target)) < 0.0)
         assert gaps[-1] == pytest.approx(target, rel=0.01)
 
+    # the series below alpha = 0.03, the Fresnel line up to 200, the mean
+    # field beyond; above alpha = 0.3 the oracle runs at 1e-10, because at
+    # 1e-12 its panels need up to 1 GB near alpha = 200
+    @pytest.mark.parametrize("alpha", [
+        1e-3, 3e-3, 0.01, 0.0299, 0.03, 0.1, 0.3, 1.0, 2.0, 5.0, 30.0, 100.0,
+        199.9, 200.0, 1e3, 1e4])
+    def test_closed_form_against_quadrature_oracle(self, alpha):
+        tol = 1e-10 if 0.3 < alpha < 200.0 else 1e-12
+        closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
+        quadrature = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
+        assert abs(closed - quadrature) <= max(1e-8 * quadrature, 1e-13)
+
+    @pytest.mark.parametrize("edge, bound", [(0.03, 5e-12), (200.0, 3e-9)])
+    def test_branches_meet_continuously(self, edge, bound):
+        # bound: the sum of the documented errors on either side
+        below = escape_integral(math.nextafter(edge, 0.0), 1.0)
+        at = escape_integral(edge, 1.0)
+        assert abs(at - below) <= bound * at
+
+    def test_cli_grid_matches_the_quadrature_route(self):
+        # the escape command's default grid, against the tol = 1e-7
+        # quadrature that computed its integral column before the closed form
+        delta = 0.003
+        for t in np.logspace(-8, -2, 121):
+            t = float(t)
+            quadrature = 16.0 * math.pi * t**1.5 * _oscillatory.kernel_integral(
+                4, alpha=delta / math.sqrt(t), tol=1e-7)
+            assert escape_integral(delta, t) == pytest.approx(quadrature,
+                                                              rel=1e-9)
+
+    def test_confined_law_third_term(self):
+        # P = two-term law + (4 pi/3) sqrt(pi/2) delta^4 / sqrt(t) (1 + a^2/15
+        # + O(a^4)), a = delta / sqrt(t): the a^4 and a^6 series terms
+        delta = 0.003
+        coefficient = 4.0 * math.pi / 3.0 * math.sqrt(math.pi / 2.0)
+        for t in (1e-3, 1e-2, 1e-1):
+            two_term = (float(asymptote_confined(delta, t))
+                        - 8.0 * math.pi**2 / 3.0 * delta**3)
+            ratio = ((escape_integral(delta, t) - two_term) * math.sqrt(t)
+                     / delta**4 / coefficient)
+            assert ratio - 1.0 == pytest.approx(delta * delta / t / 15.0,
+                                                rel=0.01)
+
     def test_exact_vs_integral_cross_method(self):
         w = WellConfig(0.003)
         ts = np.logspace(-7, -3, 9)
@@ -186,10 +229,9 @@ class TestEscapeIntegral:
             escape_integral(0.1, math.nan)
         with pytest.raises(ValueError, match="oscillation rate"):
             _oscillatory.kernel_integral(4, alpha=math.nan)
-        for domain in ((0.0, math.inf), (0.0, 5.0)):
-            for alpha in (math.nan, -1.0):
-                with pytest.raises(ValueError, match="oscillation rate"):
-                    oracle.adaptive_quadrature("escape", domain, alpha=alpha)
+        for alpha in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="oscillation rate"):
+                oracle.adaptive_quadrature("escape", alpha=alpha)
         # an infinite rate is the fully averaged limit, not an error
         assert _oscillatory.kernel_integral(4, alpha=math.inf) == \
             0.5 * _oscillatory.kernel_integral(4)
