@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,23 @@ DEFAULT_MODE_CAP = 10**6
 #: most phases one block of a direct mode sum holds (128 MB of doubles)
 _CHUNK_BUDGET = 2**24
 
-#: largest lattice denominator K summed by residue FFT
+#: longest FFT: of a lattice (its denominator K) or of one window segment
 _FFT_LIMIT = 2**23
 # xs * K must lie this many ulps (of its largest entry) from an integer; the
 # largest entry stays below 2**40 so that many ulps still pin one integer
 _LATTICE_ULPS = 8
 _LATTICE_SPAN = 2.0**40
+
+#: fewest points summed as a window; below, the direct route costs less
+_WINDOW_MIN = 32
+# a window point must lie this many ulps of 1 from its grid point, which keeps
+# the second-order error of the offset correction, (2 pi^2 / 3) N^3 d^2,
+# below 2e-12 for N <= 1e6 modes
+_WINDOW_ULPS = 2
+#: grid cells a window source spreads to on each side of its own
+_SPREAD = 12
+#: most entries one spreading block holds: small enough to stay in cache
+_SPREAD_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,11 @@ class WellConfig:
             raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "width", 1.0 + delta)
-        object.__setattr__(self, "period", 2.0 * self.width**2 / math.pi)
+        try:
+            period = 2.0 * self.width**2 / math.pi
+        except OverflowError:
+            raise ValueError(f"wall shift {delta!r} overflows the revival period") from None
+        object.__setattr__(self, "period", period)
 
 
 @dataclass(frozen=True)
@@ -124,54 +140,176 @@ def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
     return ts
 
 
+def _turns(nsq, x) -> np.ndarray:
+    """frac(nsq * x) in [0, 1], broadcast, for integers ``nsq`` and floats ``x``.
+
+    ``x`` is cut into pieces of 53 - bitlen(max nsq) bits, so that every
+    product nsq * piece is exact and its fraction is taken without rounding;
+    the last piece leaves less than one turn.  Absolute error at most two
+    ulps of 1 (4.4e-16 turns, typically 1e-16), where the plain product
+    nsq * x loses bitlen(nsq * x) bits.
+    """
+    nsq = np.asarray(nsq)
+    length = max(1, int(np.max(nsq, initial=1)).bit_length())
+    bits = max(1, 53 - length)
+    rest = np.modf(np.asarray(x, dtype=float))[0]
+    shape = np.broadcast_shapes(nsq.shape, rest.shape)
+    out, product, whole = np.zeros(shape), np.empty(shape), np.empty(shape)
+    rates = nsq.astype(float)
+    scale = 1.0
+    for _ in range(-(-length // bits)):
+        scale *= 2.0**bits
+        piece = np.trunc(rest * scale) / scale
+        rest = rest - piece
+        np.multiply(rates, piece, out=product)
+        out += np.modf(product, out=(product, whole))[0]
+    out += np.multiply(rates, rest, out=product)
+    np.modf(out, out=(out, whole))
+    out += out < 0.0
+    return out
+
+
 def _residue_sums(weights, nsq, K: int) -> np.ndarray:
     """S_j = sum_n w_n exp(-2 pi i n^2 j / K) for j = 0..K-1.
 
     ``nsq`` holds the integers n^2.  A phase depends on n^2 only through its
     residue mod K, so the weights are binned by residue and one FFT gives
-    every j.  Absolute error is about 1e-16 log2(K) sum |w_n|.
+    every j.  Complex weights w_n e^{-2 pi i n^2 x0} give the shifted lattice
+    x0 + j/K.  Absolute error about 1e-16 log2(K) sum |w_n|.
     """
-    return np.fft.fft(np.bincount(nsq % K, weights, minlength=K))
+    residues = nsq % K
+    if np.iscomplexobj(weights):
+        binned = (np.bincount(residues, weights.real, minlength=K)
+                  + 1j * np.bincount(residues, weights.imag, minlength=K))
+    else:
+        binned = np.bincount(residues, weights, minlength=K)
+    return np.fft.fft(binned)
 
 
-def _direct_sums(points: np.ndarray, rates: np.ndarray, terms) -> np.ndarray:
+def _window_sums(theta, c, P: int) -> np.ndarray:
+    """S_k = sum_n c_n exp(2 pi i k theta_n) for k = 0..P-1.
+
+    A type-1 non-uniform FFT by Gaussian gridding (Greengard & Lee, SIAM Rev.
+    46 (2004) 443).  ``c`` is one row of weights or a stack of rows that share
+    the spreading.  Each segment of at most _FFT_LIMIT / 8 frequencies is
+    centred on its middle k by twisting the weights with exact turns; every
+    source is spread over 2 _SPREAD cells of a grid more than 4 times finer
+    than the segment, in blocks of at most _SPREAD_BLOCK (and _CHUNK_BUDGET)
+    entries added in source order, so the block size never sets the bits,
+    and one FFT and a Gaussian deconvolution give the segment.  For exact
+    theta the absolute error is below 2e-14 sum |c_n|; a rounding d_n of
+    theta adds up to 2 pi k |d_n| |c_n| per term.
+    """
+    rows = np.atleast_2d(c)
+    out = np.empty((rows.shape[0], P), dtype=complex)
+    spread = np.arange(1 - _SPREAD, _SPREAD + 1)
+    block = max(1, min(_CHUNK_BUDGET, _SPREAD_BLOCK) // spread.size)
+    for first in range(0, P, _FFT_LIMIT // 8):
+        size = min(_FFT_LIMIT // 8, P - first)
+        centre = first + size // 2
+        cells = 1 << (4 * size).bit_length()
+        # the width that makes the cut-off and the aliasing errors equal
+        a = math.pi * _SPREAD / math.sqrt(1.0 - size / cells)
+        twisted = rows * np.exp(2j * math.pi * _turns(centre, theta))
+        grid = np.zeros((rows.shape[0], cells), dtype=complex)
+        for start in range(0, theta.size, block):
+            scaled = theta[start:start + block] * cells
+            cell = np.floor(scaled)
+            kernel = np.exp(-(math.pi**2 / a) * ((scaled - cell)[:, None] - spread) ** 2)
+            index = ((cell.astype(np.int64)[:, None] + spread) % cells).ravel()
+            for row, weights in zip(grid, twisted[:, start:start + block]):
+                np.add.at(row, index, (weights[:, None] * kernel).ravel())
+        kappa = np.arange(first, first + size) - centre
+        tau = a / cells**2
+        out[:, first:first + size] = (np.fft.ifft(grid)[:, kappa % cells]
+                                      * (math.sqrt(math.pi / tau) * np.exp(tau * kappa**2)))
+    return out if np.ndim(c) > 1 else out[0]
+
+
+def _direct_sums(points: np.ndarray, rates: np.ndarray, terms,
+                 turns: bool = False) -> np.ndarray:
     """S_i = sum_n terms(points_i * rates_n)[n] for every point.
 
     ``terms`` maps a block of phases (points down, modes across) to the
-    summands of the same shape.  Blocks hold whole rows of at most
-    _CHUNK_BUDGET phases, so each S_i is one sum over every n and the budget
-    sets the memory, never the bits.
+    summands of the same shape.  With ``turns`` the rates are integers and
+    the block holds the exact turns frac(points_i * rates_n) instead.  Blocks
+    hold whole rows of at most _CHUNK_BUDGET phases, so each S_i is one sum
+    over every n and the budget sets the memory, never the bits.
     """
     chunk = max(1, _CHUNK_BUDGET // max(1, rates.size))
+    phases = (lambda x: _turns(rates, x[:, None])) if turns else (
+        lambda x: np.outer(x, rates))
     # an empty input still makes one (empty) block, which sets the dtype
-    return np.concatenate([terms(np.outer(points[i:i + chunk], rates)).sum(axis=1)
+    return np.concatenate([terms(phases(points[i:i + chunk])).sum(axis=1)
                            for i in range(0, max(1, points.size), chunk)])
 
 
-def _grid_numerators(xs: np.ndarray, n_terms: int):
-    """(K, j) with ``xs`` equal to j / K up to rounding, j reduced mod K.
+class _Grid(NamedTuple):
+    """Where points xs lie, up to rounding.
 
-    K is the inverse of the first step and must be an integer no larger than
+    A lattice: xs = origin + index / period, the integers ``index`` reduced
+    mod ``period`` and in any order.  A window (period 0): xs[i] = origin +
+    i * step + offsets[i], with the offsets exact up to their own rounding.
+    """
+
+    period: int
+    origin: float
+    index: np.ndarray | None = None
+    step: float = 0.0
+    offsets: np.ndarray | None = None
+
+
+def _grid_numerators(xs: np.ndarray, n_terms: int) -> _Grid | None:
+    """The lattice or window ``xs`` lies on, or None.
+
+    Tried in order: the lattice j / K, the shifted lattice xs[0] + j / K, and
+    the window xs[0] + i h with h = (xs[-1] - xs[0]) / (size - 1).  K is the
+    inverse of the first step and must be an integer no larger than
     _FFT_LIMIT or than ``n_terms * xs.size`` (beyond that one FFT of length K
-    costs more than summing ``n_terms`` modes at each point); every xs * K
-    must then be within a few ulps of an integer.  Returns None otherwise,
-    and the caller sums the modes directly.
+    costs more than summing ``n_terms`` modes at each point); every
+    (xs - origin) * K must then be within a few ulps of an integer.  A window
+    needs _WINDOW_MIN to _FFT_LIMIT points, each within _WINDOW_ULPS ulps of
+    1 of its grid point.  Returns None otherwise, and the caller sums the
+    modes directly.
     """
     if xs.size < 2:
         return None
     inverse = 1.0 / abs(xs[1] - xs[0]) if xs[1] != xs[0] else math.inf
-    if not 0.5 <= inverse < min(_FFT_LIMIT, n_terms * xs.size) + 0.5:
+    limit = min(_FFT_LIMIT, n_terms * xs.size)
+    K = round(inverse) if 0.5 <= inverse < limit + 0.5 else 0
+    if K and abs(inverse - K) <= 1e-6 * K:
+        span = float(np.abs(xs * K).max())
+        for origin in (0.0, float(xs[0])):
+            scaled = (xs - origin) * K
+            j = np.rint(scaled)
+            if (span < _LATTICE_SPAN and np.abs(scaled - j).max()
+                    <= _LATTICE_ULPS * np.finfo(float).eps * span):
+                return _Grid(K, origin, np.mod(j, K).astype(np.int64))
+    if not (_WINDOW_MIN <= xs.size <= _FFT_LIMIT
+            and np.abs(xs).max() < _LATTICE_SPAN):
         return None
-    K = round(inverse)
-    if abs(inverse - K) > 1e-6 * K:
+    origin = float(xs[0])
+    step = float(xs[-1] - xs[0]) / (xs.size - 1)
+    offsets = _window_offsets(xs, origin, step)
+    if np.abs(offsets).max() > _WINDOW_ULPS * np.finfo(float).eps:
         return None
-    scaled = xs * K
-    j = np.rint(scaled)
-    span = float(np.abs(scaled).max())
-    if (span >= _LATTICE_SPAN or np.abs(scaled - j).max()
-            > _LATTICE_ULPS * np.finfo(float).eps * span):
-        return None
-    return K, np.mod(j, K).astype(np.int64)
+    return _Grid(0, origin, step=step, offsets=offsets)
+
+
+def _window_offsets(xs: np.ndarray, origin: float, step: float) -> np.ndarray:
+    """xs[i] - (origin + i * step) without cancellation.
+
+    xs - origin is kept with its rounding error (Knuth's two-sum), and
+    i * step is formed exactly from Veltkamp's split of ``step`` into two
+    26-bit halves (exact while i < 2**26).
+    """
+    i = np.arange(xs.size, dtype=float)
+    diff = xs - origin
+    back = diff - xs
+    error = (xs - (diff - back)) - (origin + back)
+    split = 134217729.0 * step
+    high = split - (split - step)
+    return ((diff - i * high) - i * (step - high)) + error
 
 
 def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:

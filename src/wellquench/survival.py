@@ -113,11 +113,11 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     """
     a2, energies = _weights_and_energies(config, n_modes)
     ts = _valid_times(t)
-    lattice = _grid_numerators(ts / config.period, n_modes - 1)
-    if lattice is None:
+    grid = _grid_numerators(ts / config.period, n_modes - 1)
+    if grid is None or not grid.period or grid.origin:
         core = _escape_core(a2, energies, ts, aligned=True)
     else:
-        core = _aligned_on_lattice(a2[1:], *lattice)
+        core = _aligned_on_lattice(a2[1:], grid.period, grid.index)
     out = _apply_noise_clamp(core)
     return out if np.ndim(t) else float(out[0])
 
@@ -189,14 +189,26 @@ def escape_integral(delta: float, t: float) -> float:
             + 3.0 * alpha * (tail.imag - tail.real))
     else:
         value = FREE_KERNEL_CONSTANT / 2.0
-    return 16.0 * math.pi * t**1.5 * value
+    try:
+        power = t**1.5
+    except OverflowError:
+        power = math.inf
+    return _finite_law(16.0 * math.pi * power * value, t)
 
 
 def asymptote_free(t) -> np.ndarray | float:
     """Escape before the wavefront reaches the displaced wall: ~ t^{3/2}."""
     t_arr = _valid_times(t)
-    out = FREE_LAW_COEFFICIENT * t_arr**1.5
+    with np.errstate(over="ignore"):
+        out = _finite_law(FREE_LAW_COEFFICIENT * t_arr**1.5, t_arr)
     return out if np.ndim(t) else float(out[0])
+
+
+def _finite_law(value, t):
+    """``value``, or ValueError naming the largest time if it overflowed."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"time {float(np.max(t))!r} overflows the escape law")
+    return value
 
 
 def asymptote_confined(delta: float, t) -> np.ndarray | float:

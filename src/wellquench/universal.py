@@ -21,7 +21,7 @@ from scipy.special import polygamma
 
 from .errors import GridMismatchError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
-                       _residue_sums, _valid_times)
+                       _residue_sums, _turns, _valid_times, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -70,35 +70,67 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
     The function is periodic with period 1, so any finite xi is accepted.
     Terms fall off as 1/n^2; see universal_tail_bound for the cutoff error.
-    Points on a lattice j/K are read off the residue-FFT profile; any other
-    input is summed directly.
+    The route follows the shape of ``xi`` (spectral._grid_numerators):
+
+    - a lattice j/K is read off one residue FFT at the rational points, within
+      1e-14 absolute of exact residues;
+    - a shifted lattice x0 + j/K is read off one residue FFT with twisted
+      weights at the points x0 + j/K, within 1e-14 absolute of them.  The
+      inputs lie d from them (|d| <= 8 ulps of max |xi|), so against F at
+      the inputs add 2 pi |d| sum(n^2 w_n), about 2 pi N |d|;
+    - a window of P >= 32 evenly spaced points x0 + k h (a linspace) is one
+      non-uniform FFT plus a first-order correction for the offsets d by
+      which the inputs miss x0 + k h (|d| <= 2 ulps of 1).  Against F at the
+      inputs its absolute error is at most (2e-14 + 2 pi P 5e-16) sum(w_n)
+      from the transform and the rounding of the turns, plus
+      (2 pi^2 / 3) N^3 d^2 from the correction: 1e-12 at P = 300 and
+      N = 1e5, 2e-12 at N = 1e6;
+    - anything else is summed directly over exact turns frac(n^2 xi), within
+      1e-15 sum(w_n) absolute of F at the inputs; this route is the oracle
+      the others are tested against.
     """
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
     xs = _valid_times(xi, "xi", signed=True)
-    lattice = _grid_numerators(xs, n_modes - 1)
-    if lattice is not None:
-        K, j = lattice
-        return _grid_profile(K, n_modes)[j]
-    n = np.arange(2, n_modes + 1, dtype=float)
-    nsq = n * n
-    weights = nsq / (1.0 - nsq) ** 2
-    out = _direct_sums(xs, nsq, lambda p: weights * (1.0 - np.cos(2.0 * math.pi * p)))
+    grid = _grid_numerators(xs, n_modes - 1)
+    if grid is not None and grid.period:
+        out = _grid_profile(grid.period, n_modes, grid.origin)[grid.index]
+        return out if np.ndim(xi) else float(out[0])
+    nsq, weights = _profile_modes(n_modes)
+    if grid is None:
+        out = _direct_sums(xs, nsq, lambda t: weights * (1.0 - np.cos(2.0 * math.pi * t)),
+                           turns=True)
+    else:
+        twisted = weights * np.exp(2j * math.pi * _turns(nsq, grid.origin))
+        sums = _window_sums(_turns(nsq, grid.step),
+                            np.stack([twisted, 2.0 * math.pi * nsq * twisted]), xs.size)
+        # F(x0 + k h + d) = F(x0 + k h) + d F'(x0 + k h) + O(d^2)
+        out = np.maximum(weights.sum() - sums[0].real + grid.offsets * sums[1].imag, 0.0)
     return out if np.ndim(xi) else float(out[0])
 
 
-def _grid_profile(K: int, n_modes: int) -> np.ndarray:
-    """F(j/K) for j = 0..K-1 from one residue FFT.
-
-    The reference is the FFT's own bin 0, so F(0) is exactly 0.  Bins j and
-    K - j hold the same cosine sum but the FFT rounds them differently, so
-    both are read from j <= K/2 and F is exactly reflection symmetric.  F is
-    a sum of non-negative terms; where they all vanish (n = 2 alone, at
-    4j = 0 mod K) rounding leaves -1e-16, which is cut to 0.
-    """
+def _profile_modes(n_modes: int):
+    """n^2 as integers and the weights n^2 / (1 - n^2)^2, for n = 2..n_modes."""
     n = np.arange(2, n_modes + 1, dtype=np.int64)
     nsq = n * n
-    weights = nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
+    return nsq, nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
+
+
+def _grid_profile(K: int, n_modes: int, origin: float = 0.0) -> np.ndarray:
+    """F(origin + j/K) for j = 0..K-1 from one residue FFT.
+
+    On the lattice itself (origin 0) the reference is the FFT's own bin 0, so
+    F(0) is exactly 0.  Bins j and K - j hold the same cosine sum but the FFT
+    rounds them differently, so both are read from j <= K/2 and F is exactly
+    reflection symmetric.  A shifted lattice twists the weights by
+    e^{-2 pi i n^2 origin} with exact turns.  F is a sum of non-negative
+    terms; where they all vanish (n = 2 alone, at 4j = 0 mod K) rounding
+    leaves -1e-16, which is cut to 0.
+    """
+    nsq, weights = _profile_modes(n_modes)
+    if origin:
+        twisted = weights * np.exp(-2j * math.pi * _turns(nsq, origin))
+        return np.maximum(weights.sum() - _residue_sums(twisted, nsq, K).real, 0.0)
     cos_sums = _residue_sums(weights, nsq, K).real
     j = np.arange(K)
     return np.maximum(cos_sums[0] - cos_sums[np.minimum(j, K - j)], 0.0)
@@ -158,7 +190,12 @@ def valley_locations(p_max: int, q_max: int | None = None,
 
     Enumerates q/p^2 for 2 <= p <= p_max (q up to p^2, or ``q_max``),
     deduplicates equal locations in reduced form, and keeps the points that
-    are strict local minima against neighbors ``spacing`` away.
+    are strict local minima against neighbors ``spacing`` away.  Each p
+    costs two residue FFTs of length p^2: the lattice q/p^2, whose values
+    are the depths (within 1e-14 absolute of exact residues), and the
+    lattice shifted by ``spacing``, which gives the neighbours q/p^2 +
+    spacing and, since F(x) = F(-x), q/p^2 - spacing at -q, within 1e-14
+    absolute.
     """
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
@@ -169,17 +206,14 @@ def valley_locations(p_max: int, q_max: int | None = None,
             frac = Fraction(q, p * p)
             if 0 <= frac <= 1 and frac not in candidates:
                 candidates[frac] = (q, p)
-    locations = np.array([float(f) for f in candidates], dtype=float)
-    # the profile is periodic and reflection symmetric, so probes slightly
-    # outside [0, 1] are still meaningful
-    probes = np.concatenate([locations, locations - spacing,
-                             locations + spacing])
-    values = universal_function(probes, n_modes)
-    m = locations.size
-    centers, left, right = values[:m], values[m:2 * m], values[2 * m:]
+    # the profile is periodic, so q = p^2 reads the lattice at j = 0
+    lattices = {p: (_grid_profile(p * p, n_modes),
+                    _grid_profile(p * p, n_modes, spacing))
+                for p in sorted({p for _, p in candidates.values()})}
     entries = []
-    for frac, (q, p), c, lo, hi in zip(candidates, candidates.values(),
-                                       centers, left, right):
+    for frac, (q, p) in candidates.items():
+        centres, shifted = lattices[p]
+        c, lo, hi = centres[q % (p * p)], shifted[-q % (p * p)], shifted[q % (p * p)]
         if c < lo and c < hi:
             entries.append(ValleyEntry(numerator=q, denominator_root=p,
                                        location=float(frac),

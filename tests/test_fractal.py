@@ -1,13 +1,42 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellquench.errors import GridMismatchError, InsufficientSpanError
 from wellquench.fractal import (curve_length, dimension_fit,
                                 normality_diagnostics, phase_sum_samples,
                                 phase_sum_scaling, profile_dimension)
 from wellquench.universal import UniversalCurve
+
+
+def direct_phase_sums(epsilon):
+    """xi_m for m = 1..floor(1/eps), summed directly over the rounded phases
+    2 pi n^2 m eps: phase_sum_samples' route at non-integer 1/eps before the
+    window transform."""
+    cutoff = int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
+    n = np.arange(2, cutoff + 1, dtype=float)
+    m = np.arange(1, int(math.floor(1.0 / epsilon)) + 1, dtype=float)
+    return np.sin(np.outer(m, 2.0 * math.pi * n * n * epsilon)).sum(axis=1)
+
+
+def exact_phase_sums(epsilon, ms):
+    """xi_m by math.fsum over turns n^2 m eps reduced exactly with integers."""
+    cutoff = int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
+    num, den = Fraction(epsilon).as_integer_ratio()
+    nsq = [n * n for n in range(2, cutoff + 1)]
+    return np.array([math.fsum(np.sin(2.0 * math.pi * np.array(
+        [(s * int(m) * num % den) / den for s in nsq]))) for m in ms])
+
+
+def window_phase_bound(epsilon, m):
+    """phase_sum_samples' stated bound at non-integer 1/eps: per mode, 2e-14
+    from the transform and 2 pi m 5e-16 from the rounding of the turns."""
+    cutoff = int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
+    return (cutoff - 1) * (2e-14 + 2.0 * math.pi * m * 5e-16)
 
 
 def synthetic_curve(func, epsilon):
@@ -128,13 +157,25 @@ class TestPhaseSums:
         reference = np.sin(2.0 * math.pi * np.outer(m * 1e-3, n * n)).sum(axis=1)
         assert np.abs(sample.values - reference).max() < 1e-9
 
-    def test_direct_path_matches_reference_loop(self):
-        eps = 1.0 / 800.5  # non-integral 1/eps: direct route
+    def test_window_path_matches_exact_turns(self):
+        eps = 1.0 / 800.5  # non-integral 1/eps: window route
         sample = phase_sum_samples(eps)
-        n = np.arange(2, sample.cutoff + 1, dtype=float)
-        m = np.arange(1, sample.values.size + 1, dtype=float)
-        reference = np.sin(2.0 * math.pi * np.outer(m * eps, n * n)).sum(axis=1)
-        assert np.abs(sample.values - reference).max() < 1e-9
+        assert np.abs(sample.values - direct_phase_sums(eps)).max() < 1e-9
+        m = np.arange(1, sample.values.size + 1)
+        exact = exact_phase_sums(eps, m)
+        assert np.all(np.abs(sample.values - exact) <= window_phase_bound(eps, m))
+
+    @settings(max_examples=25, deadline=None)
+    @given(inverse=st.integers(8, 20000), fraction=st.floats(0.01, 0.99),
+           data=st.data())
+    def test_window_route_matches_exact_turns(self, inverse, fraction, data):
+        eps = 1.0 / (inverse + fraction)
+        sample = phase_sum_samples(eps)
+        assert sample.values.size == int(math.floor(1.0 / eps))
+        ms = np.array(data.draw(st.lists(st.integers(1, sample.values.size),
+                                         min_size=1, max_size=4, unique=True)))
+        error = np.abs(sample.values[ms - 1] - exact_phase_sums(eps, ms))
+        assert np.all(error <= window_phase_bound(eps, ms))
 
     def test_bound_and_moments_at_reference_ruler(self):
         sample = phase_sum_samples(1e-5)

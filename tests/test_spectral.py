@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wellquench import fractal, spectral, survival, universal
@@ -35,6 +38,11 @@ class TestWellConfig:
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
             WellConfig(-0.1)
+
+    def test_overflowing_shift_names_the_input(self):
+        # width**2 used to raise a bare OverflowError
+        with pytest.raises(ValueError, match="wall shift 1e[+]200"):
+            WellConfig(1e200)
 
 
 class TestModeCoefficient:
@@ -239,3 +247,55 @@ class TestDirectSums:
         for terms, dtype in ((np.sin, float), (lambda p: np.exp(1j * p), complex)):
             sums = spectral._direct_sums(np.empty(0), rates, terms)
             assert sums.shape == (0,) and sums.dtype == dtype
+
+
+def exact_turn(multiplier, x):
+    num, den = Fraction(x).as_integer_ratio()
+    return (int(multiplier) * num % den) / den
+
+
+def turn_distance(a, b):
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+class TestTurns:
+    @settings(max_examples=60, deadline=None)
+    @given(top=st.integers(1, 10**13), x=st.floats(-1e3, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_within_two_ulps_of_one_of_exact_turns(self, top, x, seed):
+        nsq = np.random.default_rng(seed).integers(1, top + 1, 40)
+        turns = spectral._turns(nsq, x)
+        assert turns.min() >= 0.0 and turns.max() <= 1.0
+        exact = [exact_turn(s, x) for s in nsq]
+        assert turn_distance(turns, exact).max() <= 2 * np.finfo(float).eps
+
+    def test_broadcasts_like_a_product(self):
+        nsq = np.arange(1, 6) ** 2
+        xs = np.array([0.1, -0.37, 12.5])
+        assert spectral._turns(nsq, xs[:, None]).shape == (3, 5)
+        assert spectral._turns(7, xs).shape == (3,)
+        assert spectral._turns(0, 0.3) == 0.0
+
+
+class TestWindowSums:
+    @settings(max_examples=40, deadline=None)
+    @given(sources=st.integers(1, 300), P=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1), segment=st.sampled_from([None, 64]))
+    def test_matches_the_direct_sum_over_exact_turns(self, sources, P, seed,
+                                                      segment):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-1.0, 2.0, sources)
+        c = rng.standard_normal((2, sources)) + 1j * rng.standard_normal((2, sources))
+        with pytest.MonkeyPatch.context() as patch:
+            # a small _FFT_LIMIT splits the frequencies into several segments
+            if segment is not None:
+                patch.setattr(spectral, "_FFT_LIMIT", 8 * segment)
+            sums = spectral._window_sums(theta, c, P)
+        assert sums.shape == (2, P)
+        ks = rng.integers(0, P, 8)
+        for row, weights in zip(sums, c):
+            direct = np.array([np.sum(weights * np.exp(
+                2j * math.pi * spectral._turns(k, theta))) for k in ks])
+            assert np.abs(row[ks] - direct).max() <= 2e-14 * np.abs(weights).sum()
+        assert spectral._window_sums(theta, c[0], P).shape == (P,)

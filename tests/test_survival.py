@@ -236,6 +236,11 @@ class TestEscapeIntegral:
         assert _oscillatory.kernel_integral(4, alpha=math.inf) == \
             0.5 * _oscillatory.kernel_integral(4)
 
+    def test_overflowing_time_names_the_input(self):
+        # t**1.5 used to raise a bare OverflowError
+        with pytest.raises(ValueError, match="time 1e[+]300"):
+            escape_integral(0.003, 1e300)
+
 
 class TestAsymptotes:
     def test_kernel_constants_closed_forms(self):
@@ -260,6 +265,14 @@ class TestAsymptotes:
     def test_zero_time(self):
         assert asymptote_free(0.0) == 0.0
         assert asymptote_confined(0.01, 0.0) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_time_names_the_input(self):
+        # used to return inf with a RuntimeWarning
+        with pytest.raises(ValueError, match="time 1e[+]300"):
+            asymptote_free(1e300)
+        with pytest.raises(ValueError, match="time 1e[+]300"):
+            asymptote_free(np.array([1.0, 1e300]))
 
     def test_frozen_sample_points(self):
         assert float(asymptote_free(1e-4)) == pytest.approx(

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from wellquench.cli import main
 from wellquench.errors import GridMismatchError
-from wellquench.spectral import WellConfig, _grid_numerators
+from wellquench.spectral import WellConfig, _grid_numerators, _turns
 from wellquench.survival import (_apply_noise_clamp, _escape_core,
                                  _weights_and_energies,
                                  escape_probability_aligned)
 from wellquench.universal import (MODE_WEIGHT_TOTAL, UPPER_BOUND,
-                                  UniversalCurve, require_uniform,
-                                  scaled_escape_limit, universal_curve,
-                                  universal_function, universal_tail_bound,
-                                  valley_locations)
+                                  UniversalCurve, _grid_profile,
+                                  require_uniform, scaled_escape_limit,
+                                  universal_curve, universal_function,
+                                  universal_tail_bound, valley_locations)
 
 
 def direct_sum(xi, n_modes):
@@ -27,40 +27,43 @@ def direct_sum(xi, n_modes):
     return float(np.sum(weights * (1.0 - np.cos(2.0 * math.pi * n * n * xi))))
 
 
-def chunked_direct(xi, n_modes):
-    """The direct route of universal_function as it was before lattice inputs
-    were read off the residue FFT, summing modes in column blocks.
-
-    Off-lattice results equal it bit for bit only while one block holds every
-    mode (points * (n_modes - 1) <= 2**24), which covers the sizes the tests
-    below use; universal_function now sums each point's modes in one row.
-    """
-    xs = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.zeros(xs.shape)
-    chunk = max(1, 2**24 // max(1, xs.size))
-    for start in range(2, n_modes + 1, chunk):
-        n = np.arange(start, min(start + chunk, n_modes + 1), dtype=float)
-        weights = n * n / (1.0 - n * n) ** 2
-        phases = 2.0 * math.pi * np.outer(xs, n * n)
-        out += (weights * (1.0 - np.cos(phases))).sum(axis=1)
-    return out
-
-
-def exact_residue_sum(numerators, K, n_modes):
-    """F(j/K) by math.fsum with each phase reduced exactly as (n^2 j mod K)/K."""
+def profile_weights(n_modes):
     n = np.arange(2, n_modes + 1, dtype=np.int64)
-    weights = (n * n).astype(float) / (1.0 - (n * n).astype(float)) ** 2
-    return np.array([math.fsum(weights * (1.0 - np.cos(
-        2.0 * math.pi * ((n * n * int(j)) % K) / K))) for j in numerators])
+    return n * n, (n * n).astype(float) / (1.0 - (n * n).astype(float)) ** 2
 
 
-def valley_probes(p_max, spacing):
-    """The points valley_locations evaluates, in its order: each q/p^2 and
-    its two neighbours."""
-    locations = dict.fromkeys(Fraction(q, p * p) for p in range(2, p_max + 1)
-                              for q in range(p * p + 1))
-    xs = np.array([float(f) for f in locations])
-    return np.concatenate([xs, xs - spacing, xs + spacing])
+def exact_turns(nsq, x):
+    """frac(n^2 x) for each integer n^2, reduced from the exact rational value
+    of ``x`` (a float or a Fraction) with Python integers."""
+    num, den = Fraction(x).as_integer_ratio()
+    return np.array([(int(s) * num % den) / den for s in nsq])
+
+
+def exact_profile(points, n_modes):
+    """F by math.fsum over exactly reduced turns at each point."""
+    nsq, weights = profile_weights(n_modes)
+    return np.array([math.fsum(weights * (1.0 - np.cos(2.0 * math.pi * exact_turns(nsq, x))))
+                     for x in points])
+
+
+def window_bound(points, n_modes, offsets):
+    """universal_function's stated bound on a window: 2e-14 of the weights
+    from the transform, 2 pi P 5e-16 of them from the rounding of the turns,
+    and (2 pi^2 / 3) N^3 d^2 left over by the offset correction."""
+    total = profile_weights(n_modes)[1].sum()
+    curvature = 2.0 * math.pi**2 / 3.0 * float(n_modes) ** 3
+    return ((2e-14 + 2.0 * math.pi * points * 5e-16) * total
+            + curvature * float(np.abs(offsets).max()) ** 2)
+
+
+def shifted_lattice_bound(xs, K, n_modes):
+    """universal_function's stated bound on a shifted lattice: 1e-14 from the
+    FFT, and 2 pi sum n^2 w_n |d| for the distance d of each input from its
+    lattice point xs[0] + j/K."""
+    nsq, weights = profile_weights(n_modes)
+    origin = Fraction(xs[0])
+    d = max(abs(float(Fraction(x) - origin - Fraction(i, K))) for i, x in enumerate(xs))
+    return 1e-14 + 2.0 * math.pi * float((nsq * weights).sum()) * d
 
 
 class TestProfileValues:
@@ -203,7 +206,7 @@ class TestResidueGrid:
            picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     def test_grid_matches_exact_residue_sum(self, K, n_modes, picks):
         js = sorted({min(K, int(p * K)) for p in picks})
-        reference = exact_residue_sum(js, K, n_modes)
+        reference = exact_profile([Fraction(j, K) for j in js], n_modes)
         grid = universal_function(np.linspace(0.0, 1.0, K + 1), n_modes)
         curve = universal_curve(K, n_modes).values
         assert np.abs(grid[js] - reference).max() <= 1e-14
@@ -234,37 +237,121 @@ class TestResidueGrid:
     def test_nudged_lattice_is_summed_directly(self, K, size, nudge, sign,
                                                where, n_modes):
         xs = np.arange(size) / K
-        K_found, j = _grid_numerators(xs, NO_COST_LIMIT)
-        assert K_found == K and np.array_equal(j, np.arange(size) % K)
-        xs[min(size - 1, int(where * size))] += sign * nudge
+        grid = _grid_numerators(xs, NO_COST_LIMIT)
+        assert grid.period == K and grid.origin == 0.0
+        assert np.array_equal(grid.index, np.arange(size) % K)
+        nudged = min(size - 1, int(where * size))
+        xs[nudged] += sign * nudge
         assert _grid_numerators(xs, NO_COST_LIMIT) is None
-        assert np.array_equal(universal_function(xs, n_modes),
-                              chunked_direct(xs, n_modes))
+        picks = sorted({0, nudged, size - 1})
+        total = profile_weights(n_modes)[1].sum()
+        assert np.abs(universal_function(xs, n_modes)[picks]
+                      - exact_profile(xs[picks], n_modes)).max() <= 1e-15 * total
 
     def test_sparse_points_of_a_fine_lattice_are_summed_directly(self):
         # one FFT of length 2^23 would cost ~1 s and ~600 MB for two points
         xs = np.array([0.0, 2.0**-23])
         assert _grid_numerators(xs, 10**5 - 1) is None
-        assert np.array_equal(universal_function(xs, 10**5), chunked_direct(xs, 10**5))
+        total = profile_weights(10**5)[1].sum()
+        assert np.abs(universal_function(xs, 10**5)
+                      - exact_profile(xs, 10**5)).max() <= 1e-15 * total
         assert _grid_numerators(xs, NO_COST_LIMIT) is not None
 
     @settings(max_examples=40, deadline=None)
+    @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           n_modes=st.integers(2, 3000))
+    def test_direct_route_matches_exact_turns(self, xs, n_modes):
+        xs = np.array(xs)
+        assume(_grid_numerators(xs, n_modes - 1) is None)
+        total = profile_weights(n_modes)[1].sum()
+        assert np.abs(universal_function(xs, n_modes)
+                      - exact_profile(xs, n_modes)).max() <= 1e-15 * total
+
+    @settings(max_examples=40, deadline=None)
     @given(p=st.integers(2, 6), q=st.integers(1, 35),
-           log_half_width=st.floats(-3.5, -2.5), points=st.integers(220, 290))
-    def test_zoom_windows_are_summed_directly(self, p, q, log_half_width, points):
+           log_half_width=st.floats(-3.5, -2.5), points=st.integers(220, 290),
+           n_modes=st.integers(2, 20000), data=st.data())
+    def test_zoom_windows_match_exact_turns(self, p, q, log_half_width, points,
+                                            n_modes, data):
         center = (q % (p * p - 1) + 1) / (p * p)
         half_width = 10.0 ** log_half_width
         xs = np.linspace(center - half_width, center + half_width, points)
-        assert _grid_numerators(xs, NO_COST_LIMIT) is None
-        assert np.array_equal(universal_function(xs, 2000), chunked_direct(xs, 2000))
+        grid = _grid_numerators(xs, NO_COST_LIMIT)
+        assert grid.period == 0 and grid.origin == xs[0]
+        picks = data.draw(st.lists(st.integers(0, points - 1), min_size=1,
+                                   max_size=3, unique=True))
+        error = np.abs(universal_function(xs, n_modes)[picks]
+                       - exact_profile(xs[picks], n_modes)).max()
+        assert error <= window_bound(points, n_modes, grid.offsets)
+
+    @settings(max_examples=30, deadline=None)
+    @given(center=st.floats(-1.0, 1.5), log_half_width=st.floats(-6.0, -0.5),
+           points=st.integers(32, 700), n_modes=st.integers(2, 20000),
+           data=st.data())
+    def test_windows_match_exact_turns(self, center, log_half_width, points,
+                                       n_modes, data):
+        xs = np.linspace(center - 10.0 ** log_half_width,
+                         center + 10.0 ** log_half_width, points)
+        grid = _grid_numerators(xs, n_modes - 1)
+        assume(grid is not None and grid.period == 0)
+        picks = data.draw(st.lists(st.integers(0, points - 1), min_size=1,
+                                   max_size=3, unique=True))
+        error = np.abs(universal_function(xs, n_modes)[picks]
+                       - exact_profile(xs[picks], n_modes)).max()
+        assert error <= window_bound(points, n_modes, grid.offsets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(2, 4096), size=st.integers(2, 300),
+           start=st.integers(-8192, 8192), fraction=st.floats(0.01, 0.99),
+           n_modes=st.integers(2, 3000), data=st.data())
+    def test_shifted_lattices_match_exact_turns(self, K, size, start, fraction,
+                                                n_modes, data):
+        origin = (start + fraction) / K
+        xs = origin + np.arange(size) / K
+        grid = _grid_numerators(xs, NO_COST_LIMIT)
+        assert grid.period == K and grid.origin == xs[0]
+        # with few modes one FFT of length K costs more than the other routes
+        assume(K < (n_modes - 1) * size)
+        picks = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                   max_size=3, unique=True))
+        error = np.abs(universal_function(xs, n_modes)[picks]
+                       - exact_profile(xs[picks], n_modes)).max()
+        assert error <= shifted_lattice_bound(xs, K, n_modes)
 
     @settings(max_examples=20, deadline=None)
-    @given(p_max=st.integers(2, 5), log_spacing=st.floats(-4.5, -3.5))
-    def test_valley_probes_are_summed_directly(self, p_max, log_spacing):
-        probes = valley_probes(p_max, 10.0 ** log_spacing)
-        assert _grid_numerators(probes, NO_COST_LIMIT) is None
-        assert np.array_equal(universal_function(probes, 2000),
-                              chunked_direct(probes, 2000))
+    @given(p_max=st.integers(2, 5), log_spacing=st.floats(-4.5, -3.5),
+           n_modes=st.integers(2, 3000))
+    def test_valley_lattices_match_exact_turns(self, p_max, log_spacing,
+                                               n_modes):
+        # valley_locations reads each q/p^2 and its neighbours q/p^2 -+ spacing
+        # off three lattices of length p^2
+        spacing = 10.0 ** log_spacing
+        K = p_max * p_max
+        for shift in (0.0, -spacing, spacing):
+            exact = exact_profile([Fraction(j, K) + Fraction(shift) for j in range(K)],
+                                  n_modes)
+            assert np.abs(_grid_profile(K, n_modes, shift) - exact).max() <= 1e-14
+        for e in valley_locations(p_max, spacing=spacing, n_modes=n_modes).entries:
+            exact = exact_profile([Fraction(e.numerator, e.denominator_root**2)], n_modes)
+            assert abs(e.depth - exact[0]) <= 1e-14
+
+    def test_million_modes_within_the_stated_bounds(self):
+        # the exact-turn direct route is the oracle here: each point alone
+        n_modes = 10**6
+        direct = lambda xs: np.array([universal_function(x, n_modes) for x in xs])
+        xs = np.linspace(0.31, 0.3127, 64)
+        grid = _grid_numerators(xs, n_modes - 1)
+        assert grid.period == 0
+        picks = [0, 17, 40, 63]
+        window = universal_function(xs, n_modes)[picks]
+        assert np.abs(window - direct(xs[picks])).max() <= \
+            window_bound(64, n_modes, grid.offsets) + 2e-15 * MODE_WEIGHT_TOTAL
+        xs = 0.123 + np.arange(5) / 97.0
+        assert _grid_numerators(xs, n_modes - 1).period == 97
+        assert np.abs(universal_function(xs, n_modes) - direct(xs)).max() <= \
+            shifted_lattice_bound(xs, 97, n_modes) + 2e-15 * MODE_WEIGHT_TOTAL
+        exact = exact_profile(xs[:1], n_modes)[0]
+        assert abs(direct(xs[:1])[0] - exact) <= 1e-15 * MODE_WEIGHT_TOTAL
 
     @settings(max_examples=40, deadline=None)
     @given(log_delta=st.floats(-3.0, math.log10(0.5)), K=st.integers(2, 1024),
@@ -297,23 +384,32 @@ class TestResidueGrid:
 
 class TestWholeRowSums:
     def test_many_points_stay_within_rounding_of_the_column_blocks(self):
-        # 250 points x 1e5 modes span two column blocks of the old loop.
-        # Each route is a pairwise sum within a few ulps of the exact sum of
-        # the same terms (at most 4 ulps of max F at 250 and 512 points), so the
-        # two may differ by up to 8 ulps (at 512 points they differ by 6)
+        # 250 points x 1e5 modes span two column blocks of a loop over modes.
+        # Shuffled, the points are neither a lattice nor a window, so they
+        # take the direct route, which sums each point's exact turns in one
+        # row.  Each route is a pairwise sum within a few ulps of the exact
+        # sum of the same terms (at most 4 ulps of max F), so the two may
+        # differ by up to 8 ulps
         n_modes = 10**5
-        xs = np.linspace(0.123456, 0.3456789, 250)
+        xs = np.random.default_rng(5).permutation(np.linspace(0.123456, 0.3456789, 250))
         assert _grid_numerators(xs, NO_COST_LIMIT) is None
         assert xs.size * (n_modes - 1) > 2**24
         rows = universal_function(xs, n_modes)
-        blocks = chunked_direct(xs, n_modes)
+        nsq, weights = profile_weights(n_modes)
+        blocks = np.zeros(xs.size)
+        chunk = 2**24 // xs.size
+        for start in range(0, nsq.size, chunk):
+            turns = _turns(nsq[start:start + chunk], xs[:, None])
+            blocks += (weights[start:start + chunk]
+                       * (1.0 - np.cos(2.0 * math.pi * turns))).sum(axis=1)
         ulp = np.spacing(UPPER_BOUND)
         assert np.abs(rows - blocks).max() <= 8 * ulp
-        nsq = np.arange(2, n_modes + 1, dtype=float) ** 2
-        weights = nsq / (1.0 - nsq) ** 2
         for i in range(0, xs.size, 37):
-            terms = weights * (1.0 - np.cos(2.0 * math.pi * (xs[i] * nsq)))
+            terms = weights * (1.0 - np.cos(2.0 * math.pi * _turns(nsq, xs[i])))
             assert abs(rows[i] - math.fsum(terms)) <= 4 * ulp
+        picks = [0, 125, 249]
+        assert np.abs(rows[picks] - exact_profile(xs[picks], n_modes)).max() \
+            <= 1e-15 * weights.sum()
 
 
 class TestDefaultProfileOutput:
@@ -329,7 +425,7 @@ class TestDefaultProfileOutput:
         xi, values = rows[:, 0], rows[:, 1]
         assert np.array_equal(xi, np.linspace(0.0, 1.0, 512))
         picks = sorted({*range(0, 512, 7), 365, 511})
-        direct = chunked_direct(xi[picks], 10**5)
+        direct = np.array([direct_sum(x, 10**5) for x in xi[picks]])
         assert np.abs(values[picks] - direct).max() <= 3e-11
-        exact = exact_residue_sum([365], 511, 10**5)[0]
+        exact = exact_profile([Fraction(365, 511)], 10**5)[0]
         assert abs(values[365] - exact) <= 1e-15
