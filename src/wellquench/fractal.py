@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InsufficientSpanError
-from .spectral import _FFT_LIMIT, _residue_sums, _turns, _window_sums
+from .spectral import _lattice_sums, _ruler_period, _turns, _window_sums
 from .universal import UniversalCurve, require_uniform, universal_curve
 
 
@@ -148,13 +148,13 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     """xi_m = sum_{n=2}^{floor(sqrt(1/(2 eps)))} sin(2 pi n^2 m eps), m = 1..1/eps.
 
     Deterministic: the statistics are over the index m, never over a RNG.
-    When 1/eps is an integer K the sums collapse onto residues n^2 mod K and
-    one FFT produces every m at once (absolute error about
-    1e-16 log2(K) cutoff).  Otherwise m = 1..1/eps is a window: with
-    theta_n = frac(n^2 eps) in exact turns, xi_m = Im sum_n e^{2 pi i m theta_n}
-    is one non-uniform FFT, within cutoff (2e-14 + 2 pi m 5e-16) absolute of
-    the sums over exact turns frac(n^2 m eps) (2e-8 at 1/eps = 8e4, where
-    1e-10 is measured).
+    On a ruler lattice eps = 1/K (spectral._ruler_period) xi_m = Im B_m of
+    one spectral._lattice_sums (absolute error about 1e-16 log2(K) cutoff).
+    Any other ruler, one near 1/K too, makes m = 1..1/eps a window: with
+    theta_n = frac(n^2 eps) in exact turns, xi_m = Im sum_n e^{2 pi i m
+    theta_n} is one non-uniform FFT, within cutoff (2e-14 + 2 pi m 5e-16)
+    absolute of the sums over exact turns frac(n^2 m eps) (2e-8 at
+    1/eps = 8e4, where 1e-10 is measured).
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"ruler must be finite and positive, got {epsilon}")
@@ -162,12 +162,10 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     if cutoff < 2:
         raise ValueError(f"ruler {epsilon:g} leaves no modes below the cutoff")
     count = int(math.floor(1.0 / epsilon))
-    inverse = 1.0 / epsilon
     n = np.arange(2, cutoff + 1, dtype=np.int64)
-    if abs(inverse - round(inverse)) < 1e-9 * inverse and round(inverse) <= _FFT_LIMIT:
-        K = int(round(inverse))
-        # sum_n sin(2 pi m n^2 / K)
-        sums = -_residue_sums(np.ones(n.size), n * n, K).imag
+    K = int(_ruler_period(epsilon))
+    if K:
+        sums = _lattice_sums(np.ones(n.size), n * n, K).imag
         values = np.concatenate([sums[1:], sums[:1]])[:count]  # m = 1..K
     else:
         values = _window_sums(_turns(n * n, epsilon), np.ones(n.size), count + 1)[1:].imag

@@ -98,8 +98,8 @@ def propagate(state: GridState, dt: float, steps: int) -> GridState:
     operator is unitary in the discrete norm for Hermitian H, so norm drift
     is pure roundoff; accuracy is second order in dx and dt.
     """
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step must be finite and positive, got {dt}")
     if steps < 0:
         raise ValueError("step count must be >= 0")
     interior = state.amplitudes[1:-1].copy()

@@ -63,9 +63,7 @@ class WellConfig:
     period: float = field(init=False)
 
     def __post_init__(self):
-        delta = float(self.delta)
-        if not np.isfinite(delta) or delta < 0.0:
-            raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
+        delta = _valid_shift(self.delta)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "width", 1.0 + delta)
         try:
@@ -140,6 +138,14 @@ def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
     return ts
 
 
+def _valid_shift(delta) -> float:
+    """``delta`` as a float; ValueError unless it is finite and >= 0."""
+    delta = float(delta)
+    if not math.isfinite(delta) or delta < 0.0:
+        raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
+    return delta
+
+
 def _turns(nsq, x) -> np.ndarray:
     """frac(nsq * x) in [0, 1], broadcast, for integers ``nsq`` and floats ``x``.
 
@@ -169,21 +175,34 @@ def _turns(nsq, x) -> np.ndarray:
     return out
 
 
-def _residue_sums(weights, nsq, K: int) -> np.ndarray:
-    """S_j = sum_n w_n exp(-2 pi i n^2 j / K) for j = 0..K-1.
+def _lattice_sums(weights, nsq, K: int, origin: float = 0.0) -> np.ndarray:
+    """B_j = sum_n w_n (1 - exp(-2 pi i n^2 (origin + j/K))) for j = 0..K-1.
 
-    ``nsq`` holds the integers n^2.  A phase depends on n^2 only through its
-    residue mod K, so the weights are binned by residue and one FFT gives
-    every j.  Complex weights w_n e^{-2 pi i n^2 x0} give the shifted lattice
-    x0 + j/K.  Absolute error about 1e-16 log2(K) sum |w_n|.
+    A phase depends on the integer n^2 only through its residue mod K, so
+    the real weights are binned by residue and one FFT gives every S_j =
+    sum_n w_n e^{-2 pi i n^2 j/K}.  At origin 0, B_j = Re S_0 - S_j with Re B
+    read from bin min(j, K - j): Re B_0 is exactly 0, Re B exactly symmetric.
+    Elsewhere the weights are twisted by e^{-2 pi i n^2 origin} in exact
+    turns and B = sum w_n - S.  Absolute error about 1e-16 log2(K) sum |w_n|.
     """
     residues = nsq % K
-    if np.iscomplexobj(weights):
-        binned = (np.bincount(residues, weights.real, minlength=K)
-                  + 1j * np.bincount(residues, weights.imag, minlength=K))
-    else:
-        binned = np.bincount(residues, weights, minlength=K)
-    return np.fft.fft(binned)
+    if origin:
+        twisted = weights * np.exp(-2j * math.pi * _turns(nsq, origin))
+        sums = np.fft.fft(np.bincount(residues, twisted.real, minlength=K)
+                          + 1j * np.bincount(residues, twisted.imag, minlength=K))
+        return np.subtract(weights.sum(), sums, out=sums)
+    sums = np.fft.fft(np.bincount(residues, weights, minlength=K))
+    np.subtract(sums[0].real, sums, out=sums)
+    sums.real[:K // 2:-1] = sums.real[1:(K + 1) // 2]  # j > K/2 reads K - j
+    return sums
+
+
+def _ruler_period(epsilon):
+    """K = rint(1/eps) <= _FFT_LIMIT if the points m eps lie on j/K by
+    _grid_numerators' rule, |eps K - 1| <= _LATTICE_ULPS ulps of 1; else 0."""
+    K = np.rint(1.0 / epsilon)
+    exact = np.abs(epsilon * K - 1.0) <= _LATTICE_ULPS * np.finfo(float).eps
+    return np.where(exact & (K <= _FFT_LIMIT), K, 0).astype(np.int64)
 
 
 def _window_sums(theta, c, P: int) -> np.ndarray:
@@ -321,13 +340,13 @@ def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:
 def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> np.ndarray:
     """Evolved state psi(x, t) = sqrt(2/L) sum_n a_n sin(n pi x/L) e^{-i E_n t}.
 
-    ``x`` may be a scalar or an array inside [0, width]; returns complex
-    amplitudes of the same shape.
+    ``x`` may be a scalar or an array of finite positions inside [0, width];
+    returns complex amplitudes of the same shape.
     """
     if coeffs.config != config:
         raise ValueError("coefficients were computed for a different well")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if x_arr.min() < 0.0 or x_arr.max() > config.width * (1.0 + 1e-12):
+    x_arr = _valid_times(x, "position")
+    if x_arr.max() > config.width * (1.0 + 1e-12):
         raise ValueError(f"position outside [0, {config.width}]")
     _valid_times(t)
     L = config.width
@@ -353,7 +372,8 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
     for g, name in ((x_grid, "x"), (t_grid, "t")):
         if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) < 0):
             raise ValueError(f"{name} grid must be non-empty and sorted ascending")
-    if x_grid[0] < 0.0 or x_grid[-1] > config.width * (1.0 + 1e-12):
+    _valid_times(x_grid, "position")
+    if x_grid[-1] > config.width * (1.0 + 1e-12):
         raise ValueError(f"positions outside [0, {config.width}]")
     _valid_times(t_grid)
     L = config.width

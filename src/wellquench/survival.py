@@ -17,8 +17,9 @@ from scipy.special import modfresnelp
 
 from .errors import TruncationInconsistencyError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
-                       _residue_sums, _valid_times, mode_coefficients,
-                       mode_energies, truncation_for_tolerance)
+                       _lattice_sums, _valid_shift, _valid_times,
+                       mode_coefficients, mode_energies,
+                       truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
 FREE_KERNEL_CONSTANT = math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
@@ -109,31 +110,20 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     8 delta^2 times the universal profile; the physical escape
     (escape_probability_exact) agrees with it at short times but differs at
     order-one fractions of the period by the ground-phase bookkeeping.
-    Times on a lattice j T / K of the period T are summed by residue FFT.
+    Times on a lattice j T / K of the period T (E_n T = 2 pi n^2) are read
+    off one spectral._lattice_sums, whose Re B is symmetric in j <-> K - j.
     """
     a2, energies = _weights_and_energies(config, n_modes)
     ts = _valid_times(t)
     grid = _grid_numerators(ts / config.period, n_modes - 1)
     if grid is None or not grid.period or grid.origin:
         core = _escape_core(a2, energies, ts, aligned=True)
-    else:
-        core = _aligned_on_lattice(a2[1:], grid.period, grid.index)
+    else:  # E_n T = 2 pi n^2 exactly, so _escape_core's B is a lattice sum
+        nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
+        b = _lattice_sums(a2[1:], nsq, grid.period)[grid.index]
+        core = 2.0 * b.real - b.real * b.real - b.imag * b.imag
     out = _apply_noise_clamp(core)
     return out if np.ndim(t) else float(out[0])
-
-
-def _aligned_on_lattice(weights, K: int, j: np.ndarray) -> np.ndarray:
-    """_escape_core's aligned combination at t = j T / K.
-
-    E_n T = 2 pi n^2 exactly, so with S_j = sum_{n>=2} w_n e^{-2 pi i n^2 j/K}
-    the sums are Re B = S_0 - Re S_j and Im S_j, read from one residue FFT
-    whose bin 0 is the reference (B is exactly 0 at j = 0).
-    """
-    n = np.arange(2, weights.size + 2, dtype=np.int64)
-    sums = _residue_sums(weights, n * n, K)
-    re_b = sums.real[0] - sums.real[j]
-    im_b = sums.imag[j]
-    return 2.0 * re_b - re_b * re_b - im_b * im_b
 
 
 def escape_small_delta(config: WellConfig, t, n_modes: int):
@@ -170,8 +160,7 @@ def escape_integral(delta: float, t: float) -> float:
     0.03, 4e-12 up to 30, 2e-9 up to 200 and 7e-10 beyond; tests pin it to the
     quadrature oracle ``_oscillatory.kernel_integral``.  Returns 0 at t = 0.
     """
-    if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
+    delta = _valid_shift(delta)
     _valid_times(t)
     if t == 0.0 or delta == 0.0:
         return 0.0
@@ -219,6 +208,7 @@ def asymptote_confined(delta: float, t) -> np.ndarray | float:
     -(8 pi^2 / 3) delta^3, which is 0.835 delta / sqrt(t) of the leading
     term; near the crossover the two-term law is the one to compare with.
     """
+    delta = _valid_shift(delta)
     t_arr = _valid_times(t)
     out = CONFINED_LAW_COEFFICIENT * delta * delta * np.sqrt(t_arr)
     return out if np.ndim(t) else float(out[0])
@@ -226,6 +216,7 @@ def asymptote_confined(delta: float, t) -> np.ndarray | float:
 
 def crossover_time(delta: float) -> float:
     """Time at which the two closed-form laws are equal: 3 delta^2."""
+    delta = _valid_shift(delta)
     return 3.0 * delta * delta
 
 

@@ -21,10 +21,13 @@ from scipy.special import polygamma
 
 from .errors import GridMismatchError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
-                       _residue_sums, _turns, _valid_times, _window_sums)
+                       _lattice_sums, _turns, _valid_times, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
+
+#: relative tolerance of require_uniform on each step against the ruler
+_UNIFORM_RTOL = 1e-9
 
 #: F never exceeds 2 sum_{n>=2} n^2/(n^2-1)^2 = 2 (pi^2/12 + 1/16)
 MODE_WEIGHT_TOTAL = math.pi**2 / 12.0 + 1.0 / 16.0
@@ -111,33 +114,22 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
 def _profile_modes(n_modes: int):
     """n^2 as integers and the weights n^2 / (1 - n^2)^2, for n = 2..n_modes."""
-    n = np.arange(2, n_modes + 1, dtype=np.int64)
-    nsq = n * n
+    nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
     return nsq, nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
 
 
 def _grid_profile(K: int, n_modes: int, origin: float = 0.0) -> np.ndarray:
-    """F(origin + j/K) for j = 0..K-1 from one residue FFT.
-
-    On the lattice itself (origin 0) the reference is the FFT's own bin 0, so
-    F(0) is exactly 0.  Bins j and K - j hold the same cosine sum but the FFT
-    rounds them differently, so both are read from j <= K/2 and F is exactly
-    reflection symmetric.  A shifted lattice twists the weights by
-    e^{-2 pi i n^2 origin} with exact turns.  F is a sum of non-negative
-    terms; where they all vanish (n = 2 alone, at 4j = 0 mod K) rounding
-    leaves -1e-16, which is cut to 0.
-    """
+    """F(origin + j/K), j = 0..K-1, as Re B of spectral._lattice_sums.  F is a
+    sum of non-negative terms; where they all vanish (n = 2 alone, at 4j = 0
+    mod K) rounding leaves -1e-16, which is cut to 0."""
     nsq, weights = _profile_modes(n_modes)
-    if origin:
-        twisted = weights * np.exp(-2j * math.pi * _turns(nsq, origin))
-        return np.maximum(weights.sum() - _residue_sums(twisted, nsq, K).real, 0.0)
-    cos_sums = _residue_sums(weights, nsq, K).real
-    j = np.arange(K)
-    return np.maximum(cos_sums[0] - cos_sums[np.minimum(j, K - j)], 0.0)
+    return np.maximum(_lattice_sums(weights, nsq, K, origin).real, 0.0)
 
 
 def universal_tail_bound(n_modes: int) -> float:
     """Exact bound 2 sum_{n > N} n^2/(n^2-1)^2 on the truncation error (~2/N)."""
+    if n_modes < 2:
+        raise ValueError("need at least the n = 2 mode")
     N = n_modes
     tail = 0.25 * (polygamma(1, N) + polygamma(1, N + 2) + 1.0 / N + 1.0 / (N + 1))
     return 2.0 * float(tail)
@@ -183,29 +175,27 @@ def scaled_escape_limit(delta: float, xi_grid, n_modes: int = 2 * 10**4) -> Univ
                           tail_bound=float("nan"))
 
 
-def valley_locations(p_max: int, q_max: int | None = None,
-                     spacing: float = 1e-4,
+def valley_locations(p_max: int, spacing: float = 1e-4,
                      n_modes: int = DEFAULT_MODES) -> ValleyList:
     """Dips of the limit profile at rational points q/p^2 in [0, 1].
 
-    Enumerates q/p^2 for 2 <= p <= p_max (q up to p^2, or ``q_max``),
-    deduplicates equal locations in reduced form, and keeps the points that
-    are strict local minima against neighbors ``spacing`` away.  Each p
-    costs two residue FFTs of length p^2: the lattice q/p^2, whose values
-    are the depths (within 1e-14 absolute of exact residues), and the
-    lattice shifted by ``spacing``, which gives the neighbours q/p^2 +
+    Enumerates q/p^2 for 2 <= p <= p_max and 0 <= q <= p^2, deduplicates
+    equal locations in reduced form, and keeps the points that are strict
+    local minima against neighbors ``spacing`` (finite, > 0) away.  Each p
+    costs two spectral._lattice_sums of length p^2: the lattice q/p^2, whose
+    values are the depths (within 1e-14 absolute of exact residues), and
+    the lattice shifted by ``spacing``, which gives the neighbours q/p^2 +
     spacing and, since F(x) = F(-x), q/p^2 - spacing at -q, within 1e-14
     absolute.
     """
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"valley spacing must be finite and positive, got {spacing}")
     candidates: dict[Fraction, tuple[int, int]] = {}
     for p in range(2, p_max + 1):
-        top = p * p if q_max is None else min(q_max, p * p)
-        for q in range(0, top + 1):
-            frac = Fraction(q, p * p)
-            if 0 <= frac <= 1 and frac not in candidates:
-                candidates[frac] = (q, p)
+        for q in range(0, p * p + 1):
+            candidates.setdefault(Fraction(q, p * p), (q, p))
     # the profile is periodic, so q = p^2 reads the lattice at j = 0
     lattices = {p: (_grid_profile(p * p, n_modes),
                     _grid_profile(p * p, n_modes, spacing))
@@ -222,10 +212,10 @@ def valley_locations(p_max: int, q_max: int | None = None,
     return ValleyList(entries=tuple(entries))
 
 
-def require_uniform(curve: UniversalCurve, spacing: float, rtol: float = 1e-9):
+def require_uniform(curve: UniversalCurve, spacing: float):
     """Validate that the curve is uniformly sampled at ``spacing``."""
     steps = np.diff(curve.xi_grid)
-    if not np.allclose(steps, spacing, rtol=rtol, atol=0.0):
+    if not np.allclose(steps, spacing, rtol=_UNIFORM_RTOL, atol=0.0):
         raise GridMismatchError(
             f"curve spacing {steps.min():.6g}..{steps.max():.6g} does not "
             f"match the requested ruler {spacing:.6g}")

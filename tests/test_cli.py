@@ -201,6 +201,21 @@ class TestFractal:
         assert run_cli(["fractal", flag, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_profile_and_length_files_unchanged(self, tmp_path):
+        # SHA-256 of the default universal file, its valleys file and the
+        # default fractal lengths file as written before every lattice sum
+        # moved onto spectral._lattice_sums
+        files = {name: tmp_path / f"{name}.csv" for name in ("u", "v", "l")}
+        assert run_cli(["universal", "--out", str(files["u"]),
+                        "--valleys-out", str(files["v"])]) == 0
+        assert run_cli(["fractal", "--out", str(files["l"])]) == 0
+        assert {name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for name, f in files.items()} == {
+            "u": "2d885f11b7c3796393736ef981827fca1b886b38b37e2b46e0dbe2bde366e394",
+            "v": "db4a7e7857f68077195ced0cbdd7a7c106cf45587c9067166a431cf58e968162",
+            "l": "1352cb646611ce686edceacb8ff49b6734e35cfae3e634820b013592a66e41db",
+        }
+
 
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, tmp_path):

@@ -10,6 +10,7 @@ from wellquench.errors import GridMismatchError, InsufficientSpanError
 from wellquench.fractal import (curve_length, dimension_fit,
                                 normality_diagnostics, phase_sum_samples,
                                 phase_sum_scaling, profile_dimension)
+from wellquench.spectral import _ruler_period
 from wellquench.universal import UniversalCurve
 
 
@@ -164,6 +165,21 @@ class TestPhaseSums:
         m = np.arange(1, sample.values.size + 1)
         exact = exact_phase_sums(eps, m)
         assert np.all(np.abs(sample.values - exact) <= window_phase_bound(eps, m))
+
+    def test_ruler_near_a_lattice_takes_the_window(self):
+        # 1/eps is 1e5 within 3e-10 relative: a 1e-9 tolerance snapped it
+        # onto K = 1e5 and put the sums 2.6e-3 off
+        eps = 1e-5 * (1 + 3e-10)
+        sample = phase_sum_samples(eps)
+        count = sample.values.size
+        ms = np.array([1, count // 2, count])
+        error = np.abs(sample.values[ms - 1] - exact_phase_sums(eps, ms))
+        assert np.all(error <= window_phase_bound(eps, ms))
+
+    def test_every_integer_ruler_is_a_lattice(self):
+        K = np.arange(2, 2**20 + 1)
+        assert np.array_equal(_ruler_period(1.0 / K), K)
+        assert _ruler_period(1e-5 * (1 + 3e-10)) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(inverse=st.integers(8, 20000), fraction=st.floats(0.01, 0.99),

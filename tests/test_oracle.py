@@ -92,6 +92,13 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(state, 1e-5, -1)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, dt):
+        # NaN used to reach a singular factorisation, inf NaN amplitudes
+        state = initial_state(WellConfig(0.1), 65)
+        with pytest.raises(ValueError, match="time step must be finite"):
+            propagate(state, dt, 10)
+
 
 class TestOverlap:
     def test_self_overlap_of_normalized_mode(self):

@@ -151,6 +151,13 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction(w, coeffs, -0.01, 0.0)
 
+    def test_nan_position_rejected(self):
+        # used to return nan+nanj: NaN fails neither range comparison
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, 10)
+        with pytest.raises(ValueError, match="position must be finite"):
+            wavefunction(w, coeffs, math.nan, 0.0)
+
     def test_revival_density(self):
         w = WellConfig(0.2)
         coeffs = mode_coefficients(w, 500)
@@ -198,6 +205,12 @@ class TestDensityField:
         field = density_field(self.w, self.coeffs, x,
                               np.array([0.0, self.w.period]))
         assert np.abs(field.values[1] - field.values[0]).max() < 1e-10
+
+    def test_nan_position_rejected(self):
+        # used to write a NaN column: NaN passes the sorted and range checks
+        with pytest.raises(ValueError, match="position must be finite"):
+            density_field(self.w, self.coeffs, np.array([0.1, math.nan, 0.5]),
+                          np.array([0.0]))
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -280,6 +280,15 @@ class TestAsymptotes:
         assert float(asymptote_confined(0.003, 1e-3)) == pytest.approx(
             8.96483514379027e-06, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+    def test_bad_shift_rejected(self, delta):
+        # asymptote_confined used to return nan (0.996 at delta = -1) and
+        # crossover_time nan
+        with pytest.raises(ValueError, match="wall shift must be finite and >= 0"):
+            asymptote_confined(delta, 1e-3)
+        with pytest.raises(ValueError, match="wall shift must be finite and >= 0"):
+            crossover_time(delta)
+
     @pytest.mark.parametrize("delta", [1e-3, 0.003, 0.05])
     def test_crossover_identity(self, delta):
         t = crossover_time(delta)

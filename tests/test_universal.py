@@ -119,6 +119,12 @@ class TestTailBound:
     def test_scales_like_two_over_n(self):
         assert universal_tail_bound(10**5) == pytest.approx(2e-5, rel=1e-3)
 
+    @pytest.mark.parametrize("n_modes", [0, 1])
+    def test_needs_the_n_2_mode(self, n_modes):
+        # 0 used to raise ZeroDivisionError and 1 to return 1.77
+        with pytest.raises(ValueError, match="need at least the n = 2 mode"):
+            universal_tail_bound(n_modes)
+
 
 class TestGridEvaluation:
     def test_fft_path_matches_direct_summation(self):
@@ -192,6 +198,12 @@ class TestValleys:
     def test_p_max_validation(self):
         with pytest.raises(ValueError):
             valley_locations(1)
+
+    @pytest.mark.parametrize("spacing", [math.nan, 0.0, -1e-4, math.inf])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        # NaN and 0 used to return an empty list
+        with pytest.raises(ValueError, match="valley spacing must be finite and positive"):
+            valley_locations(2, spacing=spacing, n_modes=100)
 
 
 #: a mode count that never makes the lattice test fall back on cost
