@@ -1,8 +1,8 @@
 """Command-line front end: reproducible data files for every observable.
 
-Each subcommand writes machine-readable output (CSV with '#' header lines, or
-JSON lines) with full provenance in the header and 17-significant-digit
-floats, so identical invocations produce byte-identical files.
+Subcommands return their tables and ``main`` writes them once all are computed:
+CSV with '#' header lines or JSON lines, with full provenance in the header and
+17-significant-digit floats, so identical invocations give byte-identical files.
 
 Every option and its default is declared once, in ``COMMANDS``; argparse is
 generated from that table, and a ``--config`` file is read by turning its
@@ -78,18 +78,16 @@ def _base_header(well: spectral.WellConfig | None = None, **fields) -> dict:
     return header
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> list:
     well = spectral.WellConfig(args.delta)
     n_modes = _resolve_modes(args, well, "coefficients")
     coeffs = spectral.mode_coefficients(well, n_modes)
     header = _base_header(well, n_modes=n_modes, tolerance=args.tol,
                           completeness_deficit=coeffs.completeness_deficit)
-    rows = [(n + 1, coeffs.values[n]) for n in range(n_modes)]
-    _write_table(args.out, header, ["n", "a_n"], rows, args.format)
-    return EXIT_OK
+    return [(args.out, header, ["n", "a_n"], list(enumerate(coeffs.values, 1)))]
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> list:
     well = spectral.WellConfig(args.delta)
     n_modes, nx, nt = args.n, args.nx, args.nt
     x_grid = np.linspace(0.0, well.width, nx)
@@ -99,13 +97,11 @@ def cmd_evolve(args) -> int:
     header = _base_header(well, n_modes=n_modes, nx=nx, nt=nt,
                           x_min=0.0, x_max=well.width,
                           t_min=0.0, t_max=well.period)
-    columns = ["t"] + [f"x{i}" for i in range(nx)]
     rows = ([t] + row.tolist() for t, row in zip(t_grid.tolist(), field_.values))
-    _write_table(args.out, header, columns, rows, args.format)
-    return EXIT_OK
+    return [(args.out, header, ["t"] + [f"x{i}" for i in range(nx)], rows)]
 
 
-def cmd_escape(args) -> int:
+def cmd_escape(args) -> list:
     well = spectral.WellConfig(args.delta)
     n_modes = _resolve_modes(args, well, "survival")
     t_min, t_max, points = args.t_min, args.t_max, args.points
@@ -127,14 +123,11 @@ def cmd_escape(args) -> int:
                           crossover_time=survival.crossover_time(well.delta),
                           spacing=args.spacing)
     rows = zip(times, exact, small, integral, free, confined)
-    _write_table(args.out, header,
-                 ["t", "exact", "small_delta", "integral",
-                  "asymptote_free", "asymptote_confined"],
-                 rows, args.format)
-    return EXIT_OK
+    return [(args.out, header, ["t", "exact", "small_delta", "integral",
+                                "asymptote_free", "asymptote_confined"], rows)]
 
 
-def cmd_universal(args) -> int:
+def cmd_universal(args) -> list:
     n_modes, xi_min, xi_max, points = args.n, args.xi_min, args.xi_max, args.points
     if points < 2 or xi_max <= xi_min:
         raise ValueError("need points >= 2 and --xi-max > --xi-min")
@@ -143,25 +136,26 @@ def cmd_universal(args) -> int:
     tail = universal.universal_tail_bound(n_modes)
     header = _base_header(n_modes=n_modes, xi_min=xi_min, xi_max=xi_max,
                           points=points, tail_bound=tail)
-    _write_table(args.out, header, ["xi", "F", "tail_bound"],
-                 ((x, v, tail) for x, v in zip(xi, values)), args.format)
+    tables = [(args.out, header, ["xi", "F", "tail_bound"],
+               ((x, v, tail) for x, v in zip(xi, values)))]
     if args.valleys_out:
         valley_modes = min(n_modes, 10**5)
         valleys = universal.valley_locations(args.p_max, n_modes=valley_modes)
-        vheader = _base_header(p_max=args.p_max, n_modes=valley_modes)
         vrows = [(e.numerator, e.denominator_root, e.location, e.depth)
                  for e in valleys.entries]
-        _write_table(args.valleys_out, vheader, ["q", "p", "location", "depth"],
-                     vrows, args.format)
-    return EXIT_OK
+        tables.append((args.valleys_out, _base_header(p_max=args.p_max, n_modes=valley_modes),
+                       ["q", "p", "location", "depth"], vrows))
+    return tables
 
 
-def cmd_fractal(args) -> int:
+def cmd_fractal(args) -> list:
     if args.selftest:
         eps = np.logspace(-5, -2, 10)
         fit = fractal.dimension_fit(eps, eps**-0.25)
         print(f"selftest dimension = {fit.dimension:.6f}")
-        return EXIT_OK if abs(fit.dimension - 1.25) < 1e-9 else EXIT_VERIFICATION
+        if not abs(fit.dimension - 1.25) < 1e-9:
+            raise WellQuenchError(f"selftest dimension {fit.dimension!r} != 1.25")
+        return []
     if args.histogram:
         sample = fractal.phase_sum_samples(args.epsilon)
         report = fractal.normality_diagnostics(sample, bins=args.bins)
@@ -171,39 +165,34 @@ def cmd_fractal(args) -> int:
                               excess_kurtosis=report.excess_kurtosis)
         rows = zip(report.bin_edges[:-1], report.bin_edges[1:],
                    report.counts.tolist())
-        _write_table(args.out, header, ["bin_left", "bin_right", "count"],
-                     rows, args.format)
-        return EXIT_OK
+        return [(args.out, header, ["bin_left", "bin_right", "count"], rows)]
     if args.sigma:
         slope, samples = fractal.phase_sum_scaling(SIGMA_EPSILONS)
-        header = _base_header(sigma_slope=slope)
-        rows = [(s.epsilon, s.std) for s in samples]
-        _write_table(args.out, header, ["epsilon", "sigma"], rows, args.format)
-        return EXIT_OK
+        return [(args.out, _base_header(sigma_slope=slope), ["epsilon", "sigma"],
+                 [(s.epsilon, s.std) for s in samples])]
     fit, lengths = fractal.profile_dimension(
         LENGTH_STRIDES, base_intervals=args.base_intervals, n_modes=args.n)
     header = _base_header(n_modes=args.n, base_intervals=args.base_intervals,
                           dimension=fit.dimension, slope=fit.slope,
                           residual=fit.residual)
     rows = [(m.ruler, m.chord, m.variation) for m in lengths]
-    _write_table(args.out, header, ["epsilon", "l_chord", "l_variation"],
-                 rows, args.format)
-    return EXIT_OK
+    return [(args.out, header, ["epsilon", "l_chord", "l_variation"], rows)]
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> list:
     checks = oracle.invariant_checks(args.coarse)
-    ok = all(c["ok"] for c in checks)
+    failed = [c["name"] for c in checks if not c["ok"]]
     if args.json:
-        sys.stdout.write(json.dumps({"ok": ok, "checks": checks},
+        sys.stdout.write(json.dumps({"ok": not failed, "checks": checks},
                                     sort_keys=True) + "\n")
     else:
         for c in checks:
-            status = "PASS" if c["ok"] else "FAIL"
-            print(f"[{status}] {c['name']}: {c['value']:.3e} "
+            print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e} "
                   f"(threshold {c['threshold']:.1e})")
-        print("oracle checks:", "all passed" if ok else "FAILED")
-    return EXIT_OK if ok else EXIT_VERIFICATION
+        print("oracle checks:", "FAILED" if failed else "all passed")
+    if failed:
+        raise WellQuenchError("oracle checks failed: " + ", ".join(failed))
+    return []
 
 
 class Opt(NamedTuple):
@@ -236,7 +225,7 @@ def _modes(n: int | None = None, tol: float | None = None) -> dict:
 
 
 class Command(NamedTuple):
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], list]  # the tables, written by main
     help: str
     options: dict[str, Opt]
 
@@ -343,7 +332,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         # an overflow or NaN is an error here, not a warning and a bad number
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return COMMANDS[args.command].run(args)
+            for path, header, columns, rows in COMMANDS[args.command].run(args):
+                _write_table(path, header, columns, rows, args.format)
+        return EXIT_OK
     except ArithmeticError as exc:
         print(f"usage error: input out of floating-point range: {exc}",
               file=sys.stderr)

@@ -62,10 +62,7 @@ def initial_state(config: WellConfig, n_points: int) -> GridState:
     derivative at x = 1.
     """
     x = uniform_grid(config, n_points)
-    amp = np.where(x <= 1.0, math.sqrt(2.0) * np.sin(math.pi * x), 0.0)
-    amp = amp.astype(complex)
-    amp[0] = amp[-1] = 0.0
-    return GridState(x_grid=x, amplitudes=amp, dx=float(x[1] - x[0]), t=0.0)
+    return from_samples(x, np.where(x <= 1.0, math.sqrt(2.0) * np.sin(math.pi * x), 0.0))
 
 
 def eigenmode_state(config: WellConfig, weights: dict[int, complex],
@@ -78,12 +75,11 @@ def eigenmode_state(config: WellConfig, weights: dict[int, complex],
         energy = (math.pi * mode / L) ** 2
         amp += (weight * math.sqrt(2.0 / L) * np.sin(mode * math.pi * x / L)
                 * np.exp(-1j * energy * t))
-    amp[0] = amp[-1] = 0.0
-    return GridState(x_grid=x, amplitudes=amp, dx=float(x[1] - x[0]), t=t)
+    return from_samples(x, amp, t)
 
 
 def from_samples(x_grid, amplitudes, t: float = 0.0) -> GridState:
-    """Wrap externally computed samples (spectral evaluations) as a GridState."""
+    """Samples as a GridState, the endpoint amplitudes set to exactly 0."""
     x = np.asarray(x_grid, dtype=float)
     amp = np.asarray(amplitudes, dtype=complex).copy()
     amp[0] = amp[-1] = 0.0
@@ -150,12 +146,9 @@ def adaptive_quadrature(kind: str, tol: float = 1e-9,
     except KeyError:
         raise ValueError(f"unknown integrand {kind!r}; expected one of "
                          f"{sorted(_KERNELS)}") from None
-    if takes_alpha:
-        if alpha is None:
-            raise ValueError("the escape kernel needs alpha = delta/sqrt(t)")
-        if math.isnan(alpha) or alpha < 0.0:
-            raise ValueError(f"oscillation rate must be >= 0, got {alpha}")
-    elif alpha is not None:
+    if takes_alpha and alpha is None:
+        raise ValueError("the escape kernel needs alpha = delta/sqrt(t)")
+    if not takes_alpha and alpha is not None:
         raise ValueError(f"integrand {kind!r} does not take alpha")
     return _oscillatory.kernel_integral(power, alpha=alpha, tol=tol)
 

@@ -337,30 +337,35 @@ def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:
     return (math.pi * n / config.width) ** 2
 
 
+def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
+               ts: np.ndarray) -> np.ndarray:
+    """sum_n a_n sin(n pi x/L) e^{-i E_n t}, rows over finite ``ts``, columns over
+    finite ``xs``; ValueError if ``coeffs`` belong to another well or x > width."""
+    if coeffs.config != config:
+        raise ValueError("coefficients were computed for a different well")
+    if xs.max() > config.width * (1.0 + 1e-12):
+        raise ValueError(f"position outside [0, {config.width}]")
+    energies = mode_energies(config, coeffs.truncation)
+    n = np.arange(1, coeffs.truncation + 1, dtype=float)
+    psi = np.zeros((ts.size, xs.size), dtype=complex)
+    # accumulate (times x modes) @ (modes x positions) in mode blocks
+    chunk = max(1, int(2**22 / max(1, ts.size, xs.size)))
+    for i in range(0, coeffs.truncation, chunk):
+        sl = slice(i, i + chunk)
+        phased = coeffs.values[sl] * np.exp(-1j * np.outer(ts, energies[sl]))
+        psi += phased @ np.sin(np.outer(n[sl], math.pi * xs / config.width))
+    return psi
+
+
 def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> np.ndarray:
     """Evolved state psi(x, t) = sqrt(2/L) sum_n a_n sin(n pi x/L) e^{-i E_n t}.
 
     ``x`` may be a scalar or an array of finite positions inside [0, width];
     returns complex amplitudes of the same shape.
     """
-    if coeffs.config != config:
-        raise ValueError("coefficients were computed for a different well")
     x_arr = _valid_times(x, "position")
-    if x_arr.max() > config.width * (1.0 + 1e-12):
-        raise ValueError(f"position outside [0, {config.width}]")
-    _valid_times(t)
-    L = config.width
-    a = coeffs.values
-    energies = mode_energies(config, coeffs.truncation)
-    phased = a * np.exp(-1j * energies * t)
-    out = np.zeros(x_arr.shape, dtype=complex)
-    # chunk over modes to bound the (modes x positions) workspace
-    chunk = max(1, int(2**22 / max(1, x_arr.size)))
-    n = np.arange(1, coeffs.truncation + 1, dtype=float)
-    for i in range(0, coeffs.truncation, chunk):
-        sl = slice(i, i + chunk)
-        out += phased[sl] @ np.sin(np.outer(n[sl], math.pi * x_arr / L))
-    out *= math.sqrt(2.0 / L)
+    psi = _mode_sums(config, coeffs, x_arr, _valid_times(t))
+    out = psi[0].reshape(x_arr.shape) * math.sqrt(2.0 / config.width)
     return out if np.ndim(x) else out[0]
 
 
@@ -372,22 +377,9 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
     for g, name in ((x_grid, "x"), (t_grid, "t")):
         if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) < 0):
             raise ValueError(f"{name} grid must be non-empty and sorted ascending")
-    _valid_times(x_grid, "position")
-    if x_grid[-1] > config.width * (1.0 + 1e-12):
-        raise ValueError(f"positions outside [0, {config.width}]")
-    _valid_times(t_grid)
-    L = config.width
-    a = coeffs.values
-    energies = mode_energies(config, coeffs.truncation)
-    n = np.arange(1, coeffs.truncation + 1, dtype=float)
-    psi = np.zeros((t_grid.size, x_grid.size), dtype=complex)
-    # accumulate (times x modes) @ (modes x positions) in mode blocks
-    chunk = max(1, int(2**22 / max(1, max(t_grid.size, x_grid.size))))
-    for i in range(0, coeffs.truncation, chunk):
-        sl = slice(i, i + chunk)
-        phased = a[sl] * np.exp(-1j * np.outer(t_grid, energies[sl]))
-        psi += phased @ np.sin(np.outer(n[sl], math.pi * x_grid / L))
-    rows = (2.0 / L) * np.abs(psi) ** 2
+    psi = _mode_sums(config, coeffs, _valid_times(x_grid, "position"),
+                     _valid_times(t_grid))
+    rows = (2.0 / config.width) * np.abs(psi) ** 2
     return DensityField(x_grid=x_grid, t_grid=t_grid, values=rows)
 
 

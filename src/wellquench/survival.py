@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import modfresnelp
 
+from ._oscillatory import _MEAN_FIELD_ALPHA
 from .errors import TruncationInconsistencyError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _lattice_sums, _valid_shift, _valid_times,
@@ -169,7 +170,7 @@ def escape_integral(delta: float, t: float) -> float:
     if alpha < 0.03:
         value = (CONFINED_KERNEL_CONSTANT * a2 - (math.pi / 6.0) * a2 * alpha
                  + FREE_KERNEL_CONSTANT * (a2 * a2 / 4.0 + a2 * a2 * a2 / 60.0))
-    elif alpha < 200.0:
+    elif alpha < _MEAN_FIELD_ALPHA:
         sin2, cos2 = math.sin(a2), math.cos(a2)
         tail = modfresnelp(alpha)[0]
         value = (FREE_KERNEL_CONSTANT / 2.0) * (
@@ -193,10 +194,10 @@ def asymptote_free(t) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
-def _finite_law(value, t):
-    """``value``, or ValueError naming the largest time if it overflowed."""
+def _finite_law(value, t, name: str = "time"):
+    """``value``, or ValueError naming the largest ``t`` if it overflowed."""
     if not np.isfinite(value).all():
-        raise ValueError(f"time {float(np.max(t))!r} overflows the escape law")
+        raise ValueError(f"{name} {float(np.max(t))!r} overflows the escape law")
     return value
 
 
@@ -210,14 +211,16 @@ def asymptote_confined(delta: float, t) -> np.ndarray | float:
     """
     delta = _valid_shift(delta)
     t_arr = _valid_times(t)
-    out = CONFINED_LAW_COEFFICIENT * delta * delta * np.sqrt(t_arr)
+    factor = _finite_law(CONFINED_LAW_COEFFICIENT * delta * delta, delta, "wall shift")
+    with np.errstate(over="ignore"):
+        out = _finite_law(factor * np.sqrt(t_arr), t_arr)
     return out if np.ndim(t) else float(out[0])
 
 
 def crossover_time(delta: float) -> float:
     """Time at which the two closed-form laws are equal: 3 delta^2."""
     delta = _valid_shift(delta)
-    return 3.0 * delta * delta
+    return _finite_law(3.0 * delta * delta, delta, "wall shift")
 
 
 def _loglog_slope(ts: np.ndarray, ps: np.ndarray) -> float:

@@ -13,6 +13,7 @@ give the graph a fractal structure (analyzed in the fractal module).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,6 +168,8 @@ def scaled_escape_limit(delta: float, xi_grid, n_modes: int = 2 * 10**4) -> Univ
     """
     if delta <= 0.0:
         raise ValueError("scaling by 8 delta^2 needs delta > 0")
+    if 8.0 * delta * delta < sys.float_info.min:  # 0 or subnormal
+        raise ValueError(f"wall shift {float(delta)!r} underflows the scaling by 8 delta^2")
     config = WellConfig(delta)
     xs = np.asarray(xi_grid, dtype=float)
     escape = escape_probability_aligned(config, xs * config.period, n_modes)

@@ -217,6 +217,33 @@ class TestFractal:
         }
 
 
+class TestDefaultOutputs:
+    # SHA-256 of each default file and stdout as written before main became
+    # the only writer of every command's tables
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
+        (["evolve"], "4fcfac33e1b9179d6c04cb748be1f241844a2fd6bfabd0a25cc4ea36eea5ba04"),
+        (["escape"], "7cd90c60d1be3f1182c14987caa78c0fdc2ff13509708bb41643ed35d6bdf141"),
+        (["universal", "--format", "jsonl"],
+         "db46a3dfde51bb4b7ceea626319e8b8058115de69cfd98c10da693f8a5e66ec7"),
+    ], ids=["coeffs", "evolve", "escape", "universal-jsonl"])
+    def test_default_files_unchanged(self, argv, digest, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["oracle-check", "--json"],
+         "16a6f7b209b12bd3a9e37600cb916a59a4ecb6f3bcbe7332f5aa16b9645c23aa"),
+        (["fractal", "--selftest"],
+         "0d6e5f8feb3c435c16fcca0e277a5c12c6ddf27e4ae811a90b4a43e23abeaace"),
+    ], ids=["oracle-check-json", "fractal-selftest"])
+    def test_stdout_unchanged(self, argv, digest, capsys):
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -269,6 +296,23 @@ class TestExitCodes:
         result = run_module("oracle-check", "--coarse")
         assert result.returncode == 1
         assert "FAIL" in result.stdout
+
+    def test_oracle_check_coarse_says_why_on_one_line(self, capsys):
+        # the PASS/FAIL table keeps its bytes; the exit 1 used to be silent
+        assert run_cli(["oracle-check", "--coarse"]) == 1
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+            "d913ee6f55f13c03cf8fe348d084150294e0356e40374e478f12e9d0d582a07f"
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("verification failure: ")
+
+    def test_failing_command_writes_no_file(self, tmp_path, capsys):
+        # the profile file used to be written before --p-max 1 was rejected
+        out, valleys = tmp_path / "U", tmp_path / "V"
+        assert run_cli(["universal", "--p-max", "1", "--valleys-out", str(valleys),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists() and not valleys.exists()
 
 
 def run_for_exit(argv):

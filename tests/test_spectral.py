@@ -217,6 +217,12 @@ class TestDensityField:
             density_field(self.w, self.coeffs, np.array([0.5, 0.1]),
                           np.array([0.0]))
 
+    def test_mismatched_config_rejected(self):
+        # used to sum the coefficients of one well over the modes of another
+        with pytest.raises(ValueError, match="different well"):
+            density_field(WellConfig(0.3), self.coeffs, np.array([0.5]),
+                          np.array([0.0]))
+
 
 class TestSurvivalTailBound:
     def test_bound_shrinks_cubically(self):

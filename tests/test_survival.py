@@ -289,6 +289,19 @@ class TestAsymptotes:
         with pytest.raises(ValueError, match="wall shift must be finite and >= 0"):
             crossover_time(delta)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, name", [
+        (lambda: asymptote_confined(1e200, 1.0), "wall shift 1e[+]200"),
+        (lambda: asymptote_confined(1e200, 0.0), "wall shift 1e[+]200"),
+        (lambda: crossover_time(1e200), "wall shift 1e[+]200"),
+        (lambda: asymptote_confined(1e150, 1e300), "time 1e[+]300"),
+    ], ids=["confined", "confined_at_zero_time", "crossover", "confined_product"])
+    def test_overflowing_law_names_the_input(self, call, name):
+        # delta^2 overflowed to inf (a RuntimeWarning for inf * 0 at t = 0),
+        # and a finite delta^2 times sqrt(t) overflowed with a RuntimeWarning
+        with pytest.raises(ValueError, match=name + " overflows the escape law"):
+            call()
+
     @pytest.mark.parametrize("delta", [1e-3, 0.003, 0.05])
     def test_crossover_identity(self, delta):
         t = crossover_time(delta)

@@ -165,6 +165,14 @@ class TestScaledEscapeLimit:
         with pytest.raises(ValueError):
             scaled_escape_limit(0.0, np.array([0.1]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", [1e-170, 1e-160])
+    def test_underflowing_scale_names_the_shift(self, delta):
+        # 8 delta^2 is 0 at 1e-170 (a divide-by-zero RuntimeWarning) and
+        # subnormal at 1e-160
+        with pytest.raises(ValueError, match=f"wall shift {delta!r} underflows"):
+            scaled_escape_limit(delta, np.array([0.1, 0.25]))
+
 
 class TestValleys:
     def test_quarter_point_is_a_valley(self):
