@@ -1,6 +1,7 @@
 """Command-line front end: reproducible data files for every observable.
 
-Subcommands return their tables and ``main`` writes them once all are computed:
+Subcommands return their tables and ``main`` writes them once all are computed
+and every output path is open:
 CSV with '#' header lines or JSON lines, with full provenance in the header and
 17-significant-digit floats, so identical invocations give byte-identical files.
 
@@ -15,8 +16,11 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -37,8 +41,8 @@ LENGTH_STRIDES = [1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70,
                   100, 150, 200, 300, 500, 700, 1000]
 
 
-def _write_table(path, header: dict, columns: list[str], rows, fmt: str):
-    """Shared writer: '#'-header CSV or JSON lines, deterministic formatting."""
+def _render_table(header: dict, columns: list[str], rows, fmt: str) -> str:
+    """One table as '#'-header CSV or JSON lines, deterministic formatting."""
     lines = []
     if fmt == "csv":
         # %.17g prints an integer below 1e17 as its digits and any float so
@@ -54,12 +58,39 @@ def _write_table(path, header: dict, columns: list[str], rows, fmt: str):
         # np.float64 is a float and encodes with float's repr
         lines.extend(json.dumps(dict(zip(columns, row)), sort_keys=True)
                      for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
+    return "\n".join(lines) + "\n"
+
+
+def _write_tables(tables, fmt: str):
+    """Write every table, or no file at all: all texts are rendered and every
+    output path is opened before the first byte is written, and when a path
+    cannot be opened the files created for the earlier ones are removed."""
+    texts = [(path, _render_table(header, columns, rows, fmt))
+             for path, header, columns, rows in tables]
+    with contextlib.ExitStack() as stack:
+        handles, created = [], []
+        try:
+            for path, _ in texts:
+                if path is not None:
+                    existed = os.path.lexists(path)
+                    # append mode leaves an existing file's bytes alone
+                    handles.append(stack.enter_context(open(path, "a")))
+                    if not existed:
+                        created.append(path)
+        except OSError:
+            for path in created:
+                os.remove(path)
+            raise
+        handles = iter(handles)
+        for path, text in texts:
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            handle = next(handles)
+            if os.path.isfile(path):  # not a pipe or a device
+                handle.truncate(0)
             handle.write(text)
+            handle.close()  # before a later table reopens the same path
 
 
 def _resolve_modes(args, well: spectral.WellConfig, observable: str) -> int:
@@ -268,7 +299,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"usage error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of ``COMMANDS``, built on first use.  A parse leaves it
+    unchanged: every parse fills a namespace of its own."""
     parser = _Parser(
         prog="wellquench",
         description="Sudden wall-shift dynamics: escape laws, the universal "
@@ -332,8 +366,9 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         # an overflow or NaN is an error here, not a warning and a bad number
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for path, header, columns, rows in COMMANDS[args.command].run(args):
-                _write_table(path, header, columns, rows, args.format)
+            tables = COMMANDS[args.command].run(args)
+            if tables:
+                _write_tables(tables, args.format)
         return EXIT_OK
     except ArithmeticError as exc:
         print(f"usage error: input out of floating-point range: {exc}",

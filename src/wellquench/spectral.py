@@ -175,7 +175,13 @@ def _turns(nsq, x) -> np.ndarray:
     return out
 
 
-def _lattice_sums(weights, nsq, K: int, origin: float = 0.0) -> np.ndarray:
+def _twist(weights, nsq, origin: float) -> np.ndarray:
+    """The weights w_n e^{-2 pi i n^2 origin}, their phases taken in exact turns."""
+    return weights * np.exp(-2j * math.pi * _turns(nsq, origin))
+
+
+def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
+                  twisted=None) -> np.ndarray:
     """B_j = sum_n w_n (1 - exp(-2 pi i n^2 (origin + j/K))) for j = 0..K-1.
 
     A phase depends on the integer n^2 only through its residue mod K, so
@@ -183,11 +189,14 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0) -> np.ndarray:
     sum_n w_n e^{-2 pi i n^2 j/K}.  At origin 0, B_j = Re S_0 - S_j with Re B
     read from bin min(j, K - j): Re B_0 is exactly 0, Re B exactly symmetric.
     Elsewhere the weights are twisted by e^{-2 pi i n^2 origin} in exact
-    turns and B = sum w_n - S.  Absolute error about 1e-16 log2(K) sum |w_n|.
+    turns and B = sum w_n - S; a caller that reads one origin at several K
+    passes those weights once, as ``twisted = _twist(weights, nsq, origin)``.
+    Absolute error about 1e-16 log2(K) sum |w_n|.
     """
     residues = nsq % K
     if origin:
-        twisted = weights * np.exp(-2j * math.pi * _turns(nsq, origin))
+        if twisted is None:
+            twisted = _twist(weights, nsq, origin)
         sums = np.fft.fft(np.bincount(residues, twisted.real, minlength=K)
                           + 1j * np.bincount(residues, twisted.imag, minlength=K))
         return np.subtract(weights.sum(), sums, out=sums)

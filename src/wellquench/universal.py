@@ -22,7 +22,7 @@ from scipy.special import polygamma
 
 from .errors import GridMismatchError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
-                       _lattice_sums, _turns, _valid_times, _window_sums)
+                       _lattice_sums, _turns, _twist, _valid_times, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -199,10 +199,15 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
     for p in range(2, p_max + 1):
         for q in range(0, p * p + 1):
             candidates.setdefault(Fraction(q, p * p), (q, p))
+    # one mode table and one twist to the shifted lattices serve every p
+    nsq, weights = _profile_modes(n_modes)
+    twisted = _twist(weights, nsq, spacing)
+    lattices = {}
+    for p in sorted({p for _, p in candidates.values()}):
+        sums = (_lattice_sums(weights, nsq, p * p),
+                _lattice_sums(weights, nsq, p * p, spacing, twisted))
+        lattices[p] = [np.maximum(b.real, 0.0) for b in sums]  # as _grid_profile
     # the profile is periodic, so q = p^2 reads the lattice at j = 0
-    lattices = {p: (_grid_profile(p * p, n_modes),
-                    _grid_profile(p * p, n_modes, spacing))
-                for p in sorted({p for _, p in candidates.values()})}
     entries = []
     for frac, (q, p) in candidates.items():
         centres, shifted = lattices[p]

@@ -15,19 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellquench
-from wellquench.cli import COMMANDS, main, parse_args
+from wellquench.cli import COMMANDS, _build_parser, main, parse_args
 
 
 def run_cli(args):
     return main(args)
 
 
-def run_module(*args):
-    """``python -m wellquench.cli ARGS`` on the package these tests import."""
+def run_python(*args):
+    """``python ARGS`` with the package these tests import on its path."""
     paths = [str(Path(wellquench.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run([sys.executable, "-m", "wellquench.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=600, env=env)
+
+
+def run_module(*args):
+    """``python -m wellquench.cli ARGS`` on the package these tests import."""
+    return run_python("-m", "wellquench.cli", *args)
 
 
 def parse_csv(path):
@@ -219,7 +224,8 @@ class TestFractal:
 
 class TestDefaultOutputs:
     # SHA-256 of each default file and stdout as written before main became
-    # the only writer of every command's tables
+    # the only writer of every command's tables; oracle-check's as written
+    # since the propagator took its closed form
 
     @pytest.mark.parametrize("argv, digest", [
         (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
@@ -235,7 +241,7 @@ class TestDefaultOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["oracle-check", "--json"],
-         "16a6f7b209b12bd3a9e37600cb916a59a4ecb6f3bcbe7332f5aa16b9645c23aa"),
+         "5ece4867294ade80196b0ead38c840626d9353bb5d77dd0a687c2d017aa26f57"),
         (["fractal", "--selftest"],
          "0d6e5f8feb3c435c16fcca0e277a5c12c6ddf27e4ae811a90b4a43e23abeaace"),
     ], ids=["oracle-check-json", "fractal-selftest"])
@@ -302,7 +308,7 @@ class TestExitCodes:
         assert run_cli(["oracle-check", "--coarse"]) == 1
         captured = capsys.readouterr()
         assert hashlib.sha256(captured.out.encode()).hexdigest() == \
-            "d913ee6f55f13c03cf8fe348d084150294e0356e40374e478f12e9d0d582a07f"
+            "b8a886d9f949538ff3e44afd7d822b1dd38250ccb49b5433724bbe8ab69c0ecb"
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("verification failure: ")
 
@@ -313,6 +319,28 @@ class TestExitCodes:
                         "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not out.exists() and not valleys.exists()
+
+    def test_unopenable_later_path_writes_no_file(self, tmp_path, capsys):
+        # the profile file used to be written before the valleys path failed
+        out, valleys = tmp_path / "U", tmp_path / "missing" / "V"
+        argv = ["universal", "--n", "1000", "--points", "9", "--out", str(out),
+                "--valleys-out", str(valleys)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == []
+        # an existing file keeps its bytes
+        out.write_text("kept\n")
+        assert run_cli(argv) == 2
+        assert out.read_text() == "kept\n"
+
+    def test_cli_loads_no_sparse_module(self):
+        # the propagator needs no sparse solver since it took its closed form
+        code = ("import sys, wellquench.cli\n"
+                "code = wellquench.cli.main(['oracle-check', '--json'])\n"
+                "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def run_for_exit(argv):
@@ -449,6 +477,20 @@ class TestConfigParity:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma = no\n")
         assert parse_args(["fractal", "--config", str(cfg)]).sigma is False
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_parses_do_not_leak_into_each_other(self, tmp_path):
+        parse_args(["coeffs", "--n", "5"])
+        args = parse_args(["coeffs"])
+        assert (args.tol, args.n) == (1e-6, None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.2\nn = 3\nformat = jsonl\n")
+        parse_args(["coeffs", "--config", str(cfg)])
+        assert vars(parse_args(["coeffs"])) == {
+            "command": "coeffs", "config": None, "out": None, "format": "csv",
+            "delta": 0.0, "n": None, "tol": 1e-6}
 
     def test_explicit_mode_count_replaces_default_tolerance(self):
         assert parse_args(["coeffs"]).tol == 1e-6

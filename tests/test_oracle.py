@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import diags, identity
+from scipy.sparse.linalg import splu
 
+from wellquench import oracle
 from wellquench.errors import GridMismatchError, QuadratureConvergenceError
 from wellquench.oracle import (GridState, adaptive_quadrature, eigenmode_state,
-                               initial_state, overlap, propagate,
-                               uniform_grid)
+                               initial_state, invariant_checks, overlap,
+                               propagate, uniform_grid)
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
 
 
@@ -26,7 +29,46 @@ class TestGridState:
         assert state.norm == pytest.approx(1.0, abs=1e-6)
 
 
+def stepped_cayley(state, dt, steps):
+    """The reference propagator: one sparse LU of (1 + i dt H/2), then the
+    steps one solve at a time, H the three-point Dirichlet Laplacian."""
+    interior = state.amplitudes[1:-1].copy()
+    n = interior.size
+    hamiltonian = -diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / state.dx**2
+    forward = (identity(n, format="csc") + 0.5j * dt * hamiltonian).tocsc()
+    backward = (identity(n, format="csc") - 0.5j * dt * hamiltonian).tocsr()
+    solver = splu(forward)
+    for _ in range(steps):
+        interior = solver.solve(backward @ interior)
+    amplitudes = np.zeros_like(state.amplitudes)
+    amplitudes[1:-1] = interior
+    return amplitudes
+
+
 class TestPropagate:
+    @pytest.mark.parametrize("n_points, t_target", [
+        (4096, 0.01),   # criterion 08
+        (1025, 0.005),  # oracle-check's propagator_vs_spectral_l2
+        (257, 0.005),
+    ])
+    def test_closed_form_matches_the_stepped_scheme(self, n_points, t_target):
+        # at dt = 8 dx^2 each step's solve has condition dt lambda_max / 2 =
+        # 16, so the loop loses up to 16 ulps per step; the closed form's
+        # phase s atan(dt lambda / 2) is within a few ulps, so the gap is the
+        # loop's (2.4e-11 measured at 4096 points and 14557 steps)
+        start = initial_state(WellConfig(0.2), n_points)
+        steps = int(math.ceil(t_target / (8.0 * start.dx**2)))
+        dt = t_target / steps
+        gap = np.abs(propagate(start, dt, steps).amplitudes
+                     - stepped_cayley(start, dt, steps)).max()
+        assert gap <= 16.0 * np.finfo(float).eps * steps
+
+    def test_zero_steps_return_the_input_bits(self):
+        state = initial_state(WellConfig(0.2), 257)
+        same = propagate(state, 1e-3, 0)
+        assert same.amplitudes.tobytes() == state.amplitudes.tobytes()
+        assert same.amplitudes is not state.amplitudes and same.t == state.t
+
     def test_stationary_eigenmode(self):
         w = WellConfig(0.2)
         state = eigenmode_state(w, {1: 1.0}, 513)
@@ -155,3 +197,23 @@ class TestAdaptiveQuadrature:
         with pytest.raises(QuadratureConvergenceError,
                            match=r"power=4 alpha=None .* panels=\d+ "):
             adaptive_quadrature("free", tol=1e-18)
+
+
+class TestChecksCanFail:
+    """Each invariant check reads near roundoff on the closed form, so each is
+    shown to fail when the closed form is broken on purpose."""
+
+    @staticmethod
+    def failed(checks):
+        return {c["name"] for c in checks if not c["ok"]}
+
+    def test_dst_scale_error_fails_the_stationary_mode(self, monkeypatch):
+        dst = oracle._dst
+        monkeypatch.setattr(oracle, "_dst", lambda values: dst(values) * (1.0 + 1e-6))
+        assert "stationary_mode_density" in self.failed(invariant_checks())
+
+    def test_non_unit_cayley_factor_fails_the_norm_drift(self, monkeypatch):
+        power = oracle._cayley_power
+        monkeypatch.setattr(oracle, "_cayley_power", lambda eigenvalues, dt, steps:
+                            power(eigenvalues, dt, steps) * (1.0 + 1e-12) ** steps)
+        assert "norm_drift_1000_steps" in self.failed(invariant_checks())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wellquench import spectral, universal
 from wellquench.cli import main
 from wellquench.errors import GridMismatchError
 from wellquench.spectral import WellConfig, _grid_numerators, _turns
@@ -202,6 +203,22 @@ class TestValleys:
         # the stored pair presents the location exactly
         for e in valleys.entries:
             assert e.location == e.numerator / e.denominator_root**2
+
+    def test_one_mode_table_and_one_twist_per_call(self, monkeypatch):
+        # each p used to rebuild the table twice and twist the weights once
+        calls = {"modes": 0, "turns": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(universal, "_profile_modes",
+                            counted("modes", universal._profile_modes))
+        monkeypatch.setattr(spectral, "_turns", counted("turns", spectral._turns))
+        valley_locations(4, n_modes=1000)
+        assert calls == {"modes": 1, "turns": 1}
 
     def test_p_max_validation(self):
         with pytest.raises(ValueError):
