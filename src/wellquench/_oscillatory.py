@@ -18,8 +18,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import sici
 
+from ._special import sine_integral
 from .errors import QuadratureConvergenceError
 
 # sin^2(a y) with a >= this is treated as its mean 1/2; the neglected
@@ -73,7 +73,7 @@ def _composite_gauss(power: int, edges: np.ndarray, alpha: float | None,
 def _c4_tail(beta: float, upper: float) -> float:
     """Closed form of int_Y^inf cos(beta y) / y^4 dy (beta > 0)."""
     Y = upper
-    si, _ = sici(beta * Y)
+    si = sine_integral(beta * Y)
     inner = math.cos(beta * Y) / Y - beta * (math.pi / 2.0 - si)
     mid = math.sin(beta * Y) / (2.0 * Y * Y) + (beta / 2.0) * inner
     return math.cos(beta * Y) / (3.0 * Y**3) - (beta / 3.0) * mid

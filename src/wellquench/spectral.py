@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._special import veltkamp
 from .errors import TruncationCapError
 
 # Width of the removable-singularity window around n/L = 1, and the local
@@ -335,9 +336,8 @@ def _window_offsets(xs: np.ndarray, origin: float, step: float) -> np.ndarray:
     diff = xs - origin
     back = diff - xs
     error = (xs - (diff - back)) - (origin + back)
-    split = 134217729.0 * step
-    high = split - (split - step)
-    return ((diff - i * high) - i * (step - high)) + error
+    high, low = veltkamp(step)
+    return ((diff - i * high) - i * low) + error
 
 
 def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:

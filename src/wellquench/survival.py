@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import modfresnelp
 
 from ._oscillatory import _MEAN_FIELD_ALPHA
+from ._special import fresnel_tail, two_square
 from .errors import TruncationInconsistencyError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _lattice_sums, _valid_shift, _valid_times,
@@ -156,9 +156,11 @@ def escape_integral(delta: float, t: float) -> float:
                      - 2 a^3 (Re T + Im T) + 3 a (Im T - Re T)].
 
     Below a = 0.03 this cancels, and the exact series
-    C a^2 - (pi/6) a^3 + (F/4) a^4 + (F/60) a^6 is used; from a = 200 it loses
-    ~a^2 ulps, and I is the mean field F / 2.  Relative error: <= 1e-12 below
-    0.03, 4e-12 up to 30, 2e-9 up to 200 and 7e-10 beyond; tests pin it to the
+    C a^2 - (pi/6) a^3 + (F/4) a^4 + (F/60) a^6 is used.  Above, a^2 is carried
+    exactly as hi + lo (``_special.two_square``) into sin a^2, cos a^2 and T,
+    and the a^2 and a^3 terms still cancel to ~a^2 ulps; from a = 200, I is
+    the mean field F / 2.  Relative error: <= 1e-12 up to 30, 4e-11 up to 200
+    and 7e-10 beyond; tests pin it to a 60-digit mpmath evaluation and to the
     quadrature oracle ``_oscillatory.kernel_integral``.  Returns 0 at t = 0.
     """
     delta = _valid_shift(delta)
@@ -171,8 +173,10 @@ def escape_integral(delta: float, t: float) -> float:
         value = (CONFINED_KERNEL_CONSTANT * a2 - (math.pi / 6.0) * a2 * alpha
                  + FREE_KERNEL_CONSTANT * (a2 * a2 / 4.0 + a2 * a2 * a2 / 60.0))
     elif alpha < _MEAN_FIELD_ALPHA:
+        low = two_square(alpha)[1]  # a^2 = a2 + low exactly
         sin2, cos2 = math.sin(a2), math.cos(a2)
-        tail = modfresnelp(alpha)[0]
+        sin2, cos2 = sin2 + low * cos2, cos2 - low * sin2
+        tail = fresnel_tail(alpha)
         value = (FREE_KERNEL_CONSTANT / 2.0) * (
             1.0 - sin2 - cos2 - a2 * (sin2 - cos2)
             - 2.0 * a2 * alpha * (tail.real + tail.imag)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import polygamma
 
+from ._special import trigamma
 from .errors import GridMismatchError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _lattice_sums, _turns, _twist, _valid_times, _window_sums)
@@ -132,7 +132,7 @@ def universal_tail_bound(n_modes: int) -> float:
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
     N = n_modes
-    tail = 0.25 * (polygamma(1, N) + polygamma(1, N + 2) + 1.0 / N + 1.0 / (N + 1))
+    tail = 0.25 * (trigamma(N) + trigamma(N + 2) + 1.0 / N + 1.0 / (N + 1))
     return 2.0 * float(tail)
 
 

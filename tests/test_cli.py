@@ -225,12 +225,13 @@ class TestFractal:
 class TestDefaultOutputs:
     # SHA-256 of each default file and stdout as written before main became
     # the only writer of every command's tables; oracle-check's as written
-    # since the propagator took its closed form
+    # since the propagator took its closed form; escape's since the Fresnel
+    # tail carries alpha^2 exactly
 
     @pytest.mark.parametrize("argv, digest", [
         (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
         (["evolve"], "4fcfac33e1b9179d6c04cb748be1f241844a2fd6bfabd0a25cc4ea36eea5ba04"),
-        (["escape"], "7cd90c60d1be3f1182c14987caa78c0fdc2ff13509708bb41643ed35d6bdf141"),
+        (["escape"], "a2095ac852c87aec183ff68a39a09bb56015143ac3a520924ecebce8d379405f"),
         (["universal", "--format", "jsonl"],
          "db46a3dfde51bb4b7ceea626319e8b8058115de69cfd98c10da693f8a5e66ec7"),
     ], ids=["coeffs", "evolve", "escape", "universal-jsonl"])
@@ -333,14 +334,23 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert out.read_text() == "kept\n"
 
-    def test_cli_loads_no_sparse_module(self):
-        # the propagator needs no sparse solver since it took its closed form
-        code = ("import sys, wellquench.cli\n"
-                "code = wellquench.cli.main(['oracle-check', '--json'])\n"
-                "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
-        result = run_python("-c", code)
+    def test_cli_loads_no_scipy_module(self, tmp_path):
+        # scipy is a test-only dependency: neither the import nor any
+        # command at its defaults may load a scipy module
+        names = ["coeffs", "evolve", "escape", "universal", "fractal"]
+        commands = [[name, "--out", str(tmp_path / name)] for name in names]
+        commands.append(["oracle-check", "--json"])
+        code = ("import json, sys, wellquench.cli\n"
+                "def scipy_modules():\n"
+                "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                "seen = [['import', 0, scipy_modules()]]\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    seen.append([argv[0], wellquench.cli.main(argv), scipy_modules()])\n"
+                "print(json.dumps(seen))")
+        result = run_python("-c", code, json.dumps(commands))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 []"
+        assert json.loads(result.stdout.splitlines()[-1]) == [
+            [name, 0, []] for name in ["import", *names, "oracle-check"]]
 
 
 def run_for_exit(argv):

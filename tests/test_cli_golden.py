@@ -80,7 +80,7 @@ GOLDEN = {
         "# xi_min = 0\n"
         "# xi_max = 1\n"
         "# points = 9\n"
-        "# tail_bound = 0.0039960133014120746\n"
+        "# tail_bound = 0.0039960133014120755\n"
         "# columns: xi,F,tail_bound\n"
     ),
     "universal-valleys.csv": (
@@ -90,7 +90,7 @@ GOLDEN = {
         "# columns: q,p,location,depth\n"
     ),
     "universal.jsonl": (
-        "{\"meta\": {\"artifact_version\": \"0.1.0\", \"n_modes\": 500, \"points\": 9, \"tail_bound\": 0.003996013301412075, \"xi_max\": 1.0, \"xi_min\": 0.0}}\n"
+        "{\"meta\": {\"artifact_version\": \"0.1.0\", \"n_modes\": 500, \"points\": 9, \"tail_bound\": 0.0039960133014120755, \"xi_max\": 1.0, \"xi_min\": 0.0}}\n"
         "F,tail_bound,xi\n"
     ),
     "universal-valleys.jsonl": (
