@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ._special import sine_integral
+from ._special import sine_integral_tail
 from .errors import QuadratureConvergenceError
 
 # sin^2(a y) with a >= this is treated as its mean 1/2; the neglected
@@ -73,8 +73,7 @@ def _composite_gauss(power: int, edges: np.ndarray, alpha: float | None,
 def _c4_tail(beta: float, upper: float) -> float:
     """Closed form of int_Y^inf cos(beta y) / y^4 dy (beta > 0)."""
     Y = upper
-    si = sine_integral(beta * Y)
-    inner = math.cos(beta * Y) / Y - beta * (math.pi / 2.0 - si)
+    inner = math.cos(beta * Y) / Y - beta * sine_integral_tail(beta * Y)
     mid = math.sin(beta * Y) / (2.0 * Y * Y) + (beta / 2.0) * inner
     return math.cos(beta * Y) / (3.0 * Y**3) - (beta / 3.0) * mid
 

@@ -124,6 +124,19 @@ def sine_integral(x: float) -> float:
             k += 1
             power *= x * x / ((2 * k) * (2 * k + 1))
         return math.fsum(terms)
+    return math.pi / 2.0 - sine_integral_tail(x)
+
+
+def sine_integral_tail(x: float) -> float:
+    """pi/2 - Si(x) = -Im E1(ix) for x >= 0.
+
+    From 4 on the continued fraction of sine_integral, with no cancellation:
+    absolute error <= 4e-15 / x, a few ulps of the envelope 1/x, where
+    pi/2 - sine_integral(x) keeps one ulp of pi/2.  Below 4 that difference,
+    within 7e-16 absolute.
+    """
+    if x < _SI_SWITCH:
+        return math.pi / 2.0 - sine_integral(x)
     z = complex(1.0, x)
     fraction = lentz(z, lambda j: (-float(j * j), z + 2.0 * j))
-    return math.pi / 2.0 + (complex(math.cos(x), -math.sin(x)) / fraction).imag
+    return -(complex(math.cos(x), -math.sin(x)) / fraction).imag

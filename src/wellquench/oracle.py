@@ -1,13 +1,17 @@
 """Independent verification paths: grid propagator, overlap, quadrature.
 
-Nothing here shares numerics with the routes it checks: the propagator solves
+Nothing here shares a formula with the routes it checks: the propagator solves
 the Schrodinger equation on a real-space grid with the norm-preserving
 Crank-Nicolson scheme, in closed form in the sine basis (DST-I) of the grid
-Laplacian, overlaps are trapezoid sums of sampled states, and the escape-law
+Laplacian; overlaps are trapezoid sums of sampled states; and the escape-law
 kernel integrals are computed by panel quadrature on [0, inf), the oracle of
 their closed forms (the two kernel constants and the Fresnel form of
-``survival.escape_integral``).  ``invariant_checks`` runs these routes
-against each other and against the spectral route.
+``survival.escape_integral``).  The DST here and the spectral wavefunction on
+a grid both call numpy's FFT, on independent inputs: the grid samples here,
+the expansion coefficients binned by mode residue there; the direct mode sum
+``spectral._mode_sums`` stays the tested reference of the latter.
+``invariant_checks`` runs these routes against each other and against the
+spectral route.
 """
 
 from __future__ import annotations

@@ -225,8 +225,8 @@ class TestFractal:
 class TestDefaultOutputs:
     # SHA-256 of each default file and stdout as written before main became
     # the only writer of every command's tables; oracle-check's as written
-    # since the propagator took its closed form; escape's since the Fresnel
-    # tail carries alpha^2 exactly
+    # since the spectral wavefunction sums its lattice by residue FFT; escape's
+    # since the Fresnel tail carries alpha^2 exactly
 
     @pytest.mark.parametrize("argv, digest", [
         (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
@@ -242,7 +242,7 @@ class TestDefaultOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["oracle-check", "--json"],
-         "5ece4867294ade80196b0ead38c840626d9353bb5d77dd0a687c2d017aa26f57"),
+         "6289d5d25f5c523031fcb42372e3d61766cab3b7820e0a4ac92d25f995740efa"),
         (["fractal", "--selftest"],
          "0d6e5f8feb3c435c16fcca0e277a5c12c6ddf27e4ae811a90b4a43e23abeaace"),
     ], ids=["oracle-check-json", "fractal-selftest"])

@@ -80,6 +80,15 @@ class TestSineIntegral:
                 reference = mpmath.si(mpmath.mpf(x))
                 assert abs(_special.sine_integral(x) - reference) <= 5e-16 * abs(reference)
 
+    def test_tail_against_mpmath(self):
+        # pi/2 - Si(x) oscillates about 0 within 1/x; from 4 on it is taken
+        # without the cancellation that pi/2 - sine_integral(x) suffers
+        with mpmath.workdps(40):
+            for x in self.XS:
+                reference = mpmath.pi / 2 - mpmath.si(mpmath.mpf(x))
+                bound = 4e-15 / x if x >= _special._SI_SWITCH else 7e-16
+                assert abs(_special.sine_integral_tail(x) - reference) <= bound
+
 
 class TestHelpers:
     def test_lentz_gives_the_golden_ratio(self):

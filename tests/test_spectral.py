@@ -173,6 +173,129 @@ class TestWavefunction:
             wavefunction(WellConfig(0.2), coeffs, 0.5, 0.0)
 
 
+# x / (2L) on the lattice j/128 at this well, and on no lattice at the other
+_ROUTE_WELL, _OFF_WELL = WellConfig(0.2), WellConfig(0.3)
+_ROUTE_INPUTS = {
+    "lattice": (_ROUTE_WELL, np.linspace(0.0, _ROUTE_WELL.width, 65)),
+    "direct": (_OFF_WELL, np.linspace(0.1, 0.9, 400)),
+}
+
+
+def direct_psi(w, coeffs, x, t):
+    """The direct mode sum _mode_sums, scaled as wavefunction scales it."""
+    psi = spectral._mode_sums(w, coeffs, np.atleast_1d(x), np.array([t]))[0]
+    return psi * math.sqrt(2.0 / w.width)
+
+
+def lattice_period(w, coeffs, x):
+    grid = spectral._grid_numerators(np.asarray(x) / (2.0 * w.width),
+                                     coeffs.truncation)
+    return grid.period if grid is not None else 0
+
+
+class TestWavefunctionInputs:
+    @pytest.mark.parametrize("t", [[0.1, 0.2], [], [0.1]],
+                             ids=["two", "empty", "one-element"])
+    @pytest.mark.parametrize("route", sorted(_ROUTE_INPUTS))
+    def test_time_must_be_one_scalar(self, route, t):
+        # [0.1, 0.2] used to return the t = 0.1 row, [] an IndexError
+        w, x = _ROUTE_INPUTS[route]
+        with pytest.raises(ValueError, match="time must be a scalar"):
+            wavefunction(w, mode_coefficients(w, 50), x, t)
+
+    def test_empty_positions_rejected(self):
+        # used to raise numpy's zero-size reduction error
+        w = _ROUTE_WELL
+        with pytest.raises(ValueError, match="at least one position"):
+            wavefunction(w, mode_coefficients(w, 50), [], 0.1)
+
+    @pytest.mark.parametrize("route", sorted(_ROUTE_INPUTS))
+    def test_every_check_runs_before_the_route(self, route):
+        w, x = _ROUTE_INPUTS[route]
+        coeffs = mode_coefficients(w, 2000)
+        assert lattice_period(w, coeffs, x) or route == "direct"
+        with pytest.raises(ValueError, match="different well"):
+            wavefunction(w, mode_coefficients(WellConfig(0.1), 2000), x, 0.1)
+        # twice as wide: a lattice too, with K = 4 (M - 1)
+        with pytest.raises(ValueError, match="outside"):
+            wavefunction(w, coeffs, 2.0 * x, 0.1)
+        with pytest.raises(ValueError, match="position must be >= 0"):
+            wavefunction(w, coeffs, x - x[-1], 0.1)
+        broken = x.copy()
+        broken[3] = math.nan
+        with pytest.raises(ValueError, match="position must be finite"):
+            wavefunction(w, coeffs, broken, 0.1)
+        with pytest.raises(ValueError, match="time must be finite"):
+            wavefunction(w, coeffs, x, math.nan)
+
+
+class TestWavefunctionRoute:
+    """x / (2L) on a lattice takes _lattice_sums with the rates n; every other
+    x keeps the direct sum _mode_sums, which is the reference."""
+
+    @pytest.mark.parametrize("delta, M, N, t", [
+        (0.2, 1025, 2000, 0.005),   # oracle-check
+        (0.2, 65, 2000, 0.005),     # its coarse grid: N > K folds
+        (0.2, 65, 5000, 1.3),
+        (0.7, 513, 800, 0.1),
+        (0.05, 4097, 5000, 0.0),
+    ])
+    def test_lattice_matches_the_direct_sum(self, delta, M, N, t):
+        w = WellConfig(delta)
+        coeffs = mode_coefficients(w, N)
+        x = np.linspace(0.0, w.width, M)
+        assert lattice_period(w, coeffs, x) == 2 * (M - 1)
+        psi = wavefunction(w, coeffs, x, t)
+        assert np.abs(psi - direct_psi(w, coeffs, x, t)).max() <= 1e-14
+
+    def test_shifted_lattice_matches_the_direct_sum(self):
+        w = _ROUTE_WELL
+        coeffs = mode_coefficients(w, 2000)
+        x = 0.31 + np.arange(500) * (w.width / 1000)
+        grid = spectral._grid_numerators(x / (2.0 * w.width), 2000)
+        assert grid.period == 2000 and grid.origin != 0.0
+        psi = wavefunction(w, coeffs, x, 0.01)
+        assert np.abs(psi - direct_psi(w, coeffs, x, 0.01)).max() <= 1e-14
+
+    @pytest.mark.parametrize("M, N, t", [(65, 2000, 0.005), (1025, 2000, 0.005),
+                                         (129, 5000, 1.3)])
+    def test_lattice_matches_exact_residues(self, M, N, t):
+        # sin(2 pi (n j mod K) / K) with the residues reduced in integers and
+        # each sum taken by fsum; the bound is _lattice_sums' stated error
+        w = _ROUTE_WELL
+        coeffs = mode_coefficients(w, N)
+        K = 2 * (M - 1)
+        psi = wavefunction(w, coeffs, np.linspace(0.0, w.width, M), t)
+        c = coeffs.values * np.exp(-1j * (t * spectral.mode_energies(w, N)))
+        n = np.arange(1, N + 1)
+        scale = math.sqrt(2.0 / w.width)
+        bound = 1e-16 * math.log2(K) * np.abs(c).sum() * scale
+        for j in np.random.default_rng(M).integers(0, M, 12).tolist():
+            sines = np.sin(2.0 * math.pi * ((n * j) % K) / K)
+            exact = scale * complex(math.fsum(c.real * sines),
+                                    math.fsum(c.imag * sines))
+            assert abs(psi[j] - exact) <= bound
+
+    @pytest.mark.parametrize("x", [
+        0.5,
+        np.linspace(0.1, 0.9, 400),
+        np.sort(np.random.default_rng(5).uniform(0.0, _OFF_WELL.width, 300)),
+    ], ids=["scalar", "window", "random"])
+    def test_off_lattice_keeps_the_direct_bits(self, x):
+        w = _OFF_WELL
+        coeffs = mode_coefficients(w, 2000)
+        assert lattice_period(w, coeffs, x) == 0
+        psi = wavefunction(w, coeffs, x, 0.01)
+        assert np.shape(psi) == np.shape(x)
+        assert np.array_equal(np.atleast_1d(psi), direct_psi(w, coeffs, x, 0.01))
+
+    def test_left_wall_is_exactly_zero_on_the_lattice(self):
+        w = _ROUTE_WELL
+        coeffs = mode_coefficients(w, 2000)
+        for t in (0.0, 0.005, 0.37):
+            assert wavefunction(w, coeffs, np.linspace(0.0, w.width, 65), t)[0] == 0.0
+
+
 class TestDensityField:
     def setup_method(self):
         self.w = WellConfig(0.2)
