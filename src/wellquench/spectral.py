@@ -39,6 +39,10 @@ _FFT_LIMIT = 2**23
 _LATTICE_ULPS = 8
 _LATTICE_SPAN = 2.0**40
 
+#: ulps of kP within which every t_j + t_{T-1-j} must lie for density_field
+#: to copy row j of a time grid to row T-1-j
+_MIRROR_ULPS = 4
+
 #: fewest points summed as a window; below, the direct route costs less
 _WINDOW_MIN = 32
 # a window point must lie this many ulps of 1 from its grid point, which keeps
@@ -368,14 +372,16 @@ def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
     ``xs``, both validated by the caller."""
     energies = mode_energies(config, coeffs.truncation)
     n = np.arange(1, coeffs.truncation + 1, dtype=float)
-    psi = np.zeros((ts.size, xs.size), dtype=complex)
-    # accumulate (times x modes) @ (modes x positions) in mode blocks
+    parts = np.zeros((2 * ts.size, xs.size))
+    # accumulate (times x modes) @ (modes x positions) in mode blocks, the
+    # real and imaginary rows of the phases stacked over one real sine table
     chunk = max(1, int(2**22 / max(1, ts.size, xs.size)))
     for i in range(0, coeffs.truncation, chunk):
         sl = slice(i, i + chunk)
         phased = coeffs.values[sl] * np.exp(-1j * np.outer(ts, energies[sl]))
-        psi += phased @ np.sin(np.outer(n[sl], math.pi * xs / config.width))
-    return psi
+        parts += (np.concatenate((phased.real, phased.imag))
+                  @ np.sin(np.outer(n[sl], math.pi * xs / config.width)))
+    return parts[:ts.size] + 1j * parts[ts.size:]
 
 
 def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> np.ndarray:
@@ -408,15 +414,31 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
 
 def density_field(config: WellConfig, coeffs: ModeCoefficients,
                   x_grid, t_grid) -> DensityField:
-    """|psi|^2 on the product of sorted grids; rows indexed by time."""
+    """|psi|^2 on the product of sorted grids; rows indexed by time.
+
+    psi(x, kP - t) = conj psi(x, t), as E_n P = 2 pi n^2 and a_n is real.  So
+    a grid whose every t_j + t_{T-1-j} is within _MIRROR_ULPS ulps of one kP,
+    as linspace(0, P, T) is, sums the rows j < ceil(T/2) and copies row j to
+    row T-1-j.  A copy is within _MIRROR_ULPS ulp(kP) (4/L) sum |a_n| sum
+    |a_n| E_n absolute of the sum at its own t: 6.3e-12 at evolve's defaults,
+    measured 1.7e-13 (a summed row is 3e-14 from one with 40-digit phases).
+    """
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     for g, name in ((x_grid, "x"), (t_grid, "t")):
         if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) < 0):
             raise ValueError(f"{name} grid must be non-empty and sorted ascending")
-    psi = _mode_sums(config, coeffs, _valid_positions(config, coeffs, x_grid),
-                     _valid_times(t_grid))
-    rows = (2.0 / config.width) * np.abs(psi) ** 2
+    xs = _valid_positions(config, coeffs, x_grid)
+    ts = _valid_times(t_grid)
+    sums = ts + ts[::-1]
+    multiple = np.rint(sums[0] / config.period) * config.period
+    mirrored = (np.abs(sums - multiple).max()
+                <= _MIRROR_ULPS * np.spacing(multiple))
+    half = (ts.size + 1) // 2 if mirrored else ts.size
+    psi = _mode_sums(config, coeffs, xs, ts[:half])
+    rows = np.empty((ts.size, xs.size))
+    np.multiply(2.0 / config.width, psi.real**2 + psi.imag**2, out=rows[:half])
+    rows[half:] = rows[:ts.size - half][::-1]
     return DensityField(x_grid=x_grid, t_grid=t_grid, values=rows)
 
 

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellquench
-from wellquench.cli import COMMANDS, _build_parser, main, parse_args
+from wellquench import cli
+from wellquench.cli import (COMMANDS, _build_parser, _render_table, main,
+                            parse_args)
 
 
 def run_cli(args):
@@ -92,8 +94,12 @@ class TestEvolve:
         x = np.linspace(0.0, 1.2, 129)
         expected = np.where(x <= 1.0, 2.0 * np.sin(np.pi * x) ** 2, 0.0)
         assert np.abs(rows[0, 1:] - expected).max() < 5e-3
-        # revival: first and last rows coincide
-        assert np.abs(rows[-1, 1:] - rows[0, 1:]).max() < 1e-8
+        # the t = P row in a call of its own (in the file it is a copy of
+        # the first row) revives the first row
+        w = wellquench.WellConfig(0.2)
+        revived = wellquench.density_field(
+            w, wellquench.mode_coefficients(w, 400), x, [w.period]).values[0]
+        assert np.abs(revived - rows[0, 1:]).max() < 1e-8
 
 
 class TestEscape:
@@ -226,11 +232,12 @@ class TestDefaultOutputs:
     # SHA-256 of each default file and stdout as written before main became
     # the only writer of every command's tables; oracle-check's as written
     # since the spectral wavefunction sums its lattice by residue FFT; escape's
-    # since the Fresnel tail carries alpha^2 exactly
+    # since the Fresnel tail carries alpha^2 exactly; evolve's since
+    # density_field copies the mirrored half period and sums by a real product
 
     @pytest.mark.parametrize("argv, digest", [
         (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
-        (["evolve"], "4fcfac33e1b9179d6c04cb748be1f241844a2fd6bfabd0a25cc4ea36eea5ba04"),
+        (["evolve"], "9c32d324917d07e2b1a51dc9d3a39be65770a46d8c2828f0a5837ed6e7ec699e"),
         (["escape"], "a2095ac852c87aec183ff68a39a09bb56015143ac3a520924ecebce8d379405f"),
         (["universal", "--format", "jsonl"],
          "db46a3dfde51bb4b7ceea626319e8b8058115de69cfd98c10da693f8a5e66ec7"),
@@ -249,6 +256,62 @@ class TestDefaultOutputs:
     def test_stdout_unchanged(self, argv, digest, capsys):
         assert run_cli(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def per_row_csv(header, columns, rows):
+    """The CSV text of formatting every row with '%.17g'."""
+    lines = [f"# {key} = {value}" for key, value in header.items()]
+    lines.append("# columns: " + ",".join(columns))
+    lines += [",".join("%.17g" % value for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderTable:
+    """A CSV row whose values after the first repeat an earlier row's bits
+    shares its text once the rows are wide; the bytes stay those of
+    formatting every row."""
+
+    @staticmethod
+    def table(bodies, order):
+        """Rows t, *bodies[k] for the indices k in ``order``."""
+        columns = ["t"] + [f"x{i}" for i in range(len(bodies[0]))]
+        return columns, [[float(t)] + list(bodies[k]) for t, k in enumerate(order)]
+
+    @pytest.mark.parametrize("width", [1, 5, cli._SHARED_BODY_MIN - 1,
+                                       cli._SHARED_BODY_MIN, 512])
+    def test_repeated_rows_match_per_row_formatting(self, width):
+        bodies = np.random.default_rng(width).standard_normal((4, width)).tolist()
+        columns, rows = self.table(bodies, [0, 1, 2, 1, 0, 3, 3, 0])
+        rows.append([8] + list(range(width)))  # integers print as their digits
+        rows.append(np.array([9.5] + bodies[2]))
+        header = {"source": "test"}
+        assert (_render_table(header, columns, rows, "csv")
+                == per_row_csv(header, columns, rows))
+
+    @pytest.mark.parametrize("width", [2, cli._SHARED_BODY_MIN])
+    def test_signed_zeros_keep_their_signs(self, width):
+        zero, negative = [0.0] * width, [0.0] * (width - 1) + [-0.0]
+        columns, rows = self.table([zero, negative], [0, 1, 0, 1])
+        text = _render_table({}, columns, rows, "csv")
+        assert text == per_row_csv({}, columns, rows)
+        lasts = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+        assert lasts == ["0", "-0", "0", "-0"]
+
+    @pytest.mark.parametrize("width", [2, cli._SHARED_BODY_MIN])
+    def test_nan_rows_match_per_row_formatting(self, width):
+        bodies = [[math.nan] * width, [-math.nan] * width, [1.0] * width]
+        columns, rows = self.table(bodies, [0, 0, 1, 2, 1])
+        assert (_render_table({}, columns, rows, "csv")
+                == per_row_csv({}, columns, rows))
+
+    def test_evolve_rows_mirror_in_the_file(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli(["evolve", "--n", "100", "--nx", "17", "--nt", "9",
+                        "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[-9:]
+        bodies = [line.partition(",")[2] for line in lines]
+        assert bodies == bodies[::-1]
+        assert len(set(bodies)) == 5
 
 
 class TestOutputDiscipline:

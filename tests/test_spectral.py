@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,10 +325,11 @@ class TestDensityField:
             assert np.trapezoid(row, x) == pytest.approx(1.0, abs=1e-5)
 
     def test_revival_of_whole_field(self):
+        # each row in its own call: on the grid [0, P] row 1 is a copy of row 0
         x = np.linspace(0.0, self.w.width, 257)
-        field = density_field(self.w, self.coeffs, x,
-                              np.array([0.0, self.w.period]))
-        assert np.abs(field.values[1] - field.values[0]).max() < 1e-10
+        start = density_field(self.w, self.coeffs, x, [0.0]).values[0]
+        revived = density_field(self.w, self.coeffs, x, [self.w.period]).values[0]
+        assert np.abs(revived - start).max() < 1e-10
 
     def test_nan_position_rejected(self):
         # used to write a NaN column: NaN passes the sorted and range checks
@@ -345,6 +347,148 @@ class TestDensityField:
         with pytest.raises(ValueError, match="different well"):
             density_field(WellConfig(0.3), self.coeffs, np.array([0.5]),
                           np.array([0.0]))
+
+
+def direct_density(w, coeffs, x, ts):
+    """|psi|^2 of the direct sum _mode_sums, every row at its own t."""
+    psi = spectral._mode_sums(w, coeffs, x, np.asarray(ts, dtype=float))
+    return (2.0 / w.width) * (psi.real**2 + psi.imag**2)
+
+
+def mirror_bound(w, coeffs, multiple):
+    """density_field's stated error of a copied row about t = multiple."""
+    a = np.abs(coeffs.values)
+    energies = spectral.mode_energies(w, coeffs.truncation)
+    return (spectral._MIRROR_ULPS * np.spacing(multiple) * (4.0 / w.width)
+            * a.sum() * (a * energies).sum())
+
+
+def mpmath_density(w, coeffs, x, t):
+    """rho(x, t) with every phase E_n t taken in 40 digits; the sines and
+    the sum in doubles add about 1e-15."""
+    n = np.arange(1, coeffs.truncation + 1)
+    with mpmath.workdps(40):
+        rate = (mpmath.pi / mpmath.mpf(w.width)) ** 2 * mpmath.mpf(t)
+        phases = [rate * (k * k) for k in n.tolist()]
+        cos = np.array([float(mpmath.cos(p)) for p in phases])
+        sin = np.array([float(mpmath.sin(p)) for p in phases])
+    psi = (coeffs.values * (cos - 1j * sin)) @ np.sin(np.outer(n, math.pi * x / w.width))
+    return (2.0 / w.width) * (psi.real**2 + psi.imag**2)
+
+
+# (delta, nx, nt) of evolve grids linspace(0, P, nt): the CLI default, its
+# test in test_cli.py and three of the benchmark's nx, nt = 2^18 / nx
+_EVOLVE_GRIDS = [(0.2, 512, 512), (0.2, 129, 9), (0.07, 384, 683),
+                 (0.45, 640, 410), (0.05, 500, 524)]
+
+
+class TestDensityMirror:
+    """On a time grid symmetric about a multiple of the period, density_field
+    sums the first ceil(T/2) rows and copies them into the rest."""
+
+    @pytest.fixture
+    def summed(self, monkeypatch):
+        """The number of times each _mode_sums call sums."""
+        sizes, mode_sums = [], spectral._mode_sums
+
+        def spy(config, coeffs, xs, ts):
+            sizes.append(ts.size)
+            return mode_sums(config, coeffs, xs, ts)
+
+        monkeypatch.setattr(spectral, "_mode_sums", spy)
+        return sizes
+
+    @pytest.mark.parametrize("delta, nx, nt", _EVOLVE_GRIDS)
+    def test_rows_mirror_bit_for_bit(self, delta, nx, nt, summed):
+        w = WellConfig(delta)
+        field = density_field(w, mode_coefficients(w, 800),
+                              np.linspace(0.0, w.width, nx),
+                              np.linspace(0.0, w.period, nt))
+        assert summed == [(nt + 1) // 2]
+        assert np.array_equal(field.values, field.values[::-1])
+
+    @pytest.mark.parametrize("delta, nx, nt", _EVOLVE_GRIDS)
+    def test_every_row_within_bound_of_its_own_time(self, delta, nx, nt):
+        w = WellConfig(delta)
+        coeffs = mode_coefficients(w, 800)
+        x, ts = np.linspace(0.0, w.width, nx), np.linspace(0.0, w.period, nt)
+        gap = np.abs(density_field(w, coeffs, x, ts).values
+                     - direct_density(w, coeffs, x, ts)).max(axis=1)
+        bound = mirror_bound(w, coeffs, w.period)
+        assert bound < 1.1e-11
+        assert gap.max() <= bound
+        assert gap[:(nt + 1) // 2].max() <= 1e-14  # the summed rows
+
+    @pytest.mark.parametrize("delta, nx, nt", [(0.2, 512, 512), (0.07, 384, 683)])
+    def test_rows_against_40_digit_phases(self, delta, nx, nt):
+        w = WellConfig(delta)
+        coeffs = mode_coefficients(w, 800)
+        x, ts = np.linspace(0.0, w.width, nx), np.linspace(0.0, w.period, nt)
+        values = density_field(w, coeffs, x, ts).values
+        for j in (1, nt // 3, nt - 1 - nt // 3, nt - 2):  # two summed, two copied
+            gap = np.abs(values[j] - mpmath_density(w, coeffs, x, ts[j])).max()
+            assert gap <= mirror_bound(w, coeffs, w.period)
+            assert j >= (nt + 1) // 2 or gap <= 1e-13
+
+    @pytest.mark.parametrize("fraction", [
+        np.linspace(0.0, 0.9, 9), np.array([0.0, 0.2, 0.7]),
+        np.array([0.0, 0.5, 1.0 + 1e-12]),
+    ], ids=["0-0.9P", "0-0.2P-0.7P", "P-off-by-1e-12"])
+    def test_asymmetric_grid_sums_every_row(self, fraction, summed):
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, 800)
+        x, ts = np.linspace(0.0, w.width, 129), fraction * w.period
+        values = density_field(w, coeffs, x, ts).values
+        assert summed == [ts.size]
+        assert np.array_equal(values, direct_density(w, coeffs, x, ts))
+
+    @pytest.mark.parametrize("ts", [[0.0, 0.0, 0.0], [0.3, 0.7], [1.0],
+                                    np.linspace(0.0, 2.0, 7),
+                                    np.linspace(0.25, 1.75, 6)])
+    def test_grids_about_any_multiple_mirror(self, ts, summed):
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, 800)
+        x, ts = np.linspace(0.0, w.width, 65), np.asarray(ts) * w.period
+        values = density_field(w, coeffs, x, ts).values
+        assert summed == [(ts.size + 1) // 2]
+        multiple = round((ts[0] + ts[-1]) / w.period) * w.period
+        assert (np.abs(values - direct_density(w, coeffs, x, ts)).max()
+                <= max(mirror_bound(w, coeffs, multiple), 1e-14))
+
+
+class TestModeSums:
+    """_mode_sums stacks the real and imaginary rows of its phases over one
+    real sine table; the complex product of the same blocks is the reference."""
+
+    @staticmethod
+    def complex_product(w, coeffs, xs, ts):
+        n = np.arange(1, coeffs.truncation + 1, dtype=float)
+        phased = coeffs.values * np.exp(
+            -1j * np.outer(ts, spectral.mode_energies(w, coeffs.truncation)))
+        return phased @ np.sin(np.outer(n, math.pi * xs / w.width)).astype(complex)
+
+    @pytest.mark.parametrize("delta, M, N, ts", [
+        (0.2, 129, 800, np.linspace(0.0, 0.9167, 9)),
+        (0.07, 384, 800, np.linspace(0.0, 0.4, 50)),
+        (0.3, 4097, 2000, np.array([0.0, 0.01, 1.3])),  # two mode blocks
+        (1.5, 1, 5000, np.array([0.37])),
+    ])
+    def test_real_product_matches_complex_product(self, delta, M, N, ts):
+        w = WellConfig(delta)
+        coeffs = mode_coefficients(w, N)
+        xs = np.linspace(0.01, w.width, M)
+        psi = spectral._mode_sums(w, coeffs, xs, ts)
+        assert psi.shape == (ts.size, M) and psi.dtype == complex
+        assert np.abs(psi - self.complex_product(w, coeffs, xs, ts)).max() <= 1e-14
+
+    def test_off_lattice_wavefunction_matches_complex_product(self):
+        w = _OFF_WELL
+        coeffs = mode_coefficients(w, 2000)
+        x = np.linspace(0.1, 0.9, 400)
+        assert lattice_period(w, coeffs, x) == 0
+        psi = wavefunction(w, coeffs, x, 0.01)
+        reference = self.complex_product(w, coeffs, x, np.array([0.01]))[0]
+        assert np.abs(psi - reference * math.sqrt(2.0 / w.width)).max() <= 1e-14
 
 
 class TestSurvivalTailBound:
