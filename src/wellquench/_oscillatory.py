@@ -1,10 +1,10 @@
 """Quadrature oracle for the quadratic-phase kernels sin^2(y^2/2) / y^p.
 
 ``kernel_integral`` is the independent route that the closed forms are
-tested against: the kernel constants of the two escape laws and the Fresnel
-form of the continuum escape (``survival.escape_integral``), with which it
-shares no numerics.  Outside ``oracle`` no result of the package is
-computed with it.
+tested against: the kernel constants of the two escape laws and the power
+series and continued-fraction bracket of the continuum escape
+(``survival.escape_integral``), with which it shares no numerics.  Outside
+``oracle`` no result of the package is computed with it.
 
 The semi-infinite integrals are split at Y into a finite part, integrated by
 composite Gauss-Legendre on panels bounded by the zeros y = sqrt(2 pi k) of
@@ -22,8 +22,8 @@ import numpy as np
 from ._special import sine_integral_tail
 from .errors import QuadratureConvergenceError
 
-# sin^2(a y) with a >= this is treated as its mean 1/2; the neglected
-# cross-oscillation is O(0.3 / a^4) by stationary phase.
+# kernel_integral, and nothing else, treats sin^2(a y) with a >= this as its
+# mean 1/2; the neglected cross-oscillation is O(0.3 / a^4) by stationary phase.
 _MEAN_FIELD_ALPHA = 200.0
 
 

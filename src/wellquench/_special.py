@@ -1,35 +1,24 @@
-"""Scalar special functions: the Fresnel tail, trigamma and the sine integral.
+"""Scalar special functions, trigamma and the sine integral, and their helpers.
 
-Each one is a convergent series for small arguments and a continued fraction
-or an asymptotic series for large ones, in double precision with the
-accuracy stated in its docstring.  Continued fractions are evaluated by the
-modified Lentz method (Numerical Recipes, 3rd ed., sec. 5.2).
+Each function is a convergent series for small arguments and a continued
+fraction or an asymptotic series for large ones, in double precision with
+the accuracy stated in its docstring.  Continued fractions are evaluated by
+``lentz``, the modified Lentz method (Numerical Recipes, 3rd ed., sec. 5.2).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from itertools import accumulate, repeat
-from operator import mul
 
 _EPS = sys.float_info.epsilon
 _TINY = 1e-300
 _MAX_TERMS = 1000
 
-# fresnel_tail sums the power series below this alpha, the continued fraction
-# from it up; sine_integral switches likewise at its x
-_FRESNEL_SWITCH = 2.0
+# sine_integral's switch from its power series to its continued fraction
 _SI_SWITCH = 4.0
 # trigamma recurs up to this x, then sums the asymptotic series
 _TRIGAMMA_SWITCH = 10.0
-# T(alpha) = T0 (1 + i) - sum_k i^k alpha^{2k+1} / (k! (2k + 1)): the real
-# factors of the coefficients for k = 0..33, real at even k and imaginary at
-# odd k; the omitted terms stay below 1e-19 for alpha < 2
-_T0 = math.sqrt(math.pi / 8.0)
-_FRESNEL_SERIES = tuple((-1.0) ** (k // 2 + 1) / (math.factorial(k) * (2 * k + 1))
-                        for k in range(34))
 # B_2k for k = 8 down to 1: the asymptotic series of trigamma in Horner order
 _BERNOULLI = (-3617.0 / 510.0, 7.0 / 6.0, -691.0 / 2730.0, 5.0 / 66.0,
               -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 1.0 / 6.0)
@@ -66,28 +55,6 @@ def two_square(x: float) -> tuple[float, float]:
     hi = x * x
     high, low = veltkamp(x)
     return hi, ((high * high - hi) + 2.0 * high * low) + low * low
-
-
-def fresnel_tail(alpha: float) -> complex:
-    """T(alpha) = int_alpha^inf e^{i s^2} ds for alpha >= 0.
-
-    Below 2 it is (sqrt(pi)/2) e^{i pi/4} minus the power series of
-    int_0^alpha, each part summed with math.fsum.  From 2 it is
-    alpha e^{i alpha^2} / L, with L the even form of the erfc continued
-    fraction at z = e^{-i pi/4} alpha (Numerical Recipes, 3rd ed., sec.
-    6.8.1), L = 1 - 2i alpha^2 - 1*2 / (5 - 2i alpha^2 - 3*4 / (9 - ...)),
-    and the phase taken from alpha^2 = hi + lo as e^{i hi} (1 + i lo).
-    Relative error <= 4e-15.
-    """
-    if alpha < _FRESNEL_SWITCH:
-        powers = accumulate(repeat(alpha * alpha, len(_FRESNEL_SERIES) - 1), mul,
-                            initial=alpha)
-        terms = [_T0, _T0, *map(mul, _FRESNEL_SERIES, powers)]
-        return complex(math.fsum(terms[0::2]), math.fsum(terms[1::2]))
-    hi, lo = two_square(alpha)
-    shift = complex(1.0, -2.0 * hi)
-    fraction = lentz(shift, lambda j: (-(2.0 * j - 1.0) * 2.0 * j, shift + 4.0 * j))
-    return alpha * cmath.exp(1j * hi) * complex(1.0, lo) / fraction
 
 
 def trigamma(x: float) -> float:

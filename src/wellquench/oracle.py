@@ -5,7 +5,7 @@ the Schrodinger equation on a real-space grid with the norm-preserving
 Crank-Nicolson scheme, in closed form in the sine basis (DST-I) of the grid
 Laplacian; overlaps are trapezoid sums of sampled states; and the escape-law
 kernel integrals are computed by panel quadrature on [0, inf), the oracle of
-their closed forms (the two kernel constants and the Fresnel form of
+their closed forms (the two kernel constants and the series and bracket of
 ``survival.escape_integral``).  The DST here and the spectral wavefunction on
 a grid both call numpy's FFT, on independent inputs: the grid samples here,
 the expansion coefficients binned by mode residue there; the direct mode sum

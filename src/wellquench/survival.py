@@ -9,13 +9,15 @@ exactly at t = 3 delta^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
-from ._oscillatory import _MEAN_FIELD_ALPHA
-from ._special import fresnel_tail, two_square
+from ._special import lentz, two_square
 from .errors import TruncationInconsistencyError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _lattice_sums, _valid_shift, _valid_times,
@@ -30,6 +32,16 @@ CONFINED_KERNEL_CONSTANT = math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))
 FREE_LAW_COEFFICIENT = 8.0 * math.pi * FREE_KERNEL_CONSTANT
 #: escape ~ CONFINED_LAW_COEFFICIENT * delta^2 * t^{1/2} after the bounce
 CONFINED_LAW_COEFFICIENT = 16.0 * math.pi * CONFINED_KERNEL_CONSTANT
+
+# escape_integral sums I's power series (k = 0..33; the omitted terms stay
+# below 2e-24) under this alpha and takes the bracket from it up; past the
+# cap the bracket's correction, below 1.1 alpha^-4, is far under one ulp of 1,
+# and capping alpha there keeps alpha^2 finite
+_SERIES_SWITCH = 2.0
+_SERIES = tuple(2.0 * math.sqrt(math.pi / 2.0) * (-1.0) ** (k // 2)
+                / (math.factorial(k) * (2 * k + 1) * (2 * k + 2) * (2 * k + 3) * (2 * k + 4))
+                for k in range(34))
+_BRACKET_CAP = 1e8
 
 # negative escape values beyond this are a hard error, below it they are
 # reported as-is, and only violations within the noise floor are clamped
@@ -150,39 +162,38 @@ def escape_integral(delta: float, t: float) -> float:
     I(a) = int_0^inf sin^2(a y) sin^2(y^2/2) / y^4 dy has fourth derivative
     2 sqrt(pi/2) (cos a^2 + sin a^2), I(0) = I'(0) = 0, I''(0) = 2 C and
     I'''(0+) = -pi (C = CONFINED_KERNEL_CONSTANT, F = FREE_KERNEL_CONSTANT
-    = sqrt(pi/2) / 3).  Integrated back, with T = int_a^inf e^{i s^2} ds:
-
-        I = (F / 2) [1 - sin a^2 - cos a^2 - a^2 (sin a^2 - cos a^2)
-                     - 2 a^3 (Re T + Im T) + 3 a (Im T - Re T)].
-
-    Below a = 0.03 this cancels, and the exact series
-    C a^2 - (pi/6) a^3 + (F/4) a^4 + (F/60) a^6 is used.  Above, a^2 is carried
-    exactly as hi + lo (``_special.two_square``) into sin a^2, cos a^2 and T,
-    and the a^2 and a^3 terms still cancel to ~a^2 ulps; from a = 200, I is
-    the mean field F / 2.  Relative error: <= 1e-12 up to 30, 4e-11 up to 200
-    and 7e-10 beyond; tests pin it to a 60-digit mpmath evaluation and to the
-    quadrature oracle ``_oscillatory.kernel_integral``.  Returns 0 at t = 0.
+    = sqrt(pi/2) / 3).  Below a = 2, I is that integrated back term by term,
+    C a^2 - (pi/6) a^3 + 2 sqrt(pi/2) sum_k (-1)^{k//2} a^{2k+4} /
+    (k! (2k+1)(2k+2)(2k+3)(2k+4)), summed with math.fsum.  From 2 on it is
+    (F / 2) [1 + Re((1 - i) e^{i a^2} (12 / L2 - 3) / (L L1))] with the even
+    erfc continued fraction L = 1 - 2i a^2 - 2 / L1, L1 = 5 - 2i a^2 - 12 / L2
+    (L2 its tail from level 2, by ``_special.lentz``): its O(a^-4) correction
+    cancels nothing, and e^{i a^2} = e^{i hi} (1 + i lo) for a^2 = hi + lo
+    (``_special.two_square``).  Relative error <= 3e-15 below 2 and 6e-16
+    from 2 on; tests pin it to 60-digit mpmath and to the quadrature oracle
+    ``_oscillatory.kernel_integral``.  ``t`` is one time; returns 0 at t = 0.
     """
     delta = _valid_shift(delta)
-    _valid_times(t)
+    if np.ndim(t) != 0:
+        raise ValueError("time must be a scalar")
+    t = float(_valid_times(t)[0])
     if t == 0.0 or delta == 0.0:
         return 0.0
     alpha = delta / math.sqrt(t)
-    a2 = alpha * alpha
-    if alpha < 0.03:
-        value = (CONFINED_KERNEL_CONSTANT * a2 - (math.pi / 6.0) * a2 * alpha
-                 + FREE_KERNEL_CONSTANT * (a2 * a2 / 4.0 + a2 * a2 * a2 / 60.0))
-    elif alpha < _MEAN_FIELD_ALPHA:
-        low = two_square(alpha)[1]  # a^2 = a2 + low exactly
-        sin2, cos2 = math.sin(a2), math.cos(a2)
-        sin2, cos2 = sin2 + low * cos2, cos2 - low * sin2
-        tail = fresnel_tail(alpha)
-        value = (FREE_KERNEL_CONSTANT / 2.0) * (
-            1.0 - sin2 - cos2 - a2 * (sin2 - cos2)
-            - 2.0 * a2 * alpha * (tail.real + tail.imag)
-            + 3.0 * alpha * (tail.imag - tail.real))
+    if alpha < _SERIES_SWITCH:
+        a2 = alpha * alpha
+        powers = accumulate(repeat(a2, len(_SERIES) - 1), mul, initial=a2 * a2)
+        value = math.fsum([CONFINED_KERNEL_CONSTANT * a2, -(math.pi / 6.0) * a2 * alpha,
+                           *map(mul, _SERIES, powers)])
     else:
-        value = FREE_KERNEL_CONSTANT / 2.0
+        hi, lo = two_square(min(alpha, _BRACKET_CAP))
+        shift = complex(1.0, -2.0 * hi)
+        l2 = lentz(shift + 8.0, lambda j: (-(2.0 * j + 3.0) * (2.0 * j + 4.0),
+                                           shift + 4.0 * j + 8.0))
+        l1 = shift + 4.0 - 12.0 / l2
+        phase = complex(1.0, -1.0) * cmath.exp(1j * hi) * complex(1.0, lo)
+        value = (FREE_KERNEL_CONSTANT / 2.0) * (
+            1.0 + (phase * (12.0 / l2 - 3.0) / ((shift - 2.0 / l1) * l1)).real)
     try:
         power = t**1.5
     except OverflowError:

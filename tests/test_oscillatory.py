@@ -80,8 +80,8 @@ PINNED_BITS = {
 
 
 def mpmath_kernel(alpha):
-    """int_0^inf sin^2(alpha y) sin^2(y^2/2) / y^4 dy to 60 digits: the Fresnel
-    form of survival.escape_integral in mpmath's Fresnel integrals."""
+    """int_0^inf sin^2(alpha y) sin^2(y^2/2) / y^4 dy to 60 digits: its closed
+    form in mpmath's Fresnel integrals."""
     with mpmath.workdps(60):
         a, scale = mpmath.mpf(alpha), mpmath.sqrt(mpmath.pi / 2)
         re_t = scale * (0.5 - mpmath.fresnelc(a / scale))

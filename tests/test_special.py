@@ -7,47 +7,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import modfresnelp, polygamma, sici
+from scipy.special import polygamma, sici
 
 from wellquench import _special
 from wellquench.universal import universal_tail_bound
 
 EPS = np.finfo(float).eps
-
-
-def fresnel_tail_mp(alpha):
-    """int_alpha^inf e^{i s^2} ds to 40 digits, from mpmath's Fresnel integrals."""
-    with mpmath.workdps(40):
-        scale = mpmath.sqrt(mpmath.pi / 2)
-        u = mpmath.mpf(alpha) / scale
-        return scale * mpmath.mpc(0.5 - mpmath.fresnelc(u), 0.5 - mpmath.fresnels(u))
-
-
-def relative_error(value, reference):
-    return float(abs(mpmath.mpc(value) - reference) / abs(reference))
-
-
-SWITCH = _special._FRESNEL_SWITCH
-FRESNEL_ALPHAS = (np.geomspace(0.03, 200.0, 61).tolist()
-                  + [0.0, math.nextafter(SWITCH, 0.0), SWITCH, math.nextafter(SWITCH, 3.0)])
-
-
-class TestFresnelTail:
-    def test_against_mpmath(self):
-        worst = max(relative_error(_special.fresnel_tail(a), fresnel_tail_mp(a))
-                    for a in FRESNEL_ALPHAS)
-        assert worst <= 4e-15
-
-    def test_against_modfresnelp(self):
-        # modfresnelp rounds alpha^2 inside its phase: about alpha^2 ulps
-        for alpha in FRESNEL_ALPHAS:
-            ours, theirs = _special.fresnel_tail(alpha), complex(modfresnelp(alpha)[0])
-            assert abs(ours - theirs) <= (3e-14 + 2.0 * alpha * alpha * EPS) * abs(theirs)
-
-    def test_both_sides_of_the_switch_agree(self):
-        below = _special.fresnel_tail(math.nextafter(SWITCH, 0.0))
-        at = _special.fresnel_tail(SWITCH)
-        assert abs(at - below) <= 6e-15 * abs(at)
 
 
 class TestTrigamma:

@@ -159,9 +159,9 @@ class TestEscapeIntegral:
         assert np.all(np.diff(np.abs(gaps - target)) < 0.0)
         assert gaps[-1] == pytest.approx(target, rel=0.01)
 
-    # the series below alpha = 0.03, the Fresnel line up to 200, the mean
-    # field beyond; above alpha = 0.3 the oracle runs at 1e-10, because at
-    # 1e-12 its panels need up to 1 GB near alpha = 200
+    # the power series below alpha = 2, the bracket from 2 on; above alpha =
+    # 0.3 the oracle runs at 1e-10, because at 1e-12 its panels need up to
+    # 1 GB near alpha = 200
     @pytest.mark.parametrize("alpha", [
         1e-3, 3e-3, 0.01, 0.0299, 0.03, 0.1, 0.3, 1.0, 2.0, 5.0, 30.0, 100.0,
         199.9, 200.0, 1e3, 1e4])
@@ -171,14 +171,16 @@ class TestEscapeIntegral:
         quadrature = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
         assert abs(closed - quadrature) <= max(1e-8 * quadrature, 1e-13)
 
-    @pytest.mark.parametrize("lo, hi, bound", [
-        (1e-3, 0.03, 1e-12), (0.03, 30.0, 1e-12), (30.0, 200.0, 4e-11),
-        (200.0, 1e3, 7e-10)])
-    def test_closed_form_against_mpmath(self, lo, hi, bound):
-        # the documented relative error of each band, against the same closed
-        # form evaluated to 60 digits with mpmath's Fresnel integrals
+    @pytest.mark.parametrize("lo, hi", [
+        (1e-3, 0.03), (0.03, 2.0), (2.0, 30.0), (30.0, 200.0), (200.0, 1e3),
+        (1e3, 1e6)])
+    def test_closed_form_against_mpmath(self, lo, hi):
+        # the documented relative error, 3e-15 below alpha = 2 and 6e-16 from
+        # 2 on, is the worst over 1500 log-spaced points per band; every 25th
+        # of them is checked against the Fresnel form of I to 60 digits
+        bound = 3e-15 if hi <= 2.0 else 6e-16
         with mpmath.workdps(60):
-            for alpha in np.geomspace(lo, hi, 40, endpoint=False).tolist():
+            for alpha in np.geomspace(lo, hi, 1500, endpoint=False)[::25].tolist():
                 a, scale = mpmath.mpf(alpha), mpmath.sqrt(mpmath.pi / 2)
                 u = a / scale
                 re_t = scale * (0.5 - mpmath.fresnelc(u))
@@ -190,12 +192,29 @@ class TestEscapeIntegral:
                 closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
                 assert abs(closed - exact) <= bound * exact
 
-    @pytest.mark.parametrize("edge, bound", [(0.03, 5e-12), (200.0, 3e-9)])
-    def test_branches_meet_continuously(self, edge, bound):
-        # bound: at least the sum of the documented errors on either side
-        below = escape_integral(math.nextafter(edge, 0.0), 1.0)
-        at = escape_integral(edge, 1.0)
-        assert abs(at - below) <= bound * at
+    def test_branches_meet_continuously(self):
+        # bound: the sum of the documented errors on either side of the
+        # single switch at alpha = 2
+        below = escape_integral(math.nextafter(2.0, 0.0), 1.0)
+        at = escape_integral(2.0, 1.0)
+        assert abs(at - below) <= (3e-15 + 6e-16) * at
+
+    @pytest.mark.parametrize("delta, t, expected", [
+        (1.0, 1e-310, 0.0), (1e160, 1.0, 10.499739963814944),
+        (1e300, 1.0, 10.499739963814944),
+        (1e154, 1e-154, 1.0499739963814944e-230), (1e300, 1e-310, 0.0),
+        (1e5, 1.0, 10.499739963814944)])
+    def test_huge_alpha_keeps_the_limit(self, delta, t, expected):
+        # alpha^2 overflows, or (at 1e5) the bracket's correction is below
+        # one ulp of 1: I is F / 2 to the last bit, and 8 pi F t^{3/2} is
+        # 0, tiny or 10.4997... as before the bracket, without raising
+        assert escape_integral(delta, t) == expected
+
+    @pytest.mark.parametrize("t", [np.array([1e-3]), np.array([1e-3, 2e-3]),
+                                   [1e-3]], ids=["array-1", "array-2", "list"])
+    def test_rejects_a_time_array(self, t):
+        with pytest.raises(ValueError, match="time must be a scalar"):
+            escape_integral(0.003, t)
 
     def test_cli_grid_matches_the_quadrature_route(self):
         # the escape command's default grid, against the tol = 1e-7
