@@ -192,12 +192,15 @@ class TestEscapeIntegral:
                 closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
                 assert abs(closed - exact) <= bound * exact
 
-    def test_branches_meet_continuously(self):
-        # bound: the sum of the documented errors on either side of the
-        # single switch at alpha = 2
-        below = escape_integral(math.nextafter(2.0, 0.0), 1.0)
-        at = escape_integral(2.0, 1.0)
-        assert abs(at - below) <= (3e-15 + 6e-16) * at
+    @pytest.mark.parametrize("edge, bound", [
+        (0.03, 5e-12), (2.0, 3e-15 + 6e-16), (200.0, 3e-9)])
+    def test_branches_meet_continuously(self, edge, bound):
+        # edge 2 is the switch between the series and the bracket; 0.03
+        # and 200 lie inside one branch and must show no step either.
+        # bound: at least the sum of the documented errors on either side
+        below = escape_integral(math.nextafter(edge, 0.0), 1.0)
+        at = escape_integral(edge, 1.0)
+        assert abs(at - below) <= bound * at
 
     @pytest.mark.parametrize("delta, t, expected", [
         (1.0, 1e-310, 0.0), (1e160, 1.0, 10.499739963814944),
