@@ -1,4 +1,4 @@
-"""Scalar special functions, trigamma and the sine integral, and their helpers.
+"""Scalar special functions, trigamma and the sine integral's tail, and their helpers.
 
 Each function is a convergent series for small arguments and a continued
 fraction or an asymptotic series for large ones, in double precision with
@@ -15,7 +15,7 @@ _EPS = sys.float_info.epsilon
 _TINY = 1e-300
 _MAX_TERMS = 1000
 
-# sine_integral's switch from its power series to its continued fraction
+# sine_integral_tail's switch from the power series of Si to the continued fraction
 _SI_SWITCH = 4.0
 # trigamma recurs up to this x, then sums the asymptotic series
 _TRIGAMMA_SWITCH = 10.0
@@ -77,12 +77,14 @@ def trigamma(x: float) -> float:
     return math.fsum(terms)
 
 
-def sine_integral(x: float) -> float:
-    """Si(x) = int_0^x sin(s)/s ds for x >= 0.
+def sine_integral_tail(x: float) -> float:
+    """pi/2 - Si(x) = -Im E1(ix) for x >= 0, Si(x) = int_0^x sin(s)/s ds.
 
-    Below 4 the power series, from 4 on pi/2 + Im E1(ix) with
-    E1(z) = e^{-z} / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) (Numerical
-    Recipes, 3rd ed., sec. 6.8.2).  Relative error <= 5e-16.
+    Below 4 pi/2 less the power series of Si summed with math.fsum, within
+    7e-16 absolute.  From 4 on the continued fraction E1(z) = e^{-z} /
+    (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) (Numerical Recipes, 3rd ed.,
+    sec. 6.8.2), with no cancellation: absolute error <= 4e-15 / x, a few
+    ulps of the envelope 1/x, where pi/2 - Si(x) would keep one ulp of pi/2.
     """
     if x < _SI_SWITCH:
         terms, power, k = [], x, 0
@@ -90,20 +92,7 @@ def sine_integral(x: float) -> float:
             terms.append((-1.0) ** k * power / (2 * k + 1))
             k += 1
             power *= x * x / ((2 * k) * (2 * k + 1))
-        return math.fsum(terms)
-    return math.pi / 2.0 - sine_integral_tail(x)
-
-
-def sine_integral_tail(x: float) -> float:
-    """pi/2 - Si(x) = -Im E1(ix) for x >= 0.
-
-    From 4 on the continued fraction of sine_integral, with no cancellation:
-    absolute error <= 4e-15 / x, a few ulps of the envelope 1/x, where
-    pi/2 - sine_integral(x) keeps one ulp of pi/2.  Below 4 that difference,
-    within 7e-16 absolute.
-    """
-    if x < _SI_SWITCH:
-        return math.pi / 2.0 - sine_integral(x)
+        return math.pi / 2.0 - math.fsum(terms)
     z = complex(1.0, x)
     fraction = lentz(z, lambda j: (-float(j * j), z + 2.0 * j))
     return -(complex(math.cos(x), -math.sin(x)) / fraction).imag

@@ -191,7 +191,7 @@ def cmd_universal(args) -> list:
     tables = [(args.out, header, ["xi", "F", "tail_bound"],
                ((x, v, tail) for x, v in zip(xi, values)))]
     if args.valleys_out:
-        valley_modes = min(n_modes, 10**5)
+        valley_modes = min(n_modes, universal.DEFAULT_MODES)
         valleys = universal.valley_locations(args.p_max, n_modes=valley_modes)
         vrows = [(e.numerator, e.denominator_root, e.location, e.depth)
                  for e in valleys.entries]
@@ -299,7 +299,7 @@ COMMANDS = {
         "--valleys-out": Opt(help="also write the valley list here"),
         "--p-max": Opt(4, int)}),
     "fractal": Command(cmd_fractal, "curve lengths, dimension, phase sums", {
-        **_IO, **_modes(10**5),
+        **_IO, **_modes(universal.DEFAULT_MODES),
         "--base-intervals": Opt(10**5, int),
         "--histogram": Opt(False, bool,
                            "emit the phase-sum histogram instead of lengths"),

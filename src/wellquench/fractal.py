@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatchError, InsufficientSpanError
 from .spectral import _lattice_sums, _ruler_period, _turns, _window_sums
-from .universal import UniversalCurve, require_uniform, universal_curve
+from .universal import UniversalCurve, _profile_modes, require_uniform, universal_curve
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,10 @@ class PhaseSumSample:
     """All quadratic phase sums for one ruler, with sample moments."""
 
     epsilon: float
+    cutoff: int         # largest summed mode index, floor(sqrt(1/(2 eps)))
     values: np.ndarray  # xi_m for m = 1..floor(1/eps)
     mean: float
     std: float
-
-    @property
-    def cutoff(self) -> int:
-        """Largest summed mode index, floor(sqrt(1/(2 eps)))."""
-        return int(math.floor(math.sqrt(1.0 / (2.0 * self.epsilon))))
 
 
 @dataclass(frozen=True)
@@ -112,9 +108,8 @@ def dimension_fit(epsilons, lengths) -> DimensionFit:
 
 
 def profile_dimension(strides, base_intervals: int = 10**5,
-                      n_modes: int = 10**5,
-                      form: str = "chord") -> tuple[DimensionFit, list[CurveLength]]:
-    """Measure the limit profile with a family of rulers and fit its dimension.
+                      n_modes: int = 10**5) -> tuple[DimensionFit, list[CurveLength]]:
+    """Fit the limit profile's dimension to its chord lengths at a family of rulers.
 
     ``strides`` are integer multiples of the base spacing 1/base_intervals;
     the profile is sampled once on the base grid and subsampled per ruler
@@ -139,13 +134,11 @@ def profile_dimension(strides, base_intervals: int = 10**5,
                              truncation=n_modes,
                              tail_bound=base.tail_bound)
         lengths.append(curve_length(sub, eps))
-    eps = [m.ruler for m in lengths]
-    chosen = [getattr(m, form) for m in lengths]
-    return dimension_fit(eps, chosen), lengths
+    return dimension_fit([m.ruler for m in lengths], [m.chord for m in lengths]), lengths
 
 
 def phase_sum_samples(epsilon: float) -> PhaseSumSample:
-    """xi_m = sum_{n=2}^{floor(sqrt(1/(2 eps)))} sin(2 pi n^2 m eps), m = 1..1/eps.
+    """xi_m = sum_{n=2}^{cutoff} sin(2 pi n^2 m eps), m = 1..1/eps.
 
     Deterministic: the statistics are over the index m, never over a RNG.
     On a ruler lattice eps = 1/K (spectral._ruler_period) xi_m = Im B_m of
@@ -162,14 +155,14 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     if cutoff < 2:
         raise ValueError(f"ruler {epsilon:g} leaves no modes below the cutoff")
     count = int(math.floor(1.0 / epsilon))
-    n = np.arange(2, cutoff + 1, dtype=np.int64)
+    nsq, _ = _profile_modes(cutoff)
     K = int(_ruler_period(epsilon))
     if K:
-        sums = _lattice_sums(np.ones(n.size), n * n, K).imag
+        sums = _lattice_sums(np.ones(nsq.size), nsq, K).imag
         values = np.concatenate([sums[1:], sums[:1]])[:count]  # m = 1..K
     else:
-        values = _window_sums(_turns(n * n, epsilon), np.ones(n.size), count + 1)[1:].imag
-    return PhaseSumSample(epsilon=epsilon, values=values,
+        values = _window_sums(_turns(nsq, epsilon), np.ones(nsq.size), count + 1)[1:].imag
+    return PhaseSumSample(epsilon=epsilon, cutoff=cutoff, values=values,
                           mean=float(values.mean()),
                           std=float(values.std(ddof=0)))
 

@@ -80,22 +80,27 @@ class WellConfig:
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Expansion coefficients of the pre-quench ground state in the expanded basis."""
+    """Expansion coefficients of the pre-quench ground state in the expanded
+    basis, and the mode table every mode sum reads (derived, never set)."""
 
     values: np.ndarray      # a_n for n = 1..truncation
     truncation: int
     config: WellConfig
+    weights: np.ndarray = field(init=False)     # a_n^2
+    energies: np.ndarray = field(init=False)    # E_n = (pi n / L)^2
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size != self.truncation:
             raise ValueError("coefficient array must be 1-d with one entry per mode")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weights", values * values)
+        object.__setattr__(self, "energies", mode_energies(self.config, self.truncation))
 
     @property
     def completeness_deficit(self) -> float:
         """1 - sum(a_n^2); tends to 0 as the truncation grows."""
-        return 1.0 - math.fsum(self.values * self.values)
+        return 1.0 - math.fsum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,9 @@ def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
 
 
 def _valid_shift(delta) -> float:
-    """``delta`` as a float; ValueError unless it is finite and >= 0."""
+    """``delta`` as a float; ValueError unless it is one finite number >= 0."""
+    if np.ndim(delta) != 0:
+        raise ValueError("wall shift must be a scalar")
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValueError(f"wall shift must be finite and >= 0, got {delta}")
@@ -370,7 +377,6 @@ def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
                ts: np.ndarray) -> np.ndarray:
     """sum_n a_n sin(n pi x/L) e^{-i E_n t}, rows over ``ts``, columns over
     ``xs``, both validated by the caller."""
-    energies = mode_energies(config, coeffs.truncation)
     n = np.arange(1, coeffs.truncation + 1, dtype=float)
     parts = np.zeros((2 * ts.size, xs.size))
     # accumulate (times x modes) @ (modes x positions) in mode blocks, the
@@ -378,7 +384,7 @@ def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
     chunk = max(1, int(2**22 / max(1, ts.size, xs.size)))
     for i in range(0, coeffs.truncation, chunk):
         sl = slice(i, i + chunk)
-        phased = coeffs.values[sl] * np.exp(-1j * np.outer(ts, energies[sl]))
+        phased = coeffs.values[sl] * np.exp(-1j * np.outer(ts, coeffs.energies[sl]))
         parts += (np.concatenate((phased.real, phased.imag))
                   @ np.sin(np.outer(n[sl], math.pi * xs / config.width)))
     return parts[:ts.size] + 1j * parts[ts.size:]
@@ -401,8 +407,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
     grid = _grid_numerators(xs.ravel() / (2.0 * config.width), coeffs.truncation)
     if grid is not None and grid.period:
         n = np.arange(1, coeffs.truncation + 1)
-        energies = mode_energies(config, coeffs.truncation)
-        c = coeffs.values * np.exp(-1j * (ts * energies))
+        c = coeffs.values * np.exp(-1j * (ts * coeffs.energies))
         real, imag = (_lattice_sums(part, n, grid.period, grid.origin).imag[grid.index]
                       for part in (c.real, c.imag))
         psi = real + 1j * imag
@@ -477,16 +482,15 @@ _TAIL_BOUNDS = {
 }
 
 
-def truncation_for_tolerance(config: WellConfig, observable: str, tol: float,
-                             hard_cap: int = DEFAULT_MODE_CAP) -> int:
+def truncation_for_tolerance(config: WellConfig, observable: str, tol: float) -> int:
     """Smallest mode count whose analytic tail bound falls below ``tol``.
 
     ``observable`` selects the bound: "coefficients" bounds the completeness
     deficit, "survival" bounds the reachable change in the escape
     probability.  Monotone nonincreasing in ``tol``.  Raises
-    TruncationCapError when even ``hard_cap`` modes are not enough.
+    TruncationCapError when even DEFAULT_MODE_CAP modes are not enough.
     """
-    if not tol > 0.0:  # NaN too, which would select the hard cap
+    if not tol > 0.0:  # NaN too, which would select the mode cap
         raise ValueError("tolerance must be positive")
     try:
         bound = _TAIL_BOUNDS[observable]
@@ -496,11 +500,11 @@ def truncation_for_tolerance(config: WellConfig, observable: str, tol: float,
     n_min = max(2, math.ceil(config.width))
     if bound(config, n_min) <= tol:
         return n_min
-    if bound(config, hard_cap) > tol:
+    if bound(config, DEFAULT_MODE_CAP) > tol:
         raise TruncationCapError(
             f"tolerance {tol:g} for {observable!r} needs more than "
-            f"{hard_cap} modes")
-    lo, hi = n_min, hard_cap
+            f"{DEFAULT_MODE_CAP} modes")
+    lo, hi = n_min, DEFAULT_MODE_CAP
     while hi - lo > 1:  # bound is monotone decreasing in N
         mid = (lo + hi) // 2
         if bound(config, mid) <= tol:

@@ -21,8 +21,7 @@ from ._special import lentz, two_square
 from .errors import TruncationInconsistencyError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _lattice_sums, _valid_shift, _valid_times,
-                       mode_coefficients, mode_energies,
-                       truncation_for_tolerance)
+                       mode_coefficients, truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
 FREE_KERNEL_CONSTANT = math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
@@ -43,6 +42,9 @@ _SERIES = tuple(2.0 * math.sqrt(math.pi / 2.0) * (-1.0) ** (k // 2)
                 for k in range(34))
 _BRACKET_CAP = 1e8
 
+#: log-spaced times in each fit window of regime_report
+_FIT_POINTS = 16
+
 # negative escape values beyond this are a hard error, below it they are
 # reported as-is, and only violations within the noise floor are clamped
 _NEGATIVE_ERROR = -1e-8
@@ -60,17 +62,11 @@ class RegimeReport:
     prefactor_late: float
 
 
-def _weights_and_energies(config: WellConfig, n_modes: int):
-    coeffs = mode_coefficients(config, n_modes)
-    a2 = coeffs.values * coeffs.values
-    return a2, mode_energies(config, n_modes)
-
-
 def survival_amplitude(config: WellConfig, t, n_modes: int):
     """A(t) = sum_{n=1..N} a_n^2 e^{-i E_n t}; scalar or array ``t``."""
-    a2, energies = _weights_and_energies(config, n_modes)
+    coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
-    out = _direct_sums(ts, energies, lambda p: a2 * np.exp(-1j * p))
+    out = _direct_sums(ts, coeffs.energies, lambda p: coeffs.weights * np.exp(-1j * p))
     return out if np.ndim(t) else complex(out[0])
 
 
@@ -108,9 +104,9 @@ def _apply_noise_clamp(values: np.ndarray) -> np.ndarray:
 
 def escape_probability_exact(config: WellConfig, t, n_modes: int):
     """1 - |A(t)|^2 from the truncated mode sum; scalar or array ``t``."""
-    a2, energies = _weights_and_energies(config, n_modes)
+    coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
-    out = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=False))
+    out = _apply_noise_clamp(_escape_core(coeffs.weights, coeffs.energies, ts, aligned=False))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -126,14 +122,14 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     Times on a lattice j T / K of the period T (E_n T = 2 pi n^2) are read
     off one spectral._lattice_sums, whose Re B is symmetric in j <-> K - j.
     """
-    a2, energies = _weights_and_energies(config, n_modes)
+    coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
     grid = _grid_numerators(ts / config.period, n_modes - 1)
     if grid is None or not grid.period or grid.origin:
-        core = _escape_core(a2, energies, ts, aligned=True)
+        core = _escape_core(coeffs.weights, coeffs.energies, ts, aligned=True)
     else:  # E_n T = 2 pi n^2 exactly, so _escape_core's B is a lattice sum
         nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
-        b = _lattice_sums(a2[1:], nsq, grid.period)[grid.index]
+        b = _lattice_sums(coeffs.weights[1:], nsq, grid.period)[grid.index]
         core = 2.0 * b.real - b.real * b.real - b.imag * b.imag
     out = _apply_noise_clamp(core)
     return out if np.ndim(t) else float(out[0])
@@ -247,29 +243,26 @@ def _fixed_exponent_amplitude(ts, ps, exponent):
     return float(np.exp(np.mean(np.log(ps) - exponent * np.log(ts))))
 
 
-def regime_report(delta: float, early_window, late_window,
-                  points_per_window: int = 16,
-                  n_modes: int | None = None) -> RegimeReport:
+def regime_report(delta: float, early_window, late_window) -> RegimeReport:
     """Fit both power-law regimes of the exact escape probability.
 
     Slopes come from unweighted least squares on (log t, log P) over each
     window.  The prefactors are the least-squares amplitudes at the
     theoretical exponents (3/2 early, 1/2 late), which keeps them meaningful
-    even when the fitted slope drifts a little.
+    even when the fitted slope drifts a little.  Each window holds
+    _FIT_POINTS times, and the modes are as many as keep the survival tail
+    bound under 1e-3 of the free law at the first time.
     """
-    if points_per_window < 5:
-        raise ValueError("need at least 5 points per window for a stable fit")
     config = WellConfig(delta)
-    if n_modes is None:
-        target = 1e-3 * float(asymptote_free(float(early_window[0])))
-        n_modes = truncation_for_tolerance(config, "survival", target)
+    target = 1e-3 * float(asymptote_free(float(early_window[0])))
+    n_modes = truncation_for_tolerance(config, "survival", target)
     slopes = []
     amplitudes = []
     for window, exponent in ((early_window, 1.5), (late_window, 0.5)):
         lo, hi = float(window[0]), float(window[1])
         if not 0.0 < lo < hi:
             raise ValueError(f"bad fit window {window}")
-        ts = np.logspace(math.log10(lo), math.log10(hi), points_per_window)
+        ts = np.logspace(math.log10(lo), math.log10(hi), _FIT_POINTS)
         ps = escape_probability_exact(config, ts, n_modes)
         slopes.append(_loglog_slope(ts, ps))
         amplitudes.append(_fixed_exponent_amplitude(ts, ps, exponent))

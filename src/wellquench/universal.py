@@ -65,9 +65,6 @@ class ValleyEntry:
 class ValleyList:
     entries: tuple
 
-    def locations(self) -> list[float]:
-        return [e.location for e in self.entries]
-
 
 def universal_function(xi, n_modes: int = DEFAULT_MODES):
     """Truncated evaluation of the limit profile at arbitrary xi.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wellquench import fractal
 from wellquench.errors import GridMismatchError, InsufficientSpanError
 from wellquench.fractal import (curve_length, dimension_fit,
                                 normality_diagnostics, phase_sum_samples,
@@ -119,8 +120,9 @@ class TestProfileDimension:
         assert fit.dimension == pytest.approx(1.25, abs=0.05)
 
     def test_chord_and_variation_forms_agree(self):
-        fit_chord, _ = profile_dimension(self.STRIDES)
-        fit_var, _ = profile_dimension(self.STRIDES, form="variation")
+        fit_chord, lengths = profile_dimension(self.STRIDES)
+        fit_var = dimension_fit([m.ruler for m in lengths],
+                                [m.variation for m in lengths])
         assert abs(fit_chord.dimension - fit_var.dimension) < 0.03
 
     def test_ruler_halving_monotonicity(self):
@@ -209,6 +211,16 @@ class TestPhaseSums:
         with pytest.raises(ValueError):
             phase_sum_samples(0.2)  # cutoff would fall below n = 2
 
+    @pytest.mark.parametrize("inverse", [1000.0, 2000.5], ids=["lattice", "window"])
+    def test_one_mode_table_per_sample(self, monkeypatch, inverse):
+        # the n^2 of a sample come from the profile's own mode table
+        calls = []
+        modes = fractal._profile_modes
+        monkeypatch.setattr(fractal, "_profile_modes",
+                            lambda n: calls.append(n) or modes(n))
+        sample = phase_sum_samples(1.0 / inverse)
+        assert calls == [sample.cutoff]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-3])
     def test_ruler_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="ruler must be finite and positive"):
@@ -248,7 +260,7 @@ class TestNormalityDiagnostics:
 
     def test_degenerate_sample_reports_nan(self):
         from wellquench.fractal import PhaseSumSample
-        single = PhaseSumSample(epsilon=0.1, values=np.array([1.3]),
+        single = PhaseSumSample(epsilon=0.1, cutoff=2, values=np.array([1.3]),
                                 mean=1.3, std=0.0)
         report = normality_diagnostics(single)
         assert math.isnan(report.skewness)

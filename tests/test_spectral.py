@@ -102,6 +102,52 @@ class TestCompleteness:
             assert deficit <= coefficient_tail_bound(w, n)
 
 
+class TestOneModeTable:
+    """ModeCoefficients forms a_n^2 and E_n once per table, and every mode
+    sum reads them there."""
+
+    @staticmethod
+    def count(monkeypatch, module, name, calls):
+        func = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_table_holds_the_squares_and_the_energies(self):
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, 500)
+        assert np.array_equal(coeffs.weights, coeffs.values * coeffs.values)
+        assert np.array_equal(coeffs.energies, spectral.mode_energies(w, 500))
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, 1.2, 65),
+                                   np.array([0.1, 0.5, 0.93]), 0.5],
+                             ids=["lattice", "off_lattice", "scalar"])
+    def test_wavefunction_and_density_read_the_table(self, monkeypatch, x):
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, 800)
+        calls = {"mode_energies": 0}
+        self.count(monkeypatch, spectral, "mode_energies", calls)
+        wavefunction(w, coeffs, x, 0.01)
+        assert calls == {"mode_energies": 0}
+        density_field(w, coeffs, np.atleast_1d(x), np.linspace(0.0, w.period, 5))
+        assert calls == {"mode_energies": 0}
+
+    @pytest.mark.parametrize("name", ["survival_amplitude", "escape_probability_exact",
+                                      "escape_probability_aligned"])
+    @pytest.mark.parametrize("xi", [np.array([0.0, 0.0123, 0.31]),
+                                    np.linspace(0.0, 1.0, 9)],
+                             ids=["off_lattice", "period_lattice"])
+    def test_survival_builds_one_table(self, monkeypatch, name, xi):
+        w = WellConfig(0.2)
+        calls = {"mode_coefficients": 0, "mode_energies": 0}
+        self.count(monkeypatch, survival, "mode_coefficients", calls)
+        self.count(monkeypatch, spectral, "mode_energies", calls)
+        getattr(survival, name)(w, xi * w.period, 800)
+        assert calls == {"mode_coefficients": 1, "mode_energies": 1}
+
+
 class TestTruncationForTolerance:
     def test_degenerate_tolerance_gives_minimum(self):
         assert truncation_for_tolerance(WellConfig(0.003), "survival", 1.0) == 2
@@ -121,9 +167,10 @@ class TestTruncationForTolerance:
 
     def test_cap_behavior(self):
         w = WellConfig(0.2)
-        assert truncation_for_tolerance(w, "survival", 1e-12, hard_cap=10**6) <= 10**6
+        assert truncation_for_tolerance(w, "survival", 1e-12) <= 10**6
+        # the survival bound at the 10**6-mode cap is about 4.7e-19
         with pytest.raises(TruncationCapError):
-            truncation_for_tolerance(w, "survival", 1e-12, hard_cap=100)
+            truncation_for_tolerance(w, "survival", 1e-20)
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError):

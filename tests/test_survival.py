@@ -331,6 +331,17 @@ class TestAsymptotes:
         with pytest.raises(ValueError, match="wall shift must be finite and >= 0"):
             crossover_time(delta)
 
+    @pytest.mark.parametrize("delta", [np.array([0.1, 0.2]), [0.1, 0.2]],
+                             ids=["array", "list"])
+    @pytest.mark.parametrize("call", [
+        WellConfig, lambda d: escape_integral(d, 1e-3),
+        lambda d: asymptote_confined(d, 1e-3), crossover_time,
+    ], ids=["config", "integral", "confined", "crossover"])
+    def test_shift_must_be_one_scalar(self, call, delta):
+        # float() of a 2-element array or a list raised TypeError
+        with pytest.raises(ValueError, match="wall shift must be a scalar"):
+            call(delta)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call, name", [
         (lambda: asymptote_confined(1e200, 1.0), "wall shift 1e[+]200"),
@@ -369,11 +380,6 @@ class TestRegimeReport:
         assert report.fitted_slope_late == pytest.approx(0.5, abs=0.05)
         assert report.prefactor_late == pytest.approx(
             CONFINED_LAW_COEFFICIENT * 0.003**2, rel=0.05)
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            regime_report(0.003, (1e-8, 1e-7), (1e-4, 1e-3),
-                          points_per_window=4)
 
 
 class TestInvariants:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from wellquench import spectral, universal
 from wellquench.cli import main
 from wellquench.errors import GridMismatchError
-from wellquench.spectral import WellConfig, _grid_numerators, _turns
+from wellquench.spectral import (WellConfig, _grid_numerators, _turns,
+                                 mode_coefficients)
 from wellquench.survival import (_apply_noise_clamp, _escape_core,
-                                 _weights_and_energies,
                                  escape_probability_aligned)
 from wellquench.universal import (MODE_WEIGHT_TOTAL, UPPER_BOUND,
                                   UniversalCurve, _grid_profile,
@@ -178,7 +178,7 @@ class TestScaledEscapeLimit:
 class TestValleys:
     def test_quarter_point_is_a_valley(self):
         valleys = valley_locations(2, n_modes=10**5)
-        locations = valleys.locations()
+        locations = [e.location for e in valleys.entries]
         assert any(abs(loc - 0.25) < 1e-12 for loc in locations)
         center = universal_function(0.25, 10**5)
         assert center < universal_function(0.25 - 1e-3, 10**5)
@@ -191,13 +191,13 @@ class TestValleys:
 
     def test_ninths_appear_at_p_three(self):
         valleys = valley_locations(3, n_modes=10**5)
-        locations = valleys.locations()
+        locations = [e.location for e in valleys.entries]
         for target in (1.0 / 9.0, 2.0 / 9.0, 0.25):
             assert any(abs(loc - target) < 1e-12 for loc in locations)
 
     def test_locations_deduplicated_and_in_range(self):
         valleys = valley_locations(4, n_modes=10**4)
-        locations = valleys.locations()
+        locations = [e.location for e in valleys.entries]
         assert len(locations) == len(set(locations))
         assert all(0.0 <= loc <= 1.0 for loc in locations)
         # the stored pair presents the location exactly
@@ -398,7 +398,8 @@ class TestResidueGrid:
         config = WellConfig(10.0 ** log_delta)
         ts = np.linspace(0.0, 1.0, K + 1) * config.period
         grid = escape_probability_aligned(config, ts, n_modes)
-        a2, energies = _weights_and_energies(config, n_modes)
+        coeffs = mode_coefficients(config, n_modes)
+        a2, energies = coeffs.weights, coeffs.energies
         direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
         # the direct route rounds each phase E_n t to a few ulps
         phase_rounding = float(np.sum(a2[1:] * energies[1:])) * ts.max()
@@ -414,7 +415,8 @@ class TestResidueGrid:
         config = WellConfig(10.0 ** log_delta)
         ts = np.array(times) * math.pi
         assume(_grid_numerators(ts / config.period, NO_COST_LIMIT) is None)
-        a2, energies = _weights_and_energies(config, n_modes)
+        coeffs = mode_coefficients(config, n_modes)
+        a2, energies = coeffs.weights, coeffs.energies
         direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
         assert np.array_equal(escape_probability_aligned(config, ts, n_modes), direct)
 
