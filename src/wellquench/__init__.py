@@ -17,9 +17,8 @@ from .survival import (RegimeReport, asymptote_confined,
 from .universal import (UniversalCurve, ValleyList, scaled_escape_limit,
                         universal_curve, universal_function,
                         universal_tail_bound, valley_locations)
-from .fractal import (CurveLength, DimensionFit, PhaseSumSample, curve_length,
-                      dimension_fit, normality_diagnostics, phase_sum_samples,
-                      profile_dimension)
+from .fractal import (CurveLength, DimensionFit, PhaseSumSample, dimension_fit,
+                      normality_diagnostics, phase_sum_samples, profile_dimension)
 from .oracle import (GridState, adaptive_quadrature, initial_state, overlap,
                      propagate)
 
@@ -33,9 +32,8 @@ __all__ = [
     "asymptote_confined", "crossover_time", "regime_report",
     "UniversalCurve", "ValleyList", "universal_function", "universal_curve",
     "universal_tail_bound", "scaled_escape_limit", "valley_locations",
-    "CurveLength", "DimensionFit", "PhaseSumSample", "curve_length",
-    "dimension_fit", "phase_sum_samples", "normality_diagnostics",
-    "profile_dimension",
+    "CurveLength", "DimensionFit", "PhaseSumSample", "dimension_fit",
+    "phase_sum_samples", "normality_diagnostics", "profile_dimension",
     "GridState", "initial_state", "propagate", "overlap",
     "adaptive_quadrature",
     "__version__",

@@ -7,7 +7,7 @@ CSV with '#' header lines or JSON lines, with full provenance in the header and
 
 Every option and its default is declared once, in ``COMMANDS``; argparse is
 generated from that table, and a ``--config`` file is read by turning its
-``key = value`` lines into flags placed before the command line's own.
+``key = value`` lines into flags, which the command line's own flags override.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 non-convergence.
@@ -212,8 +212,8 @@ def cmd_fractal(args) -> list:
         sample = fractal.phase_sum_samples(args.epsilon)
         report = fractal.normality_diagnostics(sample, bins=args.bins)
         header = _base_header(epsilon=args.epsilon, cutoff=sample.cutoff,
-                              count=sample.values.size, mean=report.mean,
-                              std=report.std, skewness=report.skewness,
+                              count=sample.values.size, mean=sample.mean,
+                              std=sample.std, skewness=report.skewness,
                               excess_kurtosis=report.excess_kurtosis)
         rows = zip(report.bin_edges[:-1], report.bin_edges[1:],
                    report.counts.tolist())
@@ -323,7 +323,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of ``COMMANDS``, built on first use.  A parse leaves it
-    unchanged: every parse fills a namespace of its own."""
+    unchanged: every parse fills a namespace of its own, with only the flags
+    it was given (parse_args applies the defaults)."""
     parser = _Parser(
         prog="wellquench",
         description="Sudden wall-shift dynamics: escape laws, the universal "
@@ -331,14 +332,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        modes = p.add_mutually_exclusive_group()
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        # argparse cannot format an empty group, so only a command with --n has one
+        modes = p.add_mutually_exclusive_group() if "--n" in command.options else p
         for flag, opt in command.options.items():
             kind = ({"action": "store_true"} if opt.type is bool
                     else {"type": opt.type, "choices": opt.choices})
             (modes if flag in ("--n", "--tol") else p).add_argument(
-                flag, default=opt.default, help=opt.help, **kind)
+                flag, help=opt.help, **kind)
     return parser
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute of a long flag, as argparse names it (--t-min: t_min)."""
+    return flag[2:].replace("-", "_")
 
 
 def _config_tokens(path: str, options: dict) -> list[str]:
@@ -347,6 +354,7 @@ def _config_tokens(path: str, options: dict) -> list[str]:
     Keys are flag names without the dashes (``t-min`` or ``t_min``); a switch
     is set by a true value (1, true, yes, on) and left alone otherwise.
     """
+    flags = {_dest(flag): flag for flag in options}
     tokens = []
     with open(path) as handle:
         for raw in handle:
@@ -354,10 +362,10 @@ def _config_tokens(path: str, options: dict) -> list[str]:
             if not line:
                 continue
             key, sep, value = (part.strip() for part in line.partition("="))
-            flag = "--" + key.replace("_", "-")
+            flag = flags.get(_dest("--" + key))
             if not sep:
                 raise ValueError(f"bad config line: {raw.strip()!r}")
-            if flag not in options:  # argparse would accept an abbreviation
+            if flag is None:  # argparse would accept an abbreviation
                 raise ValueError(f"unknown config key {key!r}")
             if options[flag].type is not bool:
                 tokens += [flag, value]
@@ -367,19 +375,23 @@ def _config_tokens(path: str, options: dict) -> list[str]:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parsed options of one invocation, config file and defaults applied."""
+    """Parsed options of one invocation, config file and defaults applied.
+    Command-line flags win over the file's, and a command-line --n or --tol
+    replaces both of the file's n and tol."""
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    options = COMMANDS[args.command].options
-    if getattr(args, "config", None):
-        # file values go first, so the command line's own flags win
-        at = argv.index(args.command) + 1
-        argv[at:at] = _config_tokens(args.config, options)
-        args = parser.parse_args(argv)
-    if "--tol" in options and args.n is not None:
-        args.tol = None  # an explicit mode count replaces the default tolerance
-    return args
+    given = vars(parser.parse_args(sys.argv[1:] if argv is None else argv))
+    options = COMMANDS[given["command"]].options
+    if given.get("config"):
+        from_file = vars(parser.parse_args(
+            [given["command"], *_config_tokens(given["config"], options)]))
+        if {"n", "tol"} & given.keys():
+            from_file = {k: v for k, v in from_file.items() if k not in ("n", "tol")}
+        given = {**from_file, **given}
+    values = {_dest(flag): opt.default for flag, opt in options.items()}
+    values.update(given)
+    if "--tol" in options and "n" in given:
+        values["tol"] = None  # an explicit mode count replaces the default tolerance
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, InsufficientSpanError
+from .errors import InsufficientSpanError
 from .spectral import _lattice_sums, _ruler_period, _turns, _window_sums
-from .universal import UniversalCurve, _profile_modes, require_uniform, universal_curve
+from .universal import _profile_modes, universal_curve
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class CurveLength:
     variation: float   # sum |dF| / 2, the ruler-term-free simplification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DimensionFit:
     """Log-log fit of length against ruler and the implied dimension."""
 
@@ -39,7 +39,7 @@ class DimensionFit:
     residual: float     # RMS of the fit residuals in log space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSumSample:
     """All quadratic phase sums for one ruler, with sample moments."""
 
@@ -50,34 +50,12 @@ class PhaseSumSample:
     std: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalityReport:
     bin_edges: np.ndarray
     counts: np.ndarray
-    mean: float
-    std: float
     skewness: float
     excess_kurtosis: float
-
-
-def curve_length(curve: UniversalCurve, epsilon: float) -> CurveLength:
-    """Length of the sampled curve measured with ruler ``epsilon``.
-
-    The curve must be uniformly sampled at exactly ``epsilon`` and cover
-    [0, 1 + epsilon] (one continuation sample past the period).  Uses the
-    two-sided increments F(m eps + eps) - F(m eps - eps) for m = 1..1/eps.
-    """
-    require_uniform(curve, epsilon)
-    steps = int(math.floor(1.0 / epsilon * (1.0 + 1e-12)))
-    if curve.values.size < steps + 2:
-        raise GridMismatchError(
-            f"curve has {curve.values.size} samples but ruler {epsilon:g} "
-            f"needs {steps + 2} covering [0, 1 + eps]")
-    m = np.arange(1, steps + 1)
-    diffs = curve.values[m + 1] - curve.values[m - 1]
-    chord = float(np.sum(np.sqrt(epsilon * epsilon + diffs * diffs)) / 4.0)
-    variation = float(0.5 * np.sum(np.abs(diffs)))
-    return CurveLength(ruler=epsilon, chord=chord, variation=variation)
 
 
 def dimension_fit(epsilons, lengths) -> DimensionFit:
@@ -112,8 +90,9 @@ def profile_dimension(strides, base_intervals: int = 10**5,
     """Fit the limit profile's dimension to its chord lengths at a family of rulers.
 
     ``strides`` are integer multiples of the base spacing 1/base_intervals;
-    the profile is sampled once on the base grid and subsampled per ruler
-    (exact for a periodic curve).
+    the profile is sampled once on the base grid and every ruler eps reads
+    its samples from it (exact for a periodic curve).  A ruler's lengths use
+    the two-sided increments F(m eps + eps) - F(m eps - eps), m = 1..1/eps.
     """
     strides = sorted(int(s) for s in strides)
     base_intervals = int(base_intervals)
@@ -123,17 +102,15 @@ def profile_dimension(strides, base_intervals: int = 10**5,
         raise ValueError(f"base intervals {base_intervals} are fewer than the "
                          f"largest stride {strides[-1]}")
     base = universal_curve(base_intervals, n_modes,
-                           extra_points=max(strides))
+                           extra_points=max(strides)).values
     lengths = []
     for stride in strides:
         eps = stride / float(base_intervals)
-        steps = base_intervals // stride
-        idx = np.arange(0, (steps + 2) * stride, stride)
-        sub = UniversalCurve(xi_grid=idx / float(base_intervals),
-                             values=base.values[idx],
-                             truncation=n_modes,
-                             tail_bound=base.tail_bound)
-        lengths.append(curve_length(sub, eps))
+        samples = base[:(base_intervals // stride + 2) * stride:stride]
+        diffs = samples[2:] - samples[:-2]
+        lengths.append(CurveLength(
+            ruler=eps, chord=float(np.sum(np.sqrt(eps * eps + diffs * diffs)) / 4.0),
+            variation=float(0.5 * np.sum(np.abs(diffs)))))
     return dimension_fit([m.ruler for m in lengths], [m.chord for m in lengths]), lengths
 
 
@@ -170,21 +147,20 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
 def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityReport:
     """Histogram plus standardized moments; reports, never judges.
 
-    A single-point (or otherwise degenerate) sample yields NaN moments.
+    Standardises with the sample's own ``mean`` and ``std``, as
+    ``phase_sum_samples`` sets them; a degenerate sample yields NaN moments.
     """
     values = sample.values
     if values.size == 0:
         raise ValueError("empty sample")
     counts, edges = np.histogram(values, bins=bins)
-    std = float(values.std(ddof=0))
-    if values.size < 2 or std == 0.0:
+    if values.size < 2 or sample.std == 0.0:
         skew = kurt = float("nan")
     else:
-        z = (values - values.mean()) / std
+        z = (values - sample.mean) / sample.std
         skew = float(np.mean(z**3))
         kurt = float(np.mean(z**4) - 3.0)
     return NormalityReport(bin_edges=edges, counts=counts,
-                           mean=float(values.mean()), std=std,
                            skewness=skew, excess_kurtosis=kurt)
 
 

@@ -26,7 +26,7 @@ from .errors import GridMismatchError
 from .spectral import WellConfig, mode_coefficients, wavefunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridState:
     """Complex amplitudes on a uniform grid over [0, L] with pinned endpoints."""
 

@@ -78,7 +78,7 @@ class WellConfig:
         object.__setattr__(self, "period", period)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeCoefficients:
     """Expansion coefficients of the pre-quench ground state in the expanded
     basis, and the mode table every mode sum reads (derived, never set)."""
@@ -103,7 +103,7 @@ class ModeCoefficients:
         return 1.0 - math.fsum(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityField:
     """|psi(x, t)|^2 sampled on a rectangular (t, x) grid."""
 

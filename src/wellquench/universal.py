@@ -20,22 +20,18 @@ from fractions import Fraction
 import numpy as np
 
 from ._special import trigamma
-from .errors import GridMismatchError
 from .spectral import (WellConfig, _direct_sums, _grid_numerators,
                        _lattice_sums, _turns, _twist, _valid_times, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
 
-#: relative tolerance of require_uniform on each step against the ruler
-_UNIFORM_RTOL = 1e-9
-
 #: F never exceeds 2 sum_{n>=2} n^2/(n^2-1)^2 = 2 (pi^2/12 + 1/16)
 MODE_WEIGHT_TOTAL = math.pi**2 / 12.0 + 1.0 / 16.0
 UPPER_BOUND = 2.0 * MODE_WEIGHT_TOTAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniversalCurve:
     """Samples of the limit profile on a uniform grid, with truncation record."""
 
@@ -215,12 +211,3 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
                                        depth=float(c)))
     entries.sort(key=lambda e: e.location)
     return ValleyList(entries=tuple(entries))
-
-
-def require_uniform(curve: UniversalCurve, spacing: float):
-    """Validate that the curve is uniformly sampled at ``spacing``."""
-    steps = np.diff(curve.xi_grid)
-    if not np.allclose(steps, spacing, rtol=_UNIFORM_RTOL, atol=0.0):
-        raise GridMismatchError(
-            f"curve spacing {steps.min():.6g}..{steps.max():.6g} does not "
-            f"match the requested ruler {spacing:.6g}")

@@ -348,6 +348,34 @@ class TestOutputDiscipline:
                  "--out", str(out)])
         _, _, rows = parse_csv(out)
         assert rows[0][1] == pytest.approx(1.0, abs=1e-12)
+        # a command-line --n or --tol replaces both of the file's n and tol,
+        # while n and tol together in one place stay a usage error
+        for command in ("coeffs", "escape"):
+            cfg.write_text("tol = 1e-8\n")
+            args = parse_args([command, "--config", str(cfg), "--n", "5"])
+            assert (args.n, args.tol) == (5, None)
+            cfg.write_text("n = 7\n")
+            args = parse_args([command, "--config", str(cfg), "--tol", "1e-3"])
+            assert (args.n, args.tol) == (None, 1e-3)
+            cfg.write_text("n = 7\ntol = 1e-3\n")
+            assert run_for_exit([command, "--config", str(cfg)]) == 2
+            assert run_for_exit([command, "--n", "5", "--tol", "1e-3"]) == 2
+        cfg.write_text("delta = 0.2\ntol = 1e-8\n")
+        assert run_cli(["coeffs", "--config", str(cfg), "--n", "3",
+                        "--out", str(out)]) == 0
+        header, _, rows = parse_csv(out)
+        assert int(header["n_modes"]) == 3 and "tolerance" not in header
+        assert rows[0][1] == pytest.approx(0.950975481489623, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_exits_zero(command, capsys):
+    # every command's help formats, oracle-check's too, which has neither
+    # --n nor --tol and so no group of the two
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 class TestExitCodes:

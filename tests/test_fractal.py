@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellquench import fractal
-from wellquench.errors import GridMismatchError, InsufficientSpanError
-from wellquench.fractal import (curve_length, dimension_fit,
-                                normality_diagnostics, phase_sum_samples,
-                                phase_sum_scaling, profile_dimension)
+from wellquench import fractal, universal
+from wellquench.errors import InsufficientSpanError
+from wellquench.fractal import (dimension_fit, normality_diagnostics,
+                                phase_sum_samples, phase_sum_scaling,
+                                profile_dimension)
 from wellquench.spectral import _ruler_period
-from wellquench.universal import UniversalCurve
+from wellquench.universal import universal_curve
 
 
 def direct_phase_sums(epsilon):
@@ -41,42 +41,13 @@ def window_phase_bound(epsilon, m):
     return (cutoff - 1) * (2e-14 + 2.0 * math.pi * m * 5e-16)
 
 
-def synthetic_curve(func, epsilon):
-    steps = int(round(1.0 / epsilon))
-    xi = np.arange(steps + 2) * epsilon
-    return UniversalCurve(xi_grid=xi, values=func(xi), truncation=2)
-
-
 class TestCurveLength:
-    def test_constant_curve_exposes_the_two_variants(self):
-        curve = synthetic_curve(lambda x: np.full_like(x, 0.7), 1e-2)
-        lengths = curve_length(curve, 1e-2)
-        assert lengths.chord == pytest.approx(0.25, rel=1e-12)
-        assert lengths.variation == 0.0
-
-    def test_linear_curve_total_variation(self):
-        curve = synthetic_curve(lambda x: x, 1e-2)
-        lengths = curve_length(curve, 1e-2)
-        assert lengths.variation == pytest.approx(1.0, rel=1e-12)
-        assert lengths.chord == pytest.approx(math.sqrt(5.0) / 4.0, rel=1e-12)
-
-    def test_grid_mismatch_errors(self):
-        curve = synthetic_curve(lambda x: x, 1e-2)
-        with pytest.raises(GridMismatchError):
-            curve_length(curve, 2e-2)
-        short = UniversalCurve(xi_grid=curve.xi_grid[:50],
-                               values=curve.values[:50], truncation=2)
-        with pytest.raises(GridMismatchError):
-            curve_length(short, 1e-2)
-
     def test_profile_ruler_ratio(self):
         # l(1e-4) / l(1e-3) should sit near 10^(1/4) = 1.778
-        from wellquench.universal import universal_curve
-        lengths = {}
-        for intervals in (10**4, 10**3):
-            curve = universal_curve(intervals, 2 * 10**4)
-            lengths[intervals] = curve_length(curve, 1.0 / intervals)
-        ratio = lengths[10**4].chord / lengths[10**3].chord
+        _, lengths = profile_dimension([1, 2, 5, 10, 100], base_intervals=10**4,
+                                       n_modes=2 * 10**4)
+        by_ruler = {m.ruler: m.chord for m in lengths}
+        ratio = by_ruler[1e-4] / by_ruler[1e-3]
         assert ratio == pytest.approx(10.0**0.25, rel=0.15)
 
 
@@ -138,6 +109,43 @@ class TestProfileDimension:
         with pytest.raises(ValueError, match="largest stride 1000"):
             profile_dimension(self.STRIDES, base_intervals=100, n_modes=1000)
         profile_dimension([1, 10, 100, 1000, 2000], base_intervals=2000, n_modes=1000)
+
+    def test_one_base_curve_per_call(self, monkeypatch):
+        # every ruler reads its samples off the one base curve
+        calls = {"universal_curve": 0, "UniversalCurve": 0}
+        build = fractal.universal_curve
+        check = universal.UniversalCurve.__post_init__
+
+        def counted_curve(*args, **kwargs):
+            calls["universal_curve"] += 1
+            return build(*args, **kwargs)
+
+        def counted_record(self):
+            calls["UniversalCurve"] += 1
+            check(self)
+
+        monkeypatch.setattr(fractal, "universal_curve", counted_curve)
+        monkeypatch.setattr(universal.UniversalCurve, "__post_init__", counted_record)
+        profile_dimension(self.STRIDES, base_intervals=10**4, n_modes=1000)
+        assert calls == {"universal_curve": 1, "UniversalCurve": 1}
+
+    def test_lengths_match_a_curve_per_ruler(self):
+        # each ruler measured on a profile sampled at that ruler, by a plain loop
+        base, n_modes = 1000, 2000
+        _, lengths = profile_dimension([1, 2, 5, 10, 100], base_intervals=base,
+                                       n_modes=n_modes)
+        for stride, measured in zip([1, 2, 5, 10, 100], lengths):
+            intervals = base // stride
+            values = universal_curve(intervals, n_modes).values
+            eps = 1.0 / intervals
+            chord = variation = 0.0
+            for m in range(1, intervals + 1):
+                diff = values[m + 1] - values[m - 1]
+                chord += math.sqrt(eps * eps + diff * diff) / 4.0
+                variation += abs(diff) / 2.0
+            assert measured.ruler == pytest.approx(eps, rel=1e-15)
+            assert measured.chord == pytest.approx(chord, rel=1e-12)
+            assert measured.variation == pytest.approx(variation, rel=1e-12)
 
     def test_deterministic(self):
         fit_a, lengths_a = profile_dimension([10, 30, 100, 300, 1000],

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wellquench import fractal, spectral, survival, universal
+from wellquench import fractal, oracle, spectral, survival, universal
 from wellquench.errors import TruncationCapError
 from wellquench.spectral import (WellConfig, coefficient_tail_bound,
                                  density_field, mode_coefficients,
@@ -632,3 +632,33 @@ class TestWindowSums:
                 2j * math.pi * spectral._turns(k, theta))) for k in ks])
             assert np.abs(row[ks] - direct).max() <= 2e-14 * np.abs(weights).sum()
         assert spectral._window_sums(theta, c[0], P).shape == (P,)
+
+
+def _record_builds():
+    """One builder per record that holds arrays; two calls give equal values."""
+    well = WellConfig(0.1)
+    coeffs = lambda: mode_coefficients(well, 8)  # noqa: E731
+    eps = np.logspace(-5, -2, 10)
+    return {
+        "ModeCoefficients": coeffs,
+        "DensityField": lambda: density_field(well, coeffs(), np.linspace(0.0, well.width, 5),
+                                              np.linspace(0.0, well.period, 3)),
+        "UniversalCurve": lambda: universal.universal_curve(8, 10),
+        "PhaseSumSample": lambda: fractal.phase_sum_samples(1e-2),
+        "DimensionFit": lambda: fractal.dimension_fit(eps, eps**-0.25),
+        "NormalityReport": lambda: fractal.normality_diagnostics(
+            fractal.phase_sum_samples(1e-2)),
+        "GridState": lambda: oracle.initial_state(well, 9),
+    }
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(_record_builds()))
+    def test_array_records_compare_and_hash_by_identity(self, name):
+        # equal values do not make equal records: == and hash() go by identity
+        build = _record_builds()[name]
+        a, b = build(), build()
+        assert type(a).__name__ == name
+        assert a == a
+        assert a != b
+        assert len({a, b}) == 2

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from wellquench import spectral, universal
 from wellquench.cli import main
-from wellquench.errors import GridMismatchError
 from wellquench.spectral import (WellConfig, _grid_numerators, _turns,
                                  mode_coefficients)
 from wellquench.survival import (_apply_noise_clamp, _escape_core,
                                  escape_probability_aligned)
 from wellquench.universal import (MODE_WEIGHT_TOTAL, UPPER_BOUND,
                                   UniversalCurve, _grid_profile,
-                                  require_uniform, scaled_escape_limit,
+                                  scaled_escape_limit,
                                   universal_curve, universal_function,
                                   universal_tail_bound, valley_locations)
 
@@ -138,12 +137,6 @@ class TestGridEvaluation:
         curve = universal_curve(1000, 5000, extra_points=3)
         assert curve.xi_grid[-1] == pytest.approx(1.003, rel=1e-12)
         assert curve.values[1001] == curve.values[1]
-
-    def test_spacing_validation(self):
-        curve = universal_curve(100, 1000)
-        require_uniform(curve, 1e-2)
-        with pytest.raises(GridMismatchError):
-            require_uniform(curve, 2e-2)
 
 
 class TestScaledEscapeLimit:
