@@ -7,9 +7,9 @@ dimension, and independent numerical oracles for all of it.
 
 __version__ = "0.1.0"
 
-from .spectral import (DensityField, ModeCoefficients, WellConfig,
-                       density_field, mode_coefficients,
-                       truncation_for_tolerance, wavefunction)
+from .spectral import (ModeCoefficients, WellConfig, density_field,
+                       mode_coefficients, truncation_for_tolerance,
+                       wavefunction)
 from .survival import (RegimeReport, asymptote_confined,
                        asymptote_free, crossover_time, escape_integral,
                        escape_probability_aligned, escape_probability_exact,
@@ -23,7 +23,7 @@ from .oracle import (GridState, adaptive_quadrature, initial_state, overlap,
                      propagate)
 
 __all__ = [
-    "WellConfig", "ModeCoefficients", "DensityField",
+    "WellConfig", "ModeCoefficients",
     "mode_coefficients", "wavefunction", "density_field",
     "truncation_for_tolerance",
     "RegimeReport", "survival_amplitude",

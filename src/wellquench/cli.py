@@ -85,7 +85,12 @@ def _render_table(header: dict, columns: list[str], rows, fmt: str) -> str:
 def _write_tables(tables, fmt: str):
     """Write every table, or no file at all: all texts are rendered and every
     output path is opened before the first byte is written, and when a path
-    cannot be opened the files created for the earlier ones are removed."""
+    cannot be opened the files created for the earlier ones are removed.  Two
+    tables sent to one regular or new file are a ValueError, raised first."""
+    files = [os.path.realpath(path) for path, *_ in tables if path is not None
+             and (os.path.isfile(path) or not os.path.exists(path))]
+    if len(set(files)) < len(files):
+        raise ValueError("two tables would be written to one file")
     texts = [(path, _render_table(header, columns, rows, fmt))
              for path, header, columns, rows in tables]
     with contextlib.ExitStack() as stack:
@@ -145,11 +150,11 @@ def cmd_evolve(args) -> list:
     x_grid = np.linspace(0.0, well.width, nx)
     t_grid = np.linspace(0.0, well.period, nt)
     coeffs = spectral.mode_coefficients(well, n_modes)
-    field_ = spectral.density_field(well, coeffs, x_grid, t_grid)
+    density = spectral.density_field(well, coeffs, x_grid, t_grid)
     header = _base_header(well, n_modes=n_modes, nx=nx, nt=nt,
                           x_min=0.0, x_max=well.width,
                           t_min=0.0, t_max=well.period)
-    rows = ([t] + row.tolist() for t, row in zip(t_grid.tolist(), field_.values))
+    rows = ([t] + row.tolist() for t, row in zip(t_grid.tolist(), density))
     return [(args.out, header, ["t"] + [f"x{i}" for i in range(nx)], rows)]
 
 
@@ -201,6 +206,8 @@ def cmd_universal(args) -> list:
 
 
 def cmd_fractal(args) -> list:
+    if args.selftest + args.histogram + args.sigma > 1:
+        raise ValueError("choose at most one of --selftest, --histogram and --sigma")
     if args.selftest:
         eps = np.logspace(-5, -2, 10)
         fit = fractal.dimension_fit(eps, eps**-0.25)
@@ -406,6 +413,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"usage error: input out of floating-point range: {exc}",
               file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"usage error: input too large for memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

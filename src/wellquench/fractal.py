@@ -10,7 +10,7 @@ normal deterministic "random" variable with standard deviation ~ eps^{-1/4}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,12 @@ class CurveLength:
 class DimensionFit:
     """Log-log fit of length against ruler and the implied dimension."""
 
-    epsilons: np.ndarray
-    lengths: np.ndarray
     slope: float
-    dimension: float    # 1 - slope, from l(eps) ~ eps^{1 - D}
     residual: float     # RMS of the fit residuals in log space
+    dimension: float = field(init=False)    # 1 - slope, from l(eps) ~ eps^{1 - D}
+
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", 1.0 - self.slope)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +46,17 @@ class PhaseSumSample:
 
     epsilon: float
     cutoff: int         # largest summed mode index, floor(sqrt(1/(2 eps)))
-    values: np.ndarray  # xi_m for m = 1..floor(1/eps)
-    mean: float
-    std: float
+    values: np.ndarray  # xi_m for m = 1..floor(1/eps), at least one
+    mean: float = field(init=False)
+    std: float = field(init=False)      # population (ddof = 0)
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.size == 0:
+            raise ValueError("empty sample")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mean", float(values.mean()))
+        object.__setattr__(self, "std", float(values.std(ddof=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +88,7 @@ def dimension_fit(epsilons, lengths) -> DimensionFit:
     log_e, log_l = np.log(eps), np.log(ls)
     slope, intercept = np.polyfit(log_e, log_l, 1)
     residual = float(np.sqrt(np.mean((log_l - slope * log_e - intercept) ** 2)))
-    order = np.argsort(eps)[::-1]
-    return DimensionFit(epsilons=eps[order], lengths=ls[order],
-                        slope=float(slope), dimension=1.0 - float(slope),
-                        residual=residual)
+    return DimensionFit(slope=float(slope), residual=residual)
 
 
 def profile_dimension(strides, base_intervals: int = 10**5,
@@ -139,22 +145,18 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
         values = np.concatenate([sums[1:], sums[:1]])[:count]  # m = 1..K
     else:
         values = _window_sums(_turns(nsq, epsilon), np.ones(nsq.size), count + 1)[1:].imag
-    return PhaseSumSample(epsilon=epsilon, cutoff=cutoff, values=values,
-                          mean=float(values.mean()),
-                          std=float(values.std(ddof=0)))
+    return PhaseSumSample(epsilon=epsilon, cutoff=cutoff, values=values)
 
 
 def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityReport:
     """Histogram plus standardized moments; reports, never judges.
 
-    Standardises with the sample's own ``mean`` and ``std``, as
-    ``phase_sum_samples`` sets them; a degenerate sample yields NaN moments.
+    Standardises with the sample's own ``mean`` and ``std``; a sample of
+    zero spread (one value, say) yields NaN moments.
     """
     values = sample.values
-    if values.size == 0:
-        raise ValueError("empty sample")
     counts, edges = np.histogram(values, bins=bins)
-    if values.size < 2 or sample.std == 0.0:
+    if sample.std == 0.0:
         skew = kurt = float("nan")
     else:
         z = (values - sample.mean) / sample.std

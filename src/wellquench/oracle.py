@@ -17,7 +17,7 @@ spectral route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .spectral import WellConfig, mode_coefficients, wavefunction
 
 @dataclass(frozen=True, eq=False)
 class GridState:
-    """Complex amplitudes on a uniform grid over [0, L] with pinned endpoints."""
+    """Complex amplitudes on a uniform grid over [0, L] with pinned endpoints;
+    ``dx`` is x[1] - x[0] > 0, and every step must be within 1e-9 dx of it."""
 
     x_grid: np.ndarray
     amplitudes: np.ndarray
-    dx: float
     t: float
+    dx: float = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.x_grid, dtype=float)
@@ -42,8 +43,12 @@ class GridState:
             raise ValueError("state needs matching 1-d grids with >= 3 points")
         if amp[0] != 0.0 or amp[-1] != 0.0:
             raise ValueError("endpoint amplitudes must be exactly 0 (hard walls)")
+        dx = float(x[1] - x[0])
+        if not (dx > 0.0 and (np.abs(np.diff(x) - dx) <= 1e-9 * dx).all()):
+            raise ValueError("state grid must be increasing and uniform")
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "dx", dx)
 
     @property
     def norm(self) -> float:
@@ -83,10 +88,9 @@ def eigenmode_state(config: WellConfig, weights: dict[int, complex],
 
 def from_samples(x_grid, amplitudes, t: float = 0.0) -> GridState:
     """Samples as a GridState, the endpoint amplitudes set to exactly 0."""
-    x = np.asarray(x_grid, dtype=float)
     amp = np.asarray(amplitudes, dtype=complex).copy()
     amp[0] = amp[-1] = 0.0
-    return GridState(x_grid=x, amplitudes=amp, dx=float(x[1] - x[0]), t=t)
+    return GridState(x_grid=x_grid, amplitudes=amp, t=t)
 
 
 def propagate(state: GridState, dt: float, steps: int) -> GridState:
@@ -118,8 +122,7 @@ def propagate(state: GridState, dt: float, steps: int) -> GridState:
         eigenvalues = (4.0 / state.dx**2) * np.sin(0.5 * math.pi * k / (n + 1)) ** 2
         modes = _cayley_power(eigenvalues, dt, steps) * _dst(amplitudes[1:-1])
         amplitudes[1:-1] = _dst(modes) * (2.0 / (n + 1))
-    return GridState(x_grid=state.x_grid, amplitudes=amplitudes,
-                     dx=state.dx, t=state.t + steps * dt)
+    return GridState(x_grid=state.x_grid, amplitudes=amplitudes, t=state.t + steps * dt)
 
 
 def _dst(values: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,16 +83,17 @@ class ModeCoefficients:
     basis, and the mode table every mode sum reads (derived, never set)."""
 
     values: np.ndarray      # a_n for n = 1..truncation
-    truncation: int
     config: WellConfig
+    truncation: int = field(init=False)         # len(values)
     weights: np.ndarray = field(init=False)     # a_n^2
     energies: np.ndarray = field(init=False)    # E_n = (pi n / L)^2
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.truncation:
-            raise ValueError("coefficient array must be 1-d with one entry per mode")
+        if values.ndim != 1:
+            raise ValueError("coefficient array must be 1-d")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "truncation", values.size)
         object.__setattr__(self, "weights", values * values)
         object.__setattr__(self, "energies", mode_energies(self.config, self.truncation))
 
@@ -101,19 +101,6 @@ class ModeCoefficients:
     def completeness_deficit(self) -> float:
         """1 - sum(a_n^2); tends to 0 as the truncation grows."""
         return 1.0 - math.fsum(self.weights)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityField:
-    """|psi(x, t)|^2 sampled on a rectangular (t, x) grid."""
-
-    x_grid: np.ndarray
-    t_grid: np.ndarray
-    values: np.ndarray      # shape (len(t_grid), len(x_grid))
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.t_grid), len(self.x_grid)):
-            raise ValueError("density matrix shape does not match the grids")
 
 
 def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
@@ -134,7 +121,7 @@ def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
     if singular.any():
         es = e[singular]
         a[singular] = (1.0 / math.sqrt(L)) * (1.0 - es / 2.0 + _EXPANSION_C2 * es * es)
-    return ModeCoefficients(values=a, truncation=n_modes, config=config)
+    return ModeCoefficients(values=a, config=config)
 
 
 def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
@@ -222,7 +209,7 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
 
 def _ruler_period(epsilon):
     """K = rint(1/eps) <= _FFT_LIMIT if the points m eps lie on j/K by
-    _grid_numerators' rule, |eps K - 1| <= _LATTICE_ULPS ulps of 1; else 0."""
+    _lattice_of's rule, |eps K - 1| <= _LATTICE_ULPS ulps of 1; else 0."""
     K = np.rint(1.0 / epsilon)
     exact = np.abs(epsilon * K - 1.0) <= _LATTICE_ULPS * np.finfo(float).eps
     return np.where(exact & (K <= _FFT_LIMIT), K, 0).astype(np.int64)
@@ -286,47 +273,36 @@ def _direct_sums(points: np.ndarray, rates: np.ndarray, terms,
                            for i in range(0, max(1, points.size), chunk)])
 
 
-class _Grid(NamedTuple):
-    """Where points xs lie, up to rounding.
-
-    A lattice: xs = origin + index / period, the integers ``index`` reduced
-    mod ``period`` and in any order.  A window (period 0): xs[i] = origin +
-    i * step + offsets[i], with the offsets exact up to their own rounding.
-    """
-
-    period: int
-    origin: float
-    index: np.ndarray | None = None
-    step: float = 0.0
-    offsets: np.ndarray | None = None
-
-
-def _grid_numerators(xs: np.ndarray, n_terms: int) -> _Grid | None:
-    """The lattice or window ``xs`` lies on, or None.
-
-    Tried in order: the lattice j / K, the shifted lattice xs[0] + j / K, and
-    the window xs[0] + i h with h = (xs[-1] - xs[0]) / (size - 1).  K is the
-    inverse of the first step and must be an integer no larger than
-    _FFT_LIMIT or than ``n_terms * xs.size`` (beyond that one FFT of length K
-    costs more than summing ``n_terms`` modes at each point); every
-    (xs - origin) * K must then be within a few ulps of an integer.  A window
-    needs _WINDOW_MIN to _FFT_LIMIT points, each within _WINDOW_ULPS ulps of
-    1 of its grid point.  Returns None otherwise, and the caller sums the
-    modes directly.
-    """
+def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] | None:
+    """(K, origin, index) with xs = origin + index / K up to rounding, the
+    integers ``index`` reduced mod K, if ``xs`` lies on the lattice j / K or,
+    tried next, on xs[0] + j / K; else None.  K is the inverse of the first
+    step and must be an integer no larger than _FFT_LIMIT or than ``n_terms *
+    xs.size`` (beyond that one FFT of length K costs more than summing
+    ``n_terms`` modes at each point); every (xs - origin) * K must then be
+    within a few ulps of an integer."""
     if xs.size < 2:
         return None
     inverse = 1.0 / abs(xs[1] - xs[0]) if xs[1] != xs[0] else math.inf
     limit = min(_FFT_LIMIT, n_terms * xs.size)
     K = round(inverse) if 0.5 <= inverse < limit + 0.5 else 0
-    if K and abs(inverse - K) <= 1e-6 * K:
-        span = float(np.abs(xs * K).max())
-        for origin in (0.0, float(xs[0])):
-            scaled = (xs - origin) * K
-            j = np.rint(scaled)
-            if (span < _LATTICE_SPAN and np.abs(scaled - j).max()
-                    <= _LATTICE_ULPS * np.finfo(float).eps * span):
-                return _Grid(K, origin, np.mod(j, K).astype(np.int64))
+    if not K or abs(inverse - K) > 1e-6 * K:
+        return None
+    span = float(np.abs(xs * K).max())
+    for origin in (0.0, float(xs[0])):
+        scaled = (xs - origin) * K
+        j = np.rint(scaled)
+        if (span < _LATTICE_SPAN and np.abs(scaled - j).max()
+                <= _LATTICE_ULPS * np.finfo(float).eps * span):
+            return K, origin, np.mod(j, K).astype(np.int64)
+    return None
+
+
+def _window_of(xs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
+    """(origin, step, offsets) with xs[i] = origin + i * step + offsets[i],
+    the offsets exact up to their own rounding, if ``xs`` lies on the window
+    xs[0] + i h, h = (xs[-1] - xs[0]) / (size - 1): _WINDOW_MIN to _FFT_LIMIT
+    points, each within _WINDOW_ULPS ulps of 1 of its grid point; else None."""
     if not (_WINDOW_MIN <= xs.size <= _FFT_LIMIT
             and np.abs(xs).max() < _LATTICE_SPAN):
         return None
@@ -335,7 +311,7 @@ def _grid_numerators(xs: np.ndarray, n_terms: int) -> _Grid | None:
     offsets = _window_offsets(xs, origin, step)
     if np.abs(offsets).max() > _WINDOW_ULPS * np.finfo(float).eps:
         return None
-    return _Grid(0, origin, step=step, offsets=offsets)
+    return origin, step, offsets
 
 
 def _window_offsets(xs: np.ndarray, origin: float, step: float) -> np.ndarray:
@@ -395,7 +371,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
 
     ``x`` is a scalar or a non-empty array of positions inside [0, width],
     ``t`` one time >= 0; returns complex amplitudes of the shape of ``x``.
-    Where x / (2L) lies on a lattice (``_grid_numerators``), as linspace(0, L,
+    Where x / (2L) lies on a lattice (``_lattice_of``), as linspace(0, L,
     M) does with K = 2(M - 1), the sines are Im B of ``_lattice_sums`` with
     the rates n, once for each part of c_n = a_n e^{-i E_n t}: within 1e-14
     absolute of the direct sum ``_mode_sums``, which every other ``x`` takes.
@@ -404,22 +380,23 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
         raise ValueError("time must be a scalar")
     ts = _valid_times(t)
     xs = _valid_positions(config, coeffs, x)
-    grid = _grid_numerators(xs.ravel() / (2.0 * config.width), coeffs.truncation)
-    if grid is not None and grid.period:
+    lattice = _lattice_of(xs.ravel() / (2.0 * config.width), coeffs.truncation)
+    if lattice is None:
+        psi = _mode_sums(config, coeffs, xs, ts)[0]
+    else:
+        K, origin, index = lattice
         n = np.arange(1, coeffs.truncation + 1)
         c = coeffs.values * np.exp(-1j * (ts * coeffs.energies))
-        real, imag = (_lattice_sums(part, n, grid.period, grid.origin).imag[grid.index]
+        real, imag = (_lattice_sums(part, n, K, origin).imag[index]
                       for part in (c.real, c.imag))
         psi = real + 1j * imag
-    else:
-        psi = _mode_sums(config, coeffs, xs, ts)[0]
     out = psi.reshape(xs.shape) * math.sqrt(2.0 / config.width)
     return out if np.ndim(x) else out[0]
 
 
 def density_field(config: WellConfig, coeffs: ModeCoefficients,
-                  x_grid, t_grid) -> DensityField:
-    """|psi|^2 on the product of sorted grids; rows indexed by time.
+                  x_grid, t_grid) -> np.ndarray:
+    """|psi|^2 on the product of sorted grids, shape (len(t_grid), len(x_grid)).
 
     psi(x, kP - t) = conj psi(x, t), as E_n P = 2 pi n^2 and a_n is real.  So
     a grid whose every t_j + t_{T-1-j} is within _MIRROR_ULPS ulps of one kP,
@@ -444,7 +421,7 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
     rows = np.empty((ts.size, xs.size))
     np.multiply(2.0 / config.width, psi.real**2 + psi.imag**2, out=rows[:half])
     rows[half:] = rows[:ts.size - half][::-1]
-    return DensityField(x_grid=x_grid, t_grid=t_grid, values=rows)
+    return rows
 
 
 def _tail_correction(config: WellConfig, n_modes: int) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import lentz, two_square
 from .errors import TruncationInconsistencyError
-from .spectral import (WellConfig, _direct_sums, _grid_numerators,
+from .spectral import (WellConfig, _direct_sums, _lattice_of,
                        _lattice_sums, _valid_shift, _valid_times,
                        mode_coefficients, truncation_for_tolerance)
 
@@ -70,20 +70,15 @@ def survival_amplitude(config: WellConfig, t, n_modes: int):
     return out if np.ndim(t) else complex(out[0])
 
 
-def _escape_core(a2, energies, ts, aligned: bool):
+def _escape_core(a2, energies, ts, reference: float):
     """Cancellation-free evaluation of the escape probability.
 
-    With B = sum_n w_n (1 - e^{-i E_n t}) over the summed modes,
-    1 - |R - B|^2 = (1 - R^2) + 2 R Re B - |B|^2 where R is the reference
-    (R = sum w_n normally; R = 1 with the ground mode excluded when
-    ``aligned``).  Re B is accumulated as 2 w sin^2(theta/2), which never
-    cancels, so the result stays accurate down to the 1e-15 scale.
+    With B = sum_n w_n (1 - e^{-i E_n t}) over the modes summed, ``a2``,
+    1 - |R - B|^2 = (1 - R^2) + 2 R Re B - |B|^2 for the ``reference`` R
+    (sum w_n, or 1 for the aligned escape, whose modes start at n = 2).
+    Re B is accumulated as 2 w sin^2(theta/2), which never cancels, so the
+    result stays accurate down to the 1e-15 scale.
     """
-    if aligned:
-        a2, energies = a2[1:], energies[1:]
-        reference = 1.0
-    else:
-        reference = math.fsum(a2)
     re_b = _direct_sums(ts, energies, lambda p: a2 * 2.0 * np.sin(p / 2.0) ** 2)
     im_b = -_direct_sums(ts, energies, lambda p: a2 * np.sin(p))
     return ((1.0 - reference) * (1.0 + reference)
@@ -106,7 +101,8 @@ def escape_probability_exact(config: WellConfig, t, n_modes: int):
     """1 - |A(t)|^2 from the truncated mode sum; scalar or array ``t``."""
     coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
-    out = _apply_noise_clamp(_escape_core(coeffs.weights, coeffs.energies, ts, aligned=False))
+    w = coeffs.weights
+    out = _apply_noise_clamp(_escape_core(w, coeffs.energies, ts, math.fsum(w)))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -119,17 +115,18 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     8 delta^2 times the universal profile; the physical escape
     (escape_probability_exact) agrees with it at short times but differs at
     order-one fractions of the period by the ground-phase bookkeeping.
-    Times on a lattice j T / K of the period T (E_n T = 2 pi n^2) are read
-    off one spectral._lattice_sums, whose Re B is symmetric in j <-> K - j.
+    Times on a lattice (x0 + j / K) T of the period T (spectral._lattice_of;
+    E_n T = 2 pi n^2) are read off one spectral._lattice_sums.
     """
     coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
-    grid = _grid_numerators(ts / config.period, n_modes - 1)
-    if grid is None or not grid.period or grid.origin:
-        core = _escape_core(coeffs.weights, coeffs.energies, ts, aligned=True)
+    lattice = _lattice_of(ts / config.period, n_modes - 1)
+    if lattice is None:
+        core = _escape_core(coeffs.weights[1:], coeffs.energies[1:], ts, 1.0)
     else:  # E_n T = 2 pi n^2 exactly, so _escape_core's B is a lattice sum
+        K, origin, index = lattice
         nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
-        b = _lattice_sums(coeffs.weights[1:], nsq, grid.period)[grid.index]
+        b = _lattice_sums(coeffs.weights[1:], nsq, K, origin)[index]
         core = 2.0 * b.real - b.real * b.real - b.imag * b.imag
     out = _apply_noise_clamp(core)
     return out if np.ndim(t) else float(out[0])

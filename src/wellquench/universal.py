@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from ._special import trigamma
-from .spectral import (WellConfig, _direct_sums, _grid_numerators,
-                       _lattice_sums, _turns, _twist, _valid_times, _window_sums)
+from .spectral import (WellConfig, _direct_sums, _lattice_of, _lattice_sums,
+                       _turns, _twist, _valid_times, _window_of, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -51,10 +51,13 @@ class UniversalCurve:
 
 @dataclass(frozen=True)
 class ValleyEntry:
-    numerator: int         # q >= 0, with location == q / denominator_root^2
+    numerator: int         # q >= 0
     denominator_root: int  # smallest p >= 2 that presents the location
-    location: float
     depth: float
+    location: float = field(init=False)  # q / p^2, correctly rounded
+
+    def __post_init__(self):
+        object.__setattr__(self, "location", self.numerator / self.denominator_root**2)
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
     The function is periodic with period 1, so any finite xi is accepted.
     Terms fall off as 1/n^2; see universal_tail_bound for the cutoff error.
-    The route follows the shape of ``xi`` (spectral._grid_numerators):
+    The route follows the shape of ``xi`` (spectral._lattice_of, then
+    spectral._window_of):
 
     - a lattice j/K is read off one residue FFT at the rational points, within
       1e-14 absolute of exact residues;
@@ -89,20 +93,23 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
     xs = _valid_times(xi, "xi", signed=True)
-    grid = _grid_numerators(xs, n_modes - 1)
-    if grid is not None and grid.period:
-        out = _grid_profile(grid.period, n_modes, grid.origin)[grid.index]
+    lattice = _lattice_of(xs, n_modes - 1)
+    if lattice is not None:
+        K, origin, index = lattice
+        out = _grid_profile(K, n_modes, origin)[index]
         return out if np.ndim(xi) else float(out[0])
     nsq, weights = _profile_modes(n_modes)
-    if grid is None:
+    window = _window_of(xs)
+    if window is None:
         out = _direct_sums(xs, nsq, lambda t: weights * (1.0 - np.cos(2.0 * math.pi * t)),
                            turns=True)
     else:
-        twisted = weights * np.exp(2j * math.pi * _turns(nsq, grid.origin))
-        sums = _window_sums(_turns(nsq, grid.step),
+        origin, step, offsets = window
+        twisted = weights * np.exp(2j * math.pi * _turns(nsq, origin))
+        sums = _window_sums(_turns(nsq, step),
                             np.stack([twisted, 2.0 * math.pi * nsq * twisted]), xs.size)
         # F(x0 + k h + d) = F(x0 + k h) + d F'(x0 + k h) + O(d^2)
-        out = np.maximum(weights.sum() - sums[0].real + grid.offsets * sums[1].imag, 0.0)
+        out = np.maximum(weights.sum() - sums[0].real + offsets * sums[1].imag, 0.0)
     return out if np.ndim(xi) else float(out[0])
 
 
@@ -202,12 +209,10 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
         lattices[p] = [np.maximum(b.real, 0.0) for b in sums]  # as _grid_profile
     # the profile is periodic, so q = p^2 reads the lattice at j = 0
     entries = []
-    for frac, (q, p) in candidates.items():
+    for q, p in candidates.values():
         centres, shifted = lattices[p]
         c, lo, hi = centres[q % (p * p)], shifted[-q % (p * p)], shifted[q % (p * p)]
         if c < lo and c < hi:
-            entries.append(ValleyEntry(numerator=q, denominator_root=p,
-                                       location=float(frac),
-                                       depth=float(c)))
+            entries.append(ValleyEntry(numerator=q, denominator_root=p, depth=float(c)))
     entries.sort(key=lambda e: e.location)
     return ValleyList(entries=tuple(entries))

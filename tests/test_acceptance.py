@@ -115,7 +115,7 @@ def test_criterion_04_revival():
         coeffs = mode_coefficients(w, 800)
         x = np.linspace(0.0, w.width, 257)
         # one call per row: on the grid [0, P] the second row is a copy
-        start, revived = (spectral.density_field(w, coeffs, x, [t]).values[0]
+        start, revived = (spectral.density_field(w, coeffs, x, [t])[0]
                           for t in (0.0, w.period))
         sup = float(np.abs(revived - start).max())
         ok &= recovered < 1e-6 and sup < 1e-4
@@ -198,7 +198,7 @@ def test_criterion_10_property_suite():
     x = np.linspace(0.0, w.width, 1025)
     field = spectral.density_field(w, coeffs, x,
                                    np.array([0.0, 0.37 * w.period]))
-    for row in field.values:
+    for row in field:
         if abs(np.trapezoid(row, x) - 1.0) > 1e-5:
             failures.append("normalization")
     # periodicity of the escape probability

@@ -98,7 +98,7 @@ class TestEvolve:
         # the first row) revives the first row
         w = wellquench.WellConfig(0.2)
         revived = wellquench.density_field(
-            w, wellquench.mode_coefficients(w, 400), x, [w.period]).values[0]
+            w, wellquench.mode_coefficients(w, 400), x, [w.period])[0]
         assert np.abs(revived - rows[0, 1:]).max() < 1e-8
 
 
@@ -425,6 +425,49 @@ class TestExitCodes:
         out.write_text("kept\n")
         assert run_cli(argv) == 2
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("switches", [
+        ["--selftest", "--histogram"], ["--selftest", "--sigma"],
+        ["--histogram", "--sigma"], ["--selftest", "--histogram", "--sigma"],
+    ])
+    def test_fractal_modes_exclude_each_other(self, switches, tmp_path, capsys):
+        # each switch picks what fractal writes, so two of them are ambiguous
+        out = tmp_path / "F"
+        argv = ["fractal", *switches, "--epsilon", "1e-3", "--out", str(out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_memory_error_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli.spectral, "mode_coefficients", too_large)
+        out = tmp_path / "c.csv"
+        assert run_cli(["coeffs", "--n", "1000000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: input too large for memory: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alias", ["F", "link"])
+    def test_two_tables_to_one_file_write_nothing(self, alias, tmp_path, capsys):
+        # the valleys table would replace the profile table in the one file
+        out = tmp_path / "F"
+        (tmp_path / "link").symlink_to(out)
+        argv = ["universal", "--points", "40", "--n", "2000", "--out", str(out),
+                "--valleys-out", str(tmp_path / alias)]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert run_cli(argv) == 2
+        assert out.read_text() == "kept\n"
+        # a device takes both tables, as before
+        assert run_cli(argv[:-4] + ["--out", os.devnull, "--valleys-out", os.devnull]) == 0
 
     def test_cli_loads_no_scipy_module(self, tmp_path):
         # scipy is a test-only dependency: neither the import nor any

@@ -268,8 +268,7 @@ class TestNormalityDiagnostics:
 
     def test_degenerate_sample_reports_nan(self):
         from wellquench.fractal import PhaseSumSample
-        single = PhaseSumSample(epsilon=0.1, cutoff=2, values=np.array([1.3]),
-                                mean=1.3, std=0.0)
+        single = PhaseSumSample(epsilon=0.1, cutoff=2, values=np.array([1.3]))
         report = normality_diagnostics(single)
         assert math.isnan(report.skewness)
         assert math.isnan(report.excess_kurtosis)

@@ -18,7 +18,23 @@ class TestGridState:
         x = np.linspace(0.0, 1.0, 8)
         amp = np.ones(8, dtype=complex)
         with pytest.raises(ValueError):
-            GridState(x_grid=x, amplitudes=amp, dx=x[1] - x[0], t=0.0)
+            GridState(x_grid=x, amplitudes=amp, t=0.0)
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, 0.1, 0.25, 0.3, 0.4]),
+        np.linspace(1.0, 0.0, 5),
+        np.array([0.0, 0.1, math.nan, 0.3, 0.4]),
+    ], ids=["non-uniform", "decreasing", "nan"])
+    def test_grid_must_be_increasing_and_uniform(self, x):
+        # dx is the first step: on another grid the trapezoid norm is wrong
+        with pytest.raises(ValueError, match="increasing and uniform"):
+            GridState(x_grid=x, amplitudes=np.zeros(5, dtype=complex), t=0.0)
+
+    def test_dx_is_the_grid_step(self):
+        state = initial_state(WellConfig(0.2), 257)
+        copy = GridState(x_grid=state.x_grid, amplitudes=state.amplitudes, t=0.0)
+        assert copy.dx == float(state.x_grid[1] - state.x_grid[0])
+        assert copy.norm == state.norm
 
     def test_initial_state_shape(self):
         w = WellConfig(0.2)
@@ -80,8 +96,7 @@ class TestPropagate:
     def test_zero_state_stays_zero(self):
         w = WellConfig(0.1)
         x = uniform_grid(w, 65)
-        state = GridState(x_grid=x, amplitudes=np.zeros(65, dtype=complex),
-                          dx=x[1] - x[0], t=0.0)
+        state = GridState(x_grid=x, amplitudes=np.zeros(65, dtype=complex), t=0.0)
         evolved = propagate(state, 1e-5, 100)
         assert np.abs(evolved.amplitudes).max() == 0.0
 

@@ -236,9 +236,9 @@ def direct_psi(w, coeffs, x, t):
 
 
 def lattice_period(w, coeffs, x):
-    grid = spectral._grid_numerators(np.asarray(x) / (2.0 * w.width),
-                                     coeffs.truncation)
-    return grid.period if grid is not None else 0
+    lattice = spectral._lattice_of(np.asarray(x) / (2.0 * w.width),
+                                   coeffs.truncation)
+    return lattice[0] if lattice is not None else 0
 
 
 class TestWavefunctionInputs:
@@ -300,8 +300,8 @@ class TestWavefunctionRoute:
         w = _ROUTE_WELL
         coeffs = mode_coefficients(w, 2000)
         x = 0.31 + np.arange(500) * (w.width / 1000)
-        grid = spectral._grid_numerators(x / (2.0 * w.width), 2000)
-        assert grid.period == 2000 and grid.origin != 0.0
+        period, origin, _ = spectral._lattice_of(x / (2.0 * w.width), 2000)
+        assert period == 2000 and origin != 0.0
         psi = wavefunction(w, coeffs, x, 0.01)
         assert np.abs(psi - direct_psi(w, coeffs, x, 0.01)).max() <= 1e-14
 
@@ -352,7 +352,7 @@ class TestDensityField:
     def test_initial_maximum_is_two_at_center(self):
         x = np.linspace(0.0, self.w.width, 513)
         field = density_field(self.w, self.coeffs, x, np.array([0.0]))
-        row = field.values[0]
+        row = field[0]
         assert row.min() >= -1e-12
         assert row.max() == pytest.approx(2.0, abs=1e-4)
         assert x[np.argmax(row)] == pytest.approx(0.5, abs=2e-3)
@@ -361,21 +361,21 @@ class TestDensityField:
         x = np.linspace(0.0, self.w.width, 65)
         ts = np.linspace(0.0, self.w.period, 5)
         field = density_field(self.w, self.coeffs, x, ts)
-        assert np.abs(field.values[:, 0]).max() < 1e-18
-        assert np.abs(field.values[:, -1]).max() < 1e-18
+        assert np.abs(field[:, 0]).max() < 1e-18
+        assert np.abs(field[:, -1]).max() < 1e-18
 
     def test_normalization_at_all_sampled_times(self):
         x = np.linspace(0.0, self.w.width, 1025)
         ts = np.array([0.0, 0.2 * self.w.period, 0.7 * self.w.period])
         field = density_field(self.w, self.coeffs, x, ts)
-        for row in field.values:
+        for row in field:
             assert np.trapezoid(row, x) == pytest.approx(1.0, abs=1e-5)
 
     def test_revival_of_whole_field(self):
         # each row in its own call: on the grid [0, P] row 1 is a copy of row 0
         x = np.linspace(0.0, self.w.width, 257)
-        start = density_field(self.w, self.coeffs, x, [0.0]).values[0]
-        revived = density_field(self.w, self.coeffs, x, [self.w.period]).values[0]
+        start = density_field(self.w, self.coeffs, x, [0.0])[0]
+        revived = density_field(self.w, self.coeffs, x, [self.w.period])[0]
         assert np.abs(revived - start).max() < 1e-10
 
     def test_nan_position_rejected(self):
@@ -452,14 +452,14 @@ class TestDensityMirror:
                               np.linspace(0.0, w.width, nx),
                               np.linspace(0.0, w.period, nt))
         assert summed == [(nt + 1) // 2]
-        assert np.array_equal(field.values, field.values[::-1])
+        assert np.array_equal(field, field[::-1])
 
     @pytest.mark.parametrize("delta, nx, nt", _EVOLVE_GRIDS)
     def test_every_row_within_bound_of_its_own_time(self, delta, nx, nt):
         w = WellConfig(delta)
         coeffs = mode_coefficients(w, 800)
         x, ts = np.linspace(0.0, w.width, nx), np.linspace(0.0, w.period, nt)
-        gap = np.abs(density_field(w, coeffs, x, ts).values
+        gap = np.abs(density_field(w, coeffs, x, ts)
                      - direct_density(w, coeffs, x, ts)).max(axis=1)
         bound = mirror_bound(w, coeffs, w.period)
         assert bound < 1.1e-11
@@ -471,7 +471,7 @@ class TestDensityMirror:
         w = WellConfig(delta)
         coeffs = mode_coefficients(w, 800)
         x, ts = np.linspace(0.0, w.width, nx), np.linspace(0.0, w.period, nt)
-        values = density_field(w, coeffs, x, ts).values
+        values = density_field(w, coeffs, x, ts)
         for j in (1, nt // 3, nt - 1 - nt // 3, nt - 2):  # two summed, two copied
             gap = np.abs(values[j] - mpmath_density(w, coeffs, x, ts[j])).max()
             assert gap <= mirror_bound(w, coeffs, w.period)
@@ -485,7 +485,7 @@ class TestDensityMirror:
         w = WellConfig(0.2)
         coeffs = mode_coefficients(w, 800)
         x, ts = np.linspace(0.0, w.width, 129), fraction * w.period
-        values = density_field(w, coeffs, x, ts).values
+        values = density_field(w, coeffs, x, ts)
         assert summed == [ts.size]
         assert np.array_equal(values, direct_density(w, coeffs, x, ts))
 
@@ -496,7 +496,7 @@ class TestDensityMirror:
         w = WellConfig(0.2)
         coeffs = mode_coefficients(w, 800)
         x, ts = np.linspace(0.0, w.width, 65), np.asarray(ts) * w.period
-        values = density_field(w, coeffs, x, ts).values
+        values = density_field(w, coeffs, x, ts)
         assert summed == [(ts.size + 1) // 2]
         multiple = round((ts[0] + ts[-1]) / w.period) * w.period
         assert (np.abs(values - direct_density(w, coeffs, x, ts)).max()
@@ -635,14 +635,13 @@ class TestWindowSums:
 
 
 def _record_builds():
-    """One builder per record that holds arrays; two calls give equal values."""
+    """A maker of each record that compares by identity; two calls give
+    equal values."""
     well = WellConfig(0.1)
     coeffs = lambda: mode_coefficients(well, 8)  # noqa: E731
     eps = np.logspace(-5, -2, 10)
     return {
         "ModeCoefficients": coeffs,
-        "DensityField": lambda: density_field(well, coeffs(), np.linspace(0.0, well.width, 5),
-                                              np.linspace(0.0, well.period, 3)),
         "UniversalCurve": lambda: universal.universal_curve(8, 10),
         "PhaseSumSample": lambda: fractal.phase_sum_samples(1e-2),
         "DimensionFit": lambda: fractal.dimension_fit(eps, eps**-0.25),
@@ -662,3 +661,36 @@ class TestRecords:
         assert a == a
         assert a != b
         assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("name", ["GridState", "PhaseSumSample", "ModeCoefficients",
+                                      "DimensionFit", "ValleyEntry"])
+    def test_derived_fields_are_not_arguments(self, name):
+        # each record takes only the fields that fix the others
+        x = np.linspace(0.0, 1.2, 9)
+        amplitudes = np.sin(np.pi * x / 1.2).astype(complex)
+        amplitudes[-1] = 0.0
+        values = np.array([1.0, 2.0, 4.0])
+        build, derived = {
+            "GridState": (lambda **extra: oracle.GridState(
+                x_grid=x, amplitudes=amplitudes, t=0.0, **extra),
+                {"dx": float(x[1] - x[0])}),
+            "PhaseSumSample": (lambda **extra: fractal.PhaseSumSample(
+                epsilon=0.1, cutoff=2, values=values, **extra),
+                {"mean": float(values.mean()), "std": float(values.std())}),
+            "ModeCoefficients": (lambda **extra: spectral.ModeCoefficients(
+                values=values, config=WellConfig(0.1), **extra), {"truncation": 3}),
+            "DimensionFit": (lambda **extra: fractal.DimensionFit(
+                slope=-0.25, residual=0.0, **extra),
+                {"dimension": 1.25, "epsilons": None, "lengths": None}),
+            "ValleyEntry": (lambda **extra: universal.ValleyEntry(
+                numerator=1, denominator_root=3, depth=0.5, **extra),
+                {"location": float(Fraction(1, 9))}),
+        }[name]
+        record = build()
+        for field_name, value in derived.items():
+            with pytest.raises(TypeError):
+                build(**{field_name: value})
+            if value is not None:
+                assert getattr(record, field_name) == value
+            else:
+                assert not hasattr(record, field_name)

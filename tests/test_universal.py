@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wellquench import spectral, universal
+from wellquench import spectral, survival, universal
 from wellquench.cli import main
-from wellquench.spectral import (WellConfig, _grid_numerators, _turns,
+from wellquench.spectral import (WellConfig, _lattice_of, _turns, _window_of,
                                  mode_coefficients)
 from wellquench.survival import (_apply_noise_clamp, _escape_core,
                                  escape_probability_aligned)
@@ -267,12 +267,12 @@ class TestResidueGrid:
     def test_nudged_lattice_is_summed_directly(self, K, size, nudge, sign,
                                                where, n_modes):
         xs = np.arange(size) / K
-        grid = _grid_numerators(xs, NO_COST_LIMIT)
-        assert grid.period == K and grid.origin == 0.0
-        assert np.array_equal(grid.index, np.arange(size) % K)
+        period, origin, index = _lattice_of(xs, NO_COST_LIMIT)
+        assert period == K and origin == 0.0
+        assert np.array_equal(index, np.arange(size) % K)
         nudged = min(size - 1, int(where * size))
         xs[nudged] += sign * nudge
-        assert _grid_numerators(xs, NO_COST_LIMIT) is None
+        assert _lattice_of(xs, NO_COST_LIMIT) is None and _window_of(xs) is None
         picks = sorted({0, nudged, size - 1})
         total = profile_weights(n_modes)[1].sum()
         assert np.abs(universal_function(xs, n_modes)[picks]
@@ -281,18 +281,18 @@ class TestResidueGrid:
     def test_sparse_points_of_a_fine_lattice_are_summed_directly(self):
         # one FFT of length 2^23 would cost ~1 s and ~600 MB for two points
         xs = np.array([0.0, 2.0**-23])
-        assert _grid_numerators(xs, 10**5 - 1) is None
+        assert _lattice_of(xs, 10**5 - 1) is None
         total = profile_weights(10**5)[1].sum()
         assert np.abs(universal_function(xs, 10**5)
                       - exact_profile(xs, 10**5)).max() <= 1e-15 * total
-        assert _grid_numerators(xs, NO_COST_LIMIT) is not None
+        assert _lattice_of(xs, NO_COST_LIMIT) is not None
 
     @settings(max_examples=40, deadline=None)
     @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
            n_modes=st.integers(2, 3000))
     def test_direct_route_matches_exact_turns(self, xs, n_modes):
         xs = np.array(xs)
-        assume(_grid_numerators(xs, n_modes - 1) is None)
+        assume(_lattice_of(xs, n_modes - 1) is None)
         total = profile_weights(n_modes)[1].sum()
         assert np.abs(universal_function(xs, n_modes)
                       - exact_profile(xs, n_modes)).max() <= 1e-15 * total
@@ -306,13 +306,14 @@ class TestResidueGrid:
         center = (q % (p * p - 1) + 1) / (p * p)
         half_width = 10.0 ** log_half_width
         xs = np.linspace(center - half_width, center + half_width, points)
-        grid = _grid_numerators(xs, NO_COST_LIMIT)
-        assert grid.period == 0 and grid.origin == xs[0]
+        assert _lattice_of(xs, NO_COST_LIMIT) is None
+        origin, _, offsets = _window_of(xs)
+        assert origin == xs[0]
         picks = data.draw(st.lists(st.integers(0, points - 1), min_size=1,
                                    max_size=3, unique=True))
         error = np.abs(universal_function(xs, n_modes)[picks]
                        - exact_profile(xs[picks], n_modes)).max()
-        assert error <= window_bound(points, n_modes, grid.offsets)
+        assert error <= window_bound(points, n_modes, offsets)
 
     @settings(max_examples=30, deadline=None)
     @given(center=st.floats(-1.0, 1.5), log_half_width=st.floats(-6.0, -0.5),
@@ -322,13 +323,13 @@ class TestResidueGrid:
                                        n_modes, data):
         xs = np.linspace(center - 10.0 ** log_half_width,
                          center + 10.0 ** log_half_width, points)
-        grid = _grid_numerators(xs, n_modes - 1)
-        assume(grid is not None and grid.period == 0)
+        window = _window_of(xs)
+        assume(_lattice_of(xs, n_modes - 1) is None and window is not None)
         picks = data.draw(st.lists(st.integers(0, points - 1), min_size=1,
                                    max_size=3, unique=True))
         error = np.abs(universal_function(xs, n_modes)[picks]
                        - exact_profile(xs[picks], n_modes)).max()
-        assert error <= window_bound(points, n_modes, grid.offsets)
+        assert error <= window_bound(points, n_modes, window[2])
 
     @settings(max_examples=40, deadline=None)
     @given(K=st.integers(2, 4096), size=st.integers(2, 300),
@@ -338,8 +339,8 @@ class TestResidueGrid:
                                                 n_modes, data):
         origin = (start + fraction) / K
         xs = origin + np.arange(size) / K
-        grid = _grid_numerators(xs, NO_COST_LIMIT)
-        assert grid.period == K and grid.origin == xs[0]
+        period, origin, _ = _lattice_of(xs, NO_COST_LIMIT)
+        assert period == K and origin == xs[0]
         # with few modes one FFT of length K costs more than the other routes
         assume(K < (n_modes - 1) * size)
         picks = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
@@ -370,14 +371,14 @@ class TestResidueGrid:
         n_modes = 10**6
         direct = lambda xs: np.array([universal_function(x, n_modes) for x in xs])
         xs = np.linspace(0.31, 0.3127, 64)
-        grid = _grid_numerators(xs, n_modes - 1)
-        assert grid.period == 0
+        assert _lattice_of(xs, n_modes - 1) is None
+        offsets = _window_of(xs)[2]
         picks = [0, 17, 40, 63]
         window = universal_function(xs, n_modes)[picks]
         assert np.abs(window - direct(xs[picks])).max() <= \
-            window_bound(64, n_modes, grid.offsets) + 2e-15 * MODE_WEIGHT_TOTAL
+            window_bound(64, n_modes, offsets) + 2e-15 * MODE_WEIGHT_TOTAL
         xs = 0.123 + np.arange(5) / 97.0
-        assert _grid_numerators(xs, n_modes - 1).period == 97
+        assert _lattice_of(xs, n_modes - 1)[0] == 97
         assert np.abs(universal_function(xs, n_modes) - direct(xs)).max() <= \
             shifted_lattice_bound(xs, 97, n_modes) + 2e-15 * MODE_WEIGHT_TOTAL
         exact = exact_profile(xs[:1], n_modes)[0]
@@ -393,7 +394,7 @@ class TestResidueGrid:
         grid = escape_probability_aligned(config, ts, n_modes)
         coeffs = mode_coefficients(config, n_modes)
         a2, energies = coeffs.weights, coeffs.energies
-        direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
+        direct = _apply_noise_clamp(_escape_core(a2[1:], energies[1:], ts, 1.0))
         # the direct route rounds each phase E_n t to a few ulps
         phase_rounding = float(np.sum(a2[1:] * energies[1:])) * ts.max()
         tol = 8.0 * np.finfo(float).eps * (phase_rounding + 1.0)
@@ -407,11 +408,55 @@ class TestResidueGrid:
                                                            times, n_modes):
         config = WellConfig(10.0 ** log_delta)
         ts = np.array(times) * math.pi
-        assume(_grid_numerators(ts / config.period, NO_COST_LIMIT) is None)
+        assume(_lattice_of(ts / config.period, NO_COST_LIMIT) is None)
         coeffs = mode_coefficients(config, n_modes)
         a2, energies = coeffs.weights, coeffs.energies
-        direct = _apply_noise_clamp(_escape_core(a2, energies, ts, aligned=True))
+        direct = _apply_noise_clamp(_escape_core(a2[1:], energies[1:], ts, 1.0))
         assert np.array_equal(escape_probability_aligned(config, ts, n_modes), direct)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_delta=st.floats(-3.0, math.log10(0.5)), K=st.integers(2, 1024),
+           start=st.floats(0.01, 0.99), n_modes=st.integers(2, 3000))
+    def test_aligned_escape_on_shifted_period_lattice_matches_direct_route(
+            self, log_delta, K, start, n_modes):
+        config = WellConfig(10.0 ** log_delta)
+        ts = (start + np.arange(K + 1) / K) * config.period
+        period, origin, _ = _lattice_of(ts / config.period, n_modes - 1)
+        assume(origin != 0.0)
+        calls, lattice_sums = [], spectral._lattice_sums
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(survival, "_lattice_sums",
+                          lambda *args: calls.append(args[2:]) or lattice_sums(*args))
+            grid = escape_probability_aligned(config, ts, n_modes)
+        assert calls == [(period, origin)]
+        coeffs = mode_coefficients(config, n_modes)
+        a2, energies = coeffs.weights, coeffs.energies
+        direct = _apply_noise_clamp(_escape_core(a2[1:], energies[1:], ts, 1.0))
+        # the bound of the origin-0 lattice test above
+        phase_rounding = float(np.sum(a2[1:] * energies[1:])) * ts.max()
+        tol = 8.0 * np.finfo(float).eps * (phase_rounding + 1.0)
+        assert np.abs(grid - direct).max() <= tol
+
+    def test_only_universal_function_reads_windows(self):
+        # the wavefunction and the aligned escape sum a window directly, so
+        # they never ask for one; the profile does
+        calls, window_of = [], spectral._window_of
+
+        def spy(xs):
+            calls.append(xs.size)
+            return window_of(xs)
+
+        config = WellConfig(0.3)
+        window = np.linspace(0.2, 0.2013, 257)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (spectral, universal):
+                patch.setattr(module, "_window_of", spy)
+            spectral.wavefunction(config, mode_coefficients(config, 200),
+                                  np.linspace(0.1, 0.9, 400), 0.01)
+            escape_probability_aligned(config, window * config.period, 200)
+            assert calls == []
+            universal_function(window, 2000)
+        assert calls == [257]
 
 
 class TestWholeRowSums:
@@ -424,7 +469,7 @@ class TestWholeRowSums:
         # differ by up to 8 ulps
         n_modes = 10**5
         xs = np.random.default_rng(5).permutation(np.linspace(0.123456, 0.3456789, 250))
-        assert _grid_numerators(xs, NO_COST_LIMIT) is None
+        assert _lattice_of(xs, NO_COST_LIMIT) is None and _window_of(xs) is None
         assert xs.size * (n_modes - 1) > 2**24
         rows = universal_function(xs, n_modes)
         nsq, weights = profile_weights(n_modes)
