@@ -45,8 +45,8 @@ class PhaseSumSample:
     """All quadratic phase sums for one ruler, with sample moments."""
 
     epsilon: float
-    cutoff: int         # largest summed mode index, floor(sqrt(1/(2 eps)))
     values: np.ndarray  # xi_m for m = 1..floor(1/eps), at least one
+    cutoff: int = field(init=False)     # largest summed mode, floor(sqrt(1/(2 eps)))
     mean: float = field(init=False)
     std: float = field(init=False)      # population (ddof = 0)
 
@@ -55,6 +55,7 @@ class PhaseSumSample:
         if values.size == 0:
             raise ValueError("empty sample")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cutoff", _cutoff(self.epsilon))
         object.__setattr__(self, "mean", float(values.mean()))
         object.__setattr__(self, "std", float(values.std(ddof=0)))
 
@@ -120,12 +121,19 @@ def profile_dimension(strides, base_intervals: int = 10**5,
     return dimension_fit([m.ruler for m in lengths], [m.chord for m in lengths]), lengths
 
 
+def _cutoff(epsilon: float) -> int:
+    """The largest mode n of the phase sums at ruler eps, floor(sqrt(1/(2 eps)))."""
+    return int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
+
+
 def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     """xi_m = sum_{n=2}^{cutoff} sin(2 pi n^2 m eps), m = 1..1/eps.
 
     Deterministic: the statistics are over the index m, never over a RNG.
     On a ruler lattice eps = 1/K (spectral._ruler_period) xi_m = Im B_m of
-    one spectral._lattice_sums (absolute error about 1e-16 log2(K) cutoff).
+    one spectral._lattice_sums, a real-input FFT of K//2 + 1 bins whose
+    conjugates give xi_{K-m} = -xi_m exactly (absolute error about 1e-16
+    log2(K) cutoff).
     Any other ruler, one near 1/K too, makes m = 1..1/eps a window: with
     theta_n = frac(n^2 eps) in exact turns, xi_m = Im sum_n e^{2 pi i m
     theta_n} is one non-uniform FFT, within cutoff (2e-14 + 2 pi m 5e-16)
@@ -134,7 +142,7 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     """
     if not math.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"ruler must be finite and positive, got {epsilon}")
-    cutoff = int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
+    cutoff = _cutoff(epsilon)
     if cutoff < 2:
         raise ValueError(f"ruler {epsilon:g} leaves no modes below the cutoff")
     count = int(math.floor(1.0 / epsilon))
@@ -145,7 +153,7 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
         values = np.concatenate([sums[1:], sums[:1]])[:count]  # m = 1..K
     else:
         values = _window_sums(_turns(nsq, epsilon), np.ones(nsq.size), count + 1)[1:].imag
-    return PhaseSumSample(epsilon=epsilon, cutoff=cutoff, values=values)
+    return PhaseSumSample(epsilon=epsilon, values=values)
 
 
 def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityReport:
@@ -160,8 +168,9 @@ def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityRe
         skew = kurt = float("nan")
     else:
         z = (values - sample.mean) / sample.std
-        skew = float(np.mean(z**3))
-        kurt = float(np.mean(z**4) - 3.0)
+        z2 = z * z
+        skew = float(np.mean(z2 * z))
+        kurt = float(np.mean(z2 * z2) - 3.0)
     return NormalityReport(bin_edges=edges, counts=counts,
                            skewness=skew, excess_kurtosis=kurt)
 

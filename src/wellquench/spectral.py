@@ -187,12 +187,14 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
     wavefunction on a grid (whose sines are Im B).  A phase depends on r_n
     only through its residue mod K, so the real weights are binned by
     residue and one FFT gives every S_j = sum_n w_n e^{-2 pi i r_n j/K}.  At
-    origin 0, B_j = Re S_0 - S_j with Re B read from bin min(j, K - j):
-    Re B_0 is exactly 0, Re B exactly symmetric.  Elsewhere the weights are
-    twisted by e^{-2 pi i r_n origin} in exact turns and B = sum w_n - S; a
-    caller that reads one origin at several K passes those weights once, as
-    ``twisted = _twist(weights, nsq, origin)``.  Absolute error about
-    1e-16 log2(K) sum |w_n|.
+    origin 0 the binned weights are real: one real-input FFT (Sorensen et
+    al., IEEE TASSP 35 (1987) 849) gives the K//2 + 1 bins j <= K/2, B_j =
+    Re S_0 - S_j there, and B_{K-j} = conj B_j fills the rest, so B_0 is
+    exactly 0 and B exactly Hermitian.  Elsewhere the weights are twisted by
+    e^{-2 pi i r_n origin} in exact turns and B = sum w_n - S; a caller that
+    reads one origin at several K passes those weights once, as ``twisted =
+    _twist(weights, nsq, origin)``.  Absolute error about 1e-16 log2(K)
+    sum |w_n|.
     """
     residues = nsq % K
     if origin:
@@ -201,10 +203,10 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
         sums = np.fft.fft(np.bincount(residues, twisted.real, minlength=K)
                           + 1j * np.bincount(residues, twisted.imag, minlength=K))
         return np.subtract(weights.sum(), sums, out=sums)
-    sums = np.fft.fft(np.bincount(residues, weights, minlength=K))
-    np.subtract(sums[0].real, sums, out=sums)
-    sums.real[:K // 2:-1] = sums.real[1:(K + 1) // 2]  # j > K/2 reads K - j
-    return sums
+    half = np.fft.rfft(np.bincount(residues, weights, minlength=K))
+    np.subtract(half[0].real, half, out=half)
+    # j > K/2 reads conj B_{K-j}, K - j running from (K-1)//2 down to 1
+    return np.concatenate((half, half[(K + 1) // 2 - 1:0:-1].conj()))
 
 
 def _ruler_period(epsilon):

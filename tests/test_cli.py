@@ -203,28 +203,37 @@ class TestFractal:
 
     @pytest.mark.parametrize("flag, digest", [
         ("--sigma", "06703cb56a292df77ba0cc01efb67989cc2cecfbcac037f130b6bda39d610011"),
-        ("--histogram", "0d2eea3fe0854f36baaf8081f5117c8140a89e620bc370ca6cc0ef1c4505a50a"),
+        ("--histogram", "9a51fd73b2cca373ae56c6746b9094eb46082080efefe2e1bcbb18d4c8e8e90c"),
     ])
     def test_phase_sum_files_unchanged(self, flag, digest, tmp_path):
         # SHA-256 of the default files as written before the phase sums
-        # moved onto the shared residue engine
+        # moved onto the shared residue engine; the histogram's as written
+        # since the origin-0 lattice takes a real-input FFT and the moments
+        # are products; it was
+        # 0d2eea3fe0854f36baaf8081f5117c8140a89e620bc370ca6cc0ef1c4505a50a,
+        # and only the mean (6.4e-17 -> 9.1e-18), the skewness (-3.6e-17 ->
+        # 0) and the excess kurtosis (by 9e-16) moved
         out = tmp_path / "p.csv"
         assert run_cli(["fractal", flag, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_profile_and_length_files_unchanged(self, tmp_path):
         # SHA-256 of the default universal file, its valleys file and the
-        # default fractal lengths file as written before every lattice sum
-        # moved onto spectral._lattice_sums
+        # default fractal lengths file as written since the origin-0 lattice
+        # takes a real-input FFT; the valleys file kept its bytes, the
+        # profile moved by at most 4.4e-16 and the lengths by at most 1.4e-14
+        # (they were, in order,
+        # 2d885f11b7c3796393736ef981827fca1b886b38b37e2b46e0dbe2bde366e394 and
+        # 1352cb646611ce686edceacb8ff49b6734e35cfae3e634820b013592a66e41db)
         files = {name: tmp_path / f"{name}.csv" for name in ("u", "v", "l")}
         assert run_cli(["universal", "--out", str(files["u"]),
                         "--valleys-out", str(files["v"])]) == 0
         assert run_cli(["fractal", "--out", str(files["l"])]) == 0
         assert {name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for name, f in files.items()} == {
-            "u": "2d885f11b7c3796393736ef981827fca1b886b38b37e2b46e0dbe2bde366e394",
+            "u": "fb4a104402b55352d48a9a7226553efcbc36819cec7055e8f400d59433aa02ad",
             "v": "db4a7e7857f68077195ced0cbdd7a7c106cf45587c9067166a431cf58e968162",
-            "l": "1352cb646611ce686edceacb8ff49b6734e35cfae3e634820b013592a66e41db",
+            "l": "fc103e3165e9222a9729a5f5fdf142038df3bfb4c619f5ac34e42eead0ff6c6c",
         }
 
 
@@ -234,14 +243,19 @@ class TestDefaultOutputs:
     # since the spectral wavefunction sums its lattice by residue FFT; escape's
     # since the continuum escape is a power series below alpha = 2 and a
     # cancellation-free bracket from 2 on; evolve's since
-    # density_field copies the mirrored half period and sums by a real product
+    # density_field copies the mirrored half period and sums by a real product;
+    # universal's and oracle-check's since the origin-0 lattice takes a
+    # real-input FFT: F moved by at most 4.4e-16 and one check value by
+    # 1.7e-18 (they were, in order,
+    # db46a3dfde51bb4b7ceea626319e8b8058115de69cfd98c10da693f8a5e66ec7 and
+    # 6289d5d25f5c523031fcb42372e3d61766cab3b7820e0a4ac92d25f995740efa)
 
     @pytest.mark.parametrize("argv, digest", [
         (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
         (["evolve"], "9c32d324917d07e2b1a51dc9d3a39be65770a46d8c2828f0a5837ed6e7ec699e"),
         (["escape"], "d4349fa72285e53a45d7d4006cabb584913fc3a7127ff361ca9eb4111584f1da"),
         (["universal", "--format", "jsonl"],
-         "db46a3dfde51bb4b7ceea626319e8b8058115de69cfd98c10da693f8a5e66ec7"),
+         "3cb7b2fea345bbca622a00a203d63f8accfdf3345dbc40d687a97fe2204eddec"),
     ], ids=["coeffs", "evolve", "escape", "universal-jsonl"])
     def test_default_files_unchanged(self, argv, digest, tmp_path):
         out = tmp_path / "out"
@@ -250,7 +264,7 @@ class TestDefaultOutputs:
 
     @pytest.mark.parametrize("argv, digest", [
         (["oracle-check", "--json"],
-         "6289d5d25f5c523031fcb42372e3d61766cab3b7820e0a4ac92d25f995740efa"),
+         "689dffbbbf63d1a43622aa883b7e31871309af05e944b110d1cef3aef1899a4c"),
         (["fractal", "--selftest"],
          "0d6e5f8feb3c435c16fcca0e277a5c12c6ddf27e4ae811a90b4a43e23abeaace"),
     ], ids=["oracle-check-json", "fractal-selftest"])

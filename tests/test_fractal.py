@@ -236,15 +236,24 @@ class TestPhaseSums:
 
     @pytest.mark.parametrize("inverse", [1000, 4096, 20011, 37500, 10**5, 10**6])
     def test_fft_route_equals_add_at_copy(self, inverse):
-        # the residue binning before the shared engine: np.add.at then FFT;
-        # bincount adds in the same order, so the values are the same bits
+        # the residue binning before the shared engine: np.add.at, then a
+        # real-input FFT of bins 0..K/2 mirrored by conjugation; bincount adds
+        # in the same order, so the values are the same bits
         sample = phase_sum_samples(1.0 / inverse)
         n = np.arange(2, sample.cutoff + 1, dtype=np.int64)
         residue_weights = np.zeros(inverse)
         np.add.at(residue_weights, (n * n) % inverse, 1.0)
-        sums = -np.fft.fft(residue_weights).imag
+        half = -np.fft.rfft(residue_weights).imag
+        sums = np.concatenate([half, -half[(inverse + 1) // 2 - 1:0:-1]])
         expected = np.concatenate([sums[1:], sums[:1]])[:sample.values.size]
         assert np.array_equal(sample.values, expected)
+
+    @pytest.mark.parametrize("inverse", [20011, 37500])
+    def test_lattice_phase_sums_are_odd_in_m(self, inverse):
+        # xi_{K-m} = -xi_m bit for bit, as B_{K-m} = conj B_m
+        values = phase_sum_samples(1.0 / inverse).values
+        m = np.arange(1, inverse)  # values holds xi_1..xi_{K-1} at least
+        assert np.array_equal(values[inverse - m - 1], -values[m - 1])
 
 
 class TestScaling:
@@ -268,7 +277,7 @@ class TestNormalityDiagnostics:
 
     def test_degenerate_sample_reports_nan(self):
         from wellquench.fractal import PhaseSumSample
-        single = PhaseSumSample(epsilon=0.1, cutoff=2, values=np.array([1.3]))
+        single = PhaseSumSample(epsilon=0.1, values=np.array([1.3]))
         report = normality_diagnostics(single)
         assert math.isnan(report.skewness)
         assert math.isnan(report.excess_kurtosis)

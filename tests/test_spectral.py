@@ -344,6 +344,36 @@ class TestWavefunctionRoute:
             assert wavefunction(w, coeffs, np.linspace(0.0, w.width, 65), t)[0] == 0.0
 
 
+class TestLatticeSums:
+    """At origin 0 one real-input FFT gives the bins j <= K/2 and conjugation
+    the rest; the complex FFT of the same binned weights is the reference."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 20011, 37500])
+    def test_origin_zero_is_exactly_hermitian(self, K):
+        n = np.arange(2, 400, dtype=np.int64)
+        j = np.arange(1, K)
+        for weights in (np.ones(n.size), np.random.default_rng(K).normal(size=n.size)):
+            B = spectral._lattice_sums(weights, n * n, K)
+            assert B.shape == (K,)
+            assert np.array_equal(B[K - j], B[j].conj())
+            assert B[0] == 0.0
+            assert K % 2 or B[K // 2].imag == 0.0
+
+    @pytest.mark.parametrize("K", [1000, 4096, 20011, 34292, 37500, 10**5, 10**6])
+    def test_origin_zero_matches_the_complex_fft(self, K):
+        # the phase sums' unit weights up to floor(sqrt(K/2)), and signed
+        # weights on n = 1..3000 whose residues fold; the bound is
+        # _lattice_sums' stated error
+        unit, folded = np.arange(2, math.isqrt(K // 2) + 1), np.arange(1, 3001)
+        for n, weights in ((unit, np.ones(unit.size)),
+                           (folded, np.random.default_rng(K).normal(size=folded.size))):
+            sums = np.fft.fft(np.bincount(n * n % K, weights, minlength=K))
+            expected = sums[0].real - sums
+            bound = 1e-16 * math.log2(K) * np.abs(weights).sum()
+            B = spectral._lattice_sums(weights, n * n, K)
+            assert np.abs(B - expected).max() <= bound
+
+
 class TestDensityField:
     def setup_method(self):
         self.w = WellConfig(0.2)
@@ -675,8 +705,8 @@ class TestRecords:
                 x_grid=x, amplitudes=amplitudes, t=0.0, **extra),
                 {"dx": float(x[1] - x[0])}),
             "PhaseSumSample": (lambda **extra: fractal.PhaseSumSample(
-                epsilon=0.1, cutoff=2, values=values, **extra),
-                {"mean": float(values.mean()), "std": float(values.std())}),
+                epsilon=0.1, values=values, **extra),
+                {"cutoff": 2, "mean": float(values.mean()), "std": float(values.std())}),
             "ModeCoefficients": (lambda **extra: spectral.ModeCoefficients(
                 values=values, config=WellConfig(0.1), **extra), {"truncation": 3}),
             "DimensionFit": (lambda **extra: fractal.DimensionFit(
