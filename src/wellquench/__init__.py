@@ -19,7 +19,7 @@ from .universal import (UniversalCurve, ValleyList, scaled_escape_limit,
                         universal_tail_bound, valley_locations)
 from .fractal import (CurveLength, DimensionFit, PhaseSumSample, dimension_fit,
                       normality_diagnostics, phase_sum_samples, profile_dimension)
-from .oracle import (GridState, adaptive_quadrature, initial_state, overlap,
+from .oracle import (GridState, initial_state, kernel_integral, overlap,
                      propagate)
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "CurveLength", "DimensionFit", "PhaseSumSample", "dimension_fit",
     "phase_sum_samples", "normality_diagnostics", "profile_dimension",
     "GridState", "initial_state", "propagate", "overlap",
-    "adaptive_quadrature",
+    "kernel_integral",
     "__version__",
 ]

@@ -79,22 +79,15 @@ def _c4_tail(beta: float, upper: float) -> float:
 
 
 def _tail(power: int, alpha: float | None, upper: float) -> tuple[float, float]:
-    """Analytic tail of the integral beyond Y and a bound on its error."""
+    """Analytic tail of the integral beyond Y and a bound on its error, for
+    the kernels ``kernel_integral`` accepts."""
     Y = upper
-    if alpha is None:
-        if power == 4:
-            value = (1.0 / (6.0 * Y**3) + math.sin(Y * Y) / (4.0 * Y**5)
-                     - 5.0 * math.cos(Y * Y) / (8.0 * Y**7))
-            err = 5.0 / Y**9
-        elif power == 2:
-            value = (1.0 / (2.0 * Y) + math.sin(Y * Y) / (4.0 * Y**3)
-                     - 3.0 * math.cos(Y * Y) / (8.0 * Y**5))
-            err = 2.0 / Y**7
-        else:
-            raise ValueError(f"unsupported kernel power {power}")
-        return value, err
-    if power != 4:
-        raise ValueError("the shifted kernel is only used with power 4")
+    if alpha is None and power == 4:
+        return (1.0 / (6.0 * Y**3) + math.sin(Y * Y) / (4.0 * Y**5)
+                - 5.0 * math.cos(Y * Y) / (8.0 * Y**7)), 5.0 / Y**9
+    if alpha is None:  # power 2
+        return (1.0 / (2.0 * Y) + math.sin(Y * Y) / (4.0 * Y**3)
+                - 3.0 * math.cos(Y * Y) / (8.0 * Y**5)), 2.0 / Y**7
     # replace sin^2(y^2/2) by its mean 1/2; the dropped cross term is bounded
     # by integration by parts against the monotone phase y^2
     value = 1.0 / (12.0 * Y**3) - 0.25 * _c4_tail(2.0 * alpha, Y)
@@ -106,14 +99,24 @@ def kernel_integral(power: int, alpha: float | None = None,
                     tol: float = 1e-9) -> float:
     """int_0^inf [sin^2(alpha y)] sin^2(y^2/2) / y^power dy.
 
-    Without ``alpha`` the factor in brackets is absent.  The result carries an
-    internally estimated error below ``tol`` (absolute, relative to the scale
-    of the value for the shifted kernel) or QuadratureConvergenceError is
-    raised with diagnostics.  The estimate is |fine - coarse| plus the tail
-    bound; |fine - coarse| bounds the error of the 12-point rule, so it is a
+    Power 4 gives the free-law constant, power 2 the confined one, and power
+    4 with ``alpha = delta / sqrt(t)`` the continuum escape integral; without
+    ``alpha`` the factor in brackets is absent.  Any other power, an
+    ``alpha`` with power 2, or a ``tol`` that is not > 0 (NaN too) raises
+    ValueError before a panel is built.  The result carries an internally
+    estimated error below ``tol`` (absolute, relative to the scale of the
+    value for the shifted kernel) or QuadratureConvergenceError is raised
+    with diagnostics.  The estimate is |fine - coarse| plus the tail bound;
+    |fine - coarse| bounds the error of the 12-point rule, so it is a
     conservative estimate for the 20-point value returned.
     """
+    if power not in (2, 4):
+        raise ValueError(f"unsupported kernel power {power}")
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if alpha is not None:
+        if power != 4:
+            raise ValueError("the shifted kernel is only used with power 4")
         if math.isnan(alpha) or alpha < 0.0:
             raise ValueError(f"oscillation rate must be >= 0, got {alpha}")
         if alpha == 0.0:

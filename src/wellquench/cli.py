@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, fractal, oracle, spectral, survival, universal
-from .errors import QuadratureConvergenceError, WellQuenchError
+from .errors import QuadratureConvergenceError, TruncationCapError, WellQuenchError
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -420,12 +420,13 @@ def main(argv=None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except (ValueError, OSError, TruncationCapError) as exc:
+        # a TruncationCapError is a --tol no mode count within the cap meets
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except WellQuenchError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, OSError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,22 +6,25 @@ Crank-Nicolson scheme, in closed form in the sine basis (DST-I) of the grid
 Laplacian; overlaps are trapezoid sums of sampled states; and the escape-law
 kernel integrals are computed by panel quadrature on [0, inf), the oracle of
 their closed forms (the two kernel constants and the series and bracket of
-``survival.escape_integral``).  The DST here and the spectral wavefunction on
-a grid both call numpy's FFT, on independent inputs: the grid samples here,
-the expansion coefficients binned by mode residue there; the direct mode sum
-``spectral._mode_sums`` stays the tested reference of the latter.
-``invariant_checks`` runs these routes against each other and against the
-spectral route.
+``survival.escape_integral``): ``kernel_integral``, the package's one
+quadrature, defined in ``_oscillatory`` and re-exported here.  The DST here
+and the spectral wavefunction on a grid both call numpy's FFT, on independent
+inputs: the grid samples here, the expansion coefficients binned by mode
+residue there; the direct mode sum ``spectral._mode_sums`` stays the tested
+reference of the latter.  ``invariant_checks`` runs these routes against each
+other and against the spectral route.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _oscillatory, survival
+from . import survival
+from ._oscillatory import kernel_integral
 from .errors import GridMismatchError
 from .spectral import WellConfig, mode_coefficients, wavefunction
 
@@ -113,8 +116,8 @@ def propagate(state: GridState, dt: float, steps: int) -> GridState:
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step must be finite and positive, got {dt}")
-    if steps < 0:
-        raise ValueError("step count must be >= 0")
+    if not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"step count must be an integer >= 0, got {steps!r}")
     amplitudes = state.amplitudes.copy()
     if steps:
         n = amplitudes.size - 2
@@ -151,36 +154,6 @@ def overlap(state_a: GridState, state_b: GridState) -> complex:
     return complex(state_a.dx * np.sum(product))  # endpoints are zero
 
 
-_KERNELS = {
-    "free": (4, False),       # sin^2(y^2/2) / y^4
-    "confined": (2, False),   # sin^2(y^2/2) / y^2
-    "escape": (4, True),      # sin^2(alpha y) sin^2(y^2/2) / y^4
-}
-
-
-def adaptive_quadrature(kind: str, tol: float = 1e-9,
-                        alpha: float | None = None) -> float:
-    """int_0^inf of an escape-law kernel with estimated error below tol.
-
-    ``kind`` is one of "free", "confined", "escape" (the latter takes the
-    oscillation rate ``alpha`` = delta / sqrt(t)).  This is the oracle of the
-    closed-form kernel constants and of ``survival.escape_integral``.  Raises
-    QuadratureConvergenceError when the target cannot be met.
-    """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    try:
-        power, takes_alpha = _KERNELS[kind]
-    except KeyError:
-        raise ValueError(f"unknown integrand {kind!r}; expected one of "
-                         f"{sorted(_KERNELS)}") from None
-    if takes_alpha and alpha is None:
-        raise ValueError("the escape kernel needs alpha = delta/sqrt(t)")
-    if not takes_alpha and alpha is not None:
-        raise ValueError(f"integrand {kind!r} does not take alpha")
-    return _oscillatory.kernel_integral(power, alpha=alpha, tol=tol)
-
-
 def invariant_checks(coarse: bool = False) -> list[dict]:
     """The oracle suite as named checks: {name, value, threshold, ok}.
 
@@ -206,9 +179,9 @@ def invariant_checks(coarse: bool = False) -> list[dict]:
     walked = propagate(state, dt, 1000)
     check("norm_drift_1000_steps", abs(walked.norm - state.norm), 1e-10)
     # quadrature constants against their closed forms
-    for kind, exact in (("free", survival.FREE_KERNEL_CONSTANT),
-                        ("confined", survival.CONFINED_KERNEL_CONSTANT)):
-        value = adaptive_quadrature(kind, tol=1e-9)
+    for kind, power, exact in (("free", 4, survival.FREE_KERNEL_CONSTANT),
+                               ("confined", 2, survival.CONFINED_KERNEL_CONSTANT)):
+        value = kernel_integral(power, tol=1e-9)
         check(f"{kind}_kernel_constant", abs(value - exact), 1e-6)
     # grid propagator against the spectral wavefunction
     t_target = 0.005

@@ -285,7 +285,9 @@ def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] |
     within a few ulps of an integer."""
     if xs.size < 2:
         return None
-    inverse = 1.0 / abs(xs[1] - xs[0]) if xs[1] != xs[0] else math.inf
+    # decide on the step before inverting it: 1 / a subnormal step overflows
+    step = abs(xs[1] - xs[0])
+    inverse = 1.0 / step if step > 0.5 / _FFT_LIMIT else math.inf
     limit = min(_FFT_LIMIT, n_terms * xs.size)
     K = round(inverse) if 0.5 <= inverse < limit + 0.5 else 0
     if not K or abs(inverse - K) > 1e-6 * K:

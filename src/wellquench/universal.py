@@ -90,8 +90,6 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
       1e-15 sum(w_n) absolute of F at the inputs; this route is the oracle
       the others are tested against.
     """
-    if n_modes < 2:
-        raise ValueError("need at least the n = 2 mode")
     xs = _valid_times(xi, "xi", signed=True)
     lattice = _lattice_of(xs, n_modes - 1)
     if lattice is not None:
@@ -114,7 +112,10 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
 
 def _profile_modes(n_modes: int):
-    """n^2 as integers and the weights n^2 / (1 - n^2)^2, for n = 2..n_modes."""
+    """n^2 as integers and the weights n^2 / (1 - n^2)^2, for n = 2..n_modes;
+    every profile reader takes its modes here, so this refuses n_modes < 2."""
+    if n_modes < 2:
+        raise ValueError("need at least the n = 2 mode")
     nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
     return nsq, nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
 
@@ -148,8 +149,6 @@ def universal_curve(intervals: int, n_modes: int = DEFAULT_MODES,
     """
     if intervals < 2:
         raise ValueError("need at least 2 grid intervals")
-    if n_modes < 2:
-        raise ValueError("need at least the n = 2 mode")
     K = int(intervals)
     idx = np.arange(K + 1 + extra_points)
     values = _grid_profile(K, n_modes)[idx % K]

@@ -170,6 +170,16 @@ class TestUniversal:
         assert rows[-1][0] == pytest.approx(0.26)
         assert rows.shape[0] == 11
 
+    def test_subnormal_step_is_summed_directly(self, tmp_path, capsys):
+        # 1 / the subnormal first step used to overflow in the lattice test,
+        # exit 2 with an out-of-range usage error although F is 0 there
+        out = tmp_path / "s.csv"
+        assert run_cli(["universal", "--xi-min", "0", "--xi-max", "4.45e-313",
+                        "--points", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = parse_csv(out)
+        assert rows.shape == (3, 3) and np.all(rows[:, 1] == 0.0)
+
 
 class TestFractal:
     def test_selftest(self, capsys):
@@ -534,6 +544,9 @@ class TestErrorContract:
         (["escape", "--t-max", "1e300", "--n", "16"], None),
         (["escape", "--tol", "nan"], None),
         (["universal", "--xi-max", "inf", "--n", "16"], None),
+        # a --tol the mode cap cannot meet used to exit 1
+        (["coeffs", "--tol", "1e-30"], None),
+        (["escape", "--tol", "1e-30"], None),
     ])
     def test_usage_errors_exit_2_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -5,10 +5,11 @@ import pytest
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
-from wellquench import oracle
+import wellquench
+from wellquench import _oscillatory, oracle
 from wellquench.errors import GridMismatchError, QuadratureConvergenceError
-from wellquench.oracle import (GridState, adaptive_quadrature, eigenmode_state,
-                               initial_state, invariant_checks, overlap,
+from wellquench.oracle import (GridState, eigenmode_state, initial_state,
+                               invariant_checks, kernel_integral, overlap,
                                propagate, uniform_grid)
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
 
@@ -148,6 +149,14 @@ class TestPropagate:
             propagate(state, -1e-5, 10)
         with pytest.raises(ValueError):
             propagate(state, 1e-5, -1)
+        # 2.5 used to apply g^2.5 and advance t by 2.5 dt
+        for steps in (2.5, 2.0, math.nan, "3"):
+            with pytest.raises(ValueError, match="step count must be an integer"):
+                propagate(state, 1e-5, steps)
+        moved = propagate(state, 1e-5, np.int64(2))
+        assert moved.t == 2e-5
+        np.testing.assert_array_equal(moved.amplitudes,
+                                      propagate(state, 1e-5, 2).amplitudes)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_non_finite_step_rejected(self, dt):
@@ -179,39 +188,65 @@ class TestOverlap:
 
 
 class TestAdaptiveQuadrature:
+    """kernel_integral, the one quadrature, as the oracle re-exports it."""
+
+    def test_one_function_behind_every_name(self):
+        assert wellquench.kernel_integral is _oscillatory.kernel_integral
+        assert oracle.kernel_integral is _oscillatory.kernel_integral
+
     def test_free_kernel_constant(self):
-        value = adaptive_quadrature("free", tol=1e-9)
+        value = kernel_integral(4, tol=1e-9)
         assert abs(value - math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))) < 1e-8
 
     def test_confined_kernel_constant(self):
-        value = adaptive_quadrature("confined", tol=1e-9)
+        value = kernel_integral(2, tol=1e-9)
         assert abs(value - math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))) < 1e-8
 
     def test_escape_kernel_saturates_to_half_free(self):
-        value = adaptive_quadrature("escape", alpha=30.0)
+        value = kernel_integral(4, alpha=30.0)
         half_free = 0.5 * math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
         assert value == pytest.approx(half_free, rel=1e-5)
 
     def test_escape_kernel_small_rate(self):
         # sin^2(alpha y) ~ alpha^2 y^2 regime approaches alpha^2 * confined
         alpha = 0.01
-        value = adaptive_quadrature("escape", alpha=alpha)
+        value = kernel_integral(4, alpha=alpha)
         confined = math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))
         assert value == pytest.approx(alpha**2 * confined, rel=2e-2)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            adaptive_quadrature("escape")              # alpha required
+            kernel_integral(2, alpha=1.0)     # alpha only with power 4
         with pytest.raises(ValueError):
-            adaptive_quadrature("free", alpha=1.0)     # alpha forbidden
-        with pytest.raises(ValueError):
-            adaptive_quadrature("nonsense")
+            kernel_integral(3)
+
+    @pytest.mark.parametrize("power, alpha, tol, match", [
+        (3, None, 1e-9, "unsupported kernel power 3"),
+        (2, 1.0, 1e-9, "only used with power 4"),
+        (4, None, 0.0, "tolerance must be positive"),
+        (4, None, -1.0, "tolerance must be positive"),
+        (4, None, math.nan, "tolerance must be positive"),
+        (4, 1.0, 0.0, "tolerance must be positive"),
+        (4, 1.0, -1.0, "tolerance must be positive"),
+        (4, 1.0, math.nan, "tolerance must be positive"),
+        (2, None, math.nan, "tolerance must be positive"),
+    ])
+    def test_bad_arguments_refused_before_any_panel(self, monkeypatch, power,
+                                                    alpha, tol, match):
+        # a NaN tol used to run three refinements and end in non-convergence,
+        # tol = 0 with alpha in ZeroDivisionError, tol = -1 in TypeError
+        def no_panels(*args):
+            raise AssertionError("a panel layout was built")
+
+        monkeypatch.setattr(_oscillatory, "_panel_edges", no_panels)
+        with pytest.raises(ValueError, match=match):
+            kernel_integral(power, alpha=alpha, tol=tol)
 
     def test_nonconvergence_raises_with_diagnostics(self):
         # rounding alone leaves |fine - coarse| near 1e-16
         with pytest.raises(QuadratureConvergenceError,
                            match=r"power=4 alpha=None .* panels=\d+ "):
-            adaptive_quadrature("free", tol=1e-18)
+            kernel_integral(4, tol=1e-18)
 
 
 class TestChecksCanFail:

@@ -273,7 +273,7 @@ class TestEscapeIntegral:
             _oscillatory.kernel_integral(4, alpha=math.nan)
         for alpha in (math.nan, -1.0):
             with pytest.raises(ValueError, match="oscillation rate"):
-                oracle.adaptive_quadrature("escape", alpha=alpha)
+                oracle.kernel_integral(4, alpha=alpha)
         # an infinite rate is the fully averaged limit, not an error
         assert _oscillatory.kernel_integral(4, alpha=math.inf) == \
             0.5 * _oscillatory.kernel_integral(4)
@@ -293,9 +293,9 @@ class TestAsymptotes:
 
     def test_kernel_constants_against_quadrature(self):
         # numerical integrals must reproduce the closed forms
-        assert abs(oracle.adaptive_quadrature("free", tol=1e-9)
+        assert abs(oracle.kernel_integral(4, tol=1e-9)
                    - FREE_KERNEL_CONSTANT) < 1e-8
-        assert abs(oracle.adaptive_quadrature("confined", tol=1e-9)
+        assert abs(oracle.kernel_integral(2, tol=1e-9)
                    - CONFINED_KERNEL_CONSTANT) < 1e-8
 
     def test_law_coefficients(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wellquench import spectral, survival, universal
@@ -217,6 +217,17 @@ class TestValleys:
         with pytest.raises(ValueError):
             valley_locations(1)
 
+    @pytest.mark.parametrize("n_modes", [0, 1])
+    def test_every_profile_reader_needs_the_n_2_mode(self, n_modes):
+        # valley_locations used to return an empty ValleyList
+        readers = [lambda: valley_locations(4, n_modes=n_modes),
+                   lambda: universal_function([0.1, 0.3], n_modes),
+                   lambda: universal_function(np.arange(8) / 8, n_modes),
+                   lambda: universal_curve(16, n_modes)]
+        for read in readers:
+            with pytest.raises(ValueError, match="need at least the n = 2 mode"):
+                read()
+
     @pytest.mark.parametrize("spacing", [math.nan, 0.0, -1e-4, math.inf])
     def test_spacing_must_be_finite_and_positive(self, spacing):
         # NaN and 0 used to return an empty list
@@ -290,6 +301,8 @@ class TestResidueGrid:
     @settings(max_examples=40, deadline=None)
     @given(xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
            n_modes=st.integers(2, 3000))
+    # 1 / a subnormal first step used to overflow in _lattice_of
+    @example(xs=[0.0, 2.2250738585e-313], n_modes=2)
     def test_direct_route_matches_exact_turns(self, xs, n_modes):
         xs = np.array(xs)
         assume(_lattice_of(xs, n_modes - 1) is None)
