@@ -22,8 +22,8 @@ import numpy as np
 from ._special import sine_integral_tail
 from .errors import QuadratureConvergenceError
 
-# kernel_integral, and nothing else, treats sin^2(a y) with a >= this as its
-# mean 1/2; the neglected cross-oscillation is O(0.3 / a^4) by stationary phase.
+# kernel_integral, and nothing else, takes sin^2(a y) as its mean 1/2 from this a
+# on where the cross-oscillation dropped, O(0.3 / a^4) by stationary phase, <= tol
 _MEAN_FIELD_ALPHA = 200.0
 
 
@@ -103,12 +103,12 @@ def kernel_integral(power: int, alpha: float | None = None,
     4 with ``alpha = delta / sqrt(t)`` the continuum escape integral; without
     ``alpha`` the factor in brackets is absent.  Any other power, an
     ``alpha`` with power 2, or a ``tol`` that is not > 0 (NaN too) raises
-    ValueError before a panel is built.  The result carries an internally
-    estimated error below ``tol`` (absolute, relative to the scale of the
-    value for the shifted kernel) or QuadratureConvergenceError is raised
-    with diagnostics.  The estimate is |fine - coarse| plus the tail bound;
-    |fine - coarse| bounds the error of the 12-point rule, so it is a
-    conservative estimate for the 20-point value returned.
+    ValueError before a panel is built.  The result carries an error below
+    ``tol`` (absolute, relative to the scale of the value for the shifted
+    kernel) or QuadratureConvergenceError is raised with diagnostics.  From
+    alpha = 200 on, while 0.3 / alpha^4 <= ``tol``, sin^2(alpha y) is its mean
+    1/2; else the estimate is |fine - coarse|, a bound for the 12-point rule
+    and so conservative for the 20-point value returned, plus the tail bound.
     """
     if power not in (2, 4):
         raise ValueError(f"unsupported kernel power {power}")
@@ -121,8 +121,8 @@ def kernel_integral(power: int, alpha: float | None = None,
             raise ValueError(f"oscillation rate must be >= 0, got {alpha}")
         if alpha == 0.0:
             return 0.0
-        if alpha >= _MEAN_FIELD_ALPHA:
-            # fully averaged regime: I -> (1/2) int sin^2(y^2/2)/y^4
+        if alpha >= max(_MEAN_FIELD_ALPHA, (0.3 / tol) ** 0.25):
+            # 0.3 / alpha^4 <= tol: I -> (1/2) int sin^2(y^2/2)/y^4
             return 0.5 * kernel_integral(4, None, tol)
         # keep the tail bounds alpha/(8 Y^4) and 0.5/Y^5 under tol/2 each
         upper = max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25,

@@ -206,15 +206,8 @@ def cmd_universal(args) -> list:
 
 
 def cmd_fractal(args) -> list:
-    if args.selftest + args.histogram + args.sigma > 1:
-        raise ValueError("choose at most one of --selftest, --histogram and --sigma")
-    if args.selftest:
-        eps = np.logspace(-5, -2, 10)
-        fit = fractal.dimension_fit(eps, eps**-0.25)
-        print(f"selftest dimension = {fit.dimension:.6f}")
-        if not abs(fit.dimension - 1.25) < 1e-9:
-            raise WellQuenchError(f"selftest dimension {fit.dimension!r} != 1.25")
-        return []
+    if args.histogram and args.sigma:
+        raise ValueError("choose at most one of --histogram and --sigma")
     if args.histogram:
         sample = fractal.phase_sum_samples(args.epsilon)
         report = fractal.normality_diagnostics(sample, bins=args.bins)
@@ -313,8 +306,7 @@ COMMANDS = {
         "--epsilon": Opt(1e-5, float, "ruler for --histogram"),
         "--bins": Opt(61, int),
         "--sigma": Opt(False, bool,
-                       "emit (epsilon, sigma) rows instead of lengths"),
-        "--selftest": Opt(False, bool, "fit a synthetic eps^-1/4 law and exit")}),
+                       "emit (epsilon, sigma) rows instead of lengths")}),
     "oracle-check": Command(cmd_oracle_check, "run the independent-oracle suite", {
         "--coarse": Opt(False, bool,
                         "deliberately coarse grids (expected to fail)"),

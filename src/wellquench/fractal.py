@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InsufficientSpanError
 from .spectral import _lattice_sums, _ruler_period, _turns, _window_sums
+from .survival import _power_law_fit
 from .universal import _profile_modes, universal_curve
 
 
@@ -71,25 +72,18 @@ class NormalityReport:
 def dimension_fit(epsilons, lengths) -> DimensionFit:
     """Least-squares slope of log l against log eps; dimension = 1 - slope.
 
-    Requires at least 5 rulers spanning at least two decades.
+    Fits by ``survival._power_law_fit``, then requires at least 5 rulers
+    spanning at least two decades.
     """
+    slope, residual = _power_law_fit(epsilons, lengths, ("rulers", "lengths"))
     eps = np.asarray(epsilons, dtype=float)
-    ls = np.asarray(lengths, dtype=float)
-    if eps.shape != ls.shape or eps.ndim != 1:
-        raise ValueError("epsilons and lengths must be matching 1-d arrays")
-    for name, values in (("rulers", eps), ("lengths", ls)):
-        if not (np.isfinite(values).all() and (values > 0.0).all()):
-            raise ValueError(f"{name} must be finite and positive")
     if eps.size < 5:
         raise InsufficientSpanError(f"need >= 5 rulers, got {eps.size}")
     if eps.max() / eps.min() < 99.999:
         raise InsufficientSpanError(
             f"rulers span a factor {eps.max() / eps.min():.3g}; "
             "need at least two decades")
-    log_e, log_l = np.log(eps), np.log(ls)
-    slope, intercept = np.polyfit(log_e, log_l, 1)
-    residual = float(np.sqrt(np.mean((log_l - slope * log_e - intercept) ** 2)))
-    return DimensionFit(slope=float(slope), residual=residual)
+    return DimensionFit(slope=slope, residual=residual)
 
 
 def profile_dimension(strides, base_intervals: int = 10**5,
@@ -176,9 +170,8 @@ def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityRe
 
 
 def phase_sum_scaling(epsilons) -> tuple[float, list[PhaseSumSample]]:
-    """Slope of log std against log eps over the given rulers (~ -1/4)."""
+    """Slope of log std against log eps (~ -1/4) by ``survival._power_law_fit``,
+    which refuses one ruler or a repeated one (InsufficientSpanError)."""
     samples = [phase_sum_samples(float(e)) for e in epsilons]
-    eps = np.array([s.epsilon for s in samples])
-    stds = np.array([s.std for s in samples])
-    slope, _ = np.polyfit(np.log(eps), np.log(stds), 1)
-    return float(slope), samples
+    return _power_law_fit([s.epsilon for s in samples], [s.std for s in samples],
+                          ("rulers", "deviations"))[0], samples

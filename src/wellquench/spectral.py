@@ -125,14 +125,19 @@ def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
 
 
 def _valid_times(t, name: str = "time", signed: bool = False) -> np.ndarray:
-    """``t`` as an array of at least one dimension; ValueError if any entry is
-    NaN or infinite, or negative unless ``signed``."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    """The points of ``t`` as a flat array; ValueError if any entry is NaN or
+    infinite, or negative unless ``signed``."""
+    ts = np.asarray(t, dtype=float).ravel()
     if not np.isfinite(ts).all():
         raise ValueError(f"{name} must be finite")
     if not signed and ts.size and ts.min() < 0.0:
         raise ValueError(f"{name} must be >= 0")
     return ts
+
+
+def _shaped(out: np.ndarray, t):
+    """``out``, a value per point of ``t``, shaped as ``t``; one number for a scalar."""
+    return out.reshape(np.shape(t)) if np.ndim(t) else out.item()
 
 
 def _valid_shift(delta) -> float:
@@ -340,7 +345,7 @@ def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:
 
 
 def _valid_positions(config: WellConfig, coeffs: ModeCoefficients, x) -> np.ndarray:
-    """``x`` as an array of at least one dimension; ValueError if it is empty,
+    """The points of ``x`` as a flat array; ValueError if it is empty,
     if ``coeffs`` belong to another well, or if a position is NaN, infinite
     or outside [0, width]."""
     if coeffs.config != config:
@@ -384,7 +389,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
         raise ValueError("time must be a scalar")
     ts = _valid_times(t)
     xs = _valid_positions(config, coeffs, x)
-    lattice = _lattice_of(xs.ravel() / (2.0 * config.width), coeffs.truncation)
+    lattice = _lattice_of(xs / (2.0 * config.width), coeffs.truncation)
     if lattice is None:
         psi = _mode_sums(config, coeffs, xs, ts)[0]
     else:
@@ -394,8 +399,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
         real, imag = (_lattice_sums(part, n, K, origin).imag[index]
                       for part in (c.real, c.imag))
         psi = real + 1j * imag
-    out = psi.reshape(xs.shape) * math.sqrt(2.0 / config.width)
-    return out if np.ndim(x) else out[0]
+    return _shaped(psi * math.sqrt(2.0 / config.width), x)
 
 
 def density_field(config: WellConfig, coeffs: ModeCoefficients,

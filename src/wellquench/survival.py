@@ -18,9 +18,9 @@ from operator import mul
 import numpy as np
 
 from ._special import lentz, two_square
-from .errors import TruncationInconsistencyError
-from .spectral import (WellConfig, _direct_sums, _lattice_of,
-                       _lattice_sums, _valid_shift, _valid_times,
+from .errors import InsufficientSpanError, TruncationInconsistencyError
+from .spectral import (WellConfig, _direct_sums, _lattice_of, _lattice_sums,
+                       _shaped, _valid_shift, _valid_times,
                        mode_coefficients, truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
@@ -67,7 +67,7 @@ def survival_amplitude(config: WellConfig, t, n_modes: int):
     coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
     out = _direct_sums(ts, coeffs.energies, lambda p: coeffs.weights * np.exp(-1j * p))
-    return out if np.ndim(t) else complex(out[0])
+    return _shaped(out, t)
 
 
 def _escape_core(a2, energies, ts, reference: float):
@@ -103,7 +103,7 @@ def escape_probability_exact(config: WellConfig, t, n_modes: int):
     ts = _valid_times(t)
     w = coeffs.weights
     out = _apply_noise_clamp(_escape_core(w, coeffs.energies, ts, math.fsum(w)))
-    return out if np.ndim(t) else float(out[0])
+    return _shaped(out, t)
 
 
 def escape_probability_aligned(config: WellConfig, t, n_modes: int):
@@ -129,7 +129,7 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
         b = _lattice_sums(coeffs.weights[1:], nsq, K, origin)[index]
         core = 2.0 * b.real - b.real * b.real - b.imag * b.imag
     out = _apply_noise_clamp(core)
-    return out if np.ndim(t) else float(out[0])
+    return _shaped(out, t)
 
 
 def escape_small_delta(config: WellConfig, t, n_modes: int):
@@ -145,7 +145,7 @@ def escape_small_delta(config: WellConfig, t, n_modes: int):
     ts = _valid_times(t)
     out = (16.0 / math.pi**2) * _direct_sums(
         ts, half_phase_rates, lambda p: np.sin(p) ** 2 * weights)
-    return out if np.ndim(t) else float(out[0])
+    return _shaped(out, t)
 
 
 def escape_integral(delta: float, t: float) -> float:
@@ -199,7 +199,7 @@ def asymptote_free(t) -> np.ndarray | float:
     t_arr = _valid_times(t)
     with np.errstate(over="ignore"):
         out = _finite_law(FREE_LAW_COEFFICIENT * t_arr**1.5, t_arr)
-    return out if np.ndim(t) else float(out[0])
+    return _shaped(out, t)
 
 
 def _finite_law(value, t, name: str = "time"):
@@ -222,7 +222,7 @@ def asymptote_confined(delta: float, t) -> np.ndarray | float:
     factor = _finite_law(CONFINED_LAW_COEFFICIENT * delta * delta, delta, "wall shift")
     with np.errstate(over="ignore"):
         out = _finite_law(factor * np.sqrt(t_arr), t_arr)
-    return out if np.ndim(t) else float(out[0])
+    return _shaped(out, t)
 
 
 def crossover_time(delta: float) -> float:
@@ -231,9 +231,21 @@ def crossover_time(delta: float) -> float:
     return _finite_law(3.0 * delta * delta, delta, "wall shift")
 
 
-def _loglog_slope(ts: np.ndarray, ps: np.ndarray) -> float:
-    slope, _ = np.polyfit(np.log(ts), np.log(ps), 1)
-    return float(slope)
+def _power_law_fit(xs, ys, names) -> tuple[float, float]:
+    """Slope and RMS residual of the least-squares line through (log x, log y).
+    ValueError, naming ``names``, unless x and y are matching 1-d arrays of
+    finite, positive numbers; InsufficientSpanError unless x takes two values."""
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays")
+    for name, values in zip(names, (x, y)):
+        if not (np.isfinite(values).all() and (values > 0.0).all()):
+            raise ValueError(f"{name} must be finite and positive")
+    if not (x.size and x.min() < x.max()):
+        raise InsufficientSpanError(f"a fit needs two distinct {names[0]}")
+    log_x, log_y = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    return float(slope), float(np.sqrt(np.mean((log_y - slope * log_x - intercept) ** 2)))
 
 
 def _fixed_exponent_amplitude(ts, ps, exponent):
@@ -244,24 +256,24 @@ def regime_report(delta: float, early_window, late_window) -> RegimeReport:
     """Fit both power-law regimes of the exact escape probability.
 
     Slopes come from unweighted least squares on (log t, log P) over each
-    window.  The prefactors are the least-squares amplitudes at the
-    theoretical exponents (3/2 early, 1/2 late), which keeps them meaningful
-    even when the fitted slope drifts a little.  Each window holds
-    _FIT_POINTS times, and the modes are as many as keep the survival tail
-    bound under 1e-3 of the free law at the first time.
+    window (``_power_law_fit``: an escape that rounds to 0 raises ValueError).
+    The prefactors are the least-squares amplitudes at the theoretical
+    exponents (3/2 early, 1/2 late), which keeps them meaningful even when
+    the fitted slope drifts a little.  Each window holds _FIT_POINTS times,
+    and the modes are as many as keep the survival tail bound under 1e-3 of
+    the free law at the first time.
     """
     config = WellConfig(delta)
     target = 1e-3 * float(asymptote_free(float(early_window[0])))
     n_modes = truncation_for_tolerance(config, "survival", target)
-    slopes = []
-    amplitudes = []
+    slopes, amplitudes = [], []
     for window, exponent in ((early_window, 1.5), (late_window, 0.5)):
         lo, hi = float(window[0]), float(window[1])
         if not 0.0 < lo < hi:
             raise ValueError(f"bad fit window {window}")
         ts = np.logspace(math.log10(lo), math.log10(hi), _FIT_POINTS)
         ps = escape_probability_exact(config, ts, n_modes)
-        slopes.append(_loglog_slope(ts, ps))
+        slopes.append(_power_law_fit(ts, ps, ("times", "escape probabilities"))[0])
         amplitudes.append(_fixed_exponent_amplitude(ts, ps, exponent))
     return RegimeReport(
         transition_time=crossover_time(delta),

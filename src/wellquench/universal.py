@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._special import trigamma
-from .spectral import (WellConfig, _direct_sums, _lattice_of, _lattice_sums,
+from .spectral import (WellConfig, _direct_sums, _lattice_of, _lattice_sums, _shaped,
                        _turns, _twist, _valid_times, _window_of, _window_sums)
 from .survival import escape_probability_aligned
 
@@ -95,7 +95,7 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
     if lattice is not None:
         K, origin, index = lattice
         out = _grid_profile(K, n_modes, origin)[index]
-        return out if np.ndim(xi) else float(out[0])
+        return _shaped(out, xi)
     nsq, weights = _profile_modes(n_modes)
     window = _window_of(xs)
     if window is None:
@@ -108,7 +108,7 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
                             np.stack([twisted, 2.0 * math.pi * nsq * twisted]), xs.size)
         # F(x0 + k h + d) = F(x0 + k h) + d F'(x0 + k h) + O(d^2)
         out = np.maximum(weights.sum() - sums[0].real + offsets * sums[1].imag, 0.0)
-    return out if np.ndim(xi) else float(out[0])
+    return _shaped(out, xi)
 
 
 def _profile_modes(n_modes: int):

@@ -182,10 +182,6 @@ class TestUniversal:
 
 
 class TestFractal:
-    def test_selftest(self, capsys):
-        assert run_cli(["fractal", "--selftest"]) == 0
-        assert "1.25" in capsys.readouterr().out
-
     def test_lengths_and_dimension_header(self, tmp_path):
         out = tmp_path / "l.csv"
         assert run_cli(["fractal", "--out", str(out)]) == 0
@@ -275,9 +271,7 @@ class TestDefaultOutputs:
     @pytest.mark.parametrize("argv, digest", [
         (["oracle-check", "--json"],
          "689dffbbbf63d1a43622aa883b7e31871309af05e944b110d1cef3aef1899a4c"),
-        (["fractal", "--selftest"],
-         "0d6e5f8feb3c435c16fcca0e277a5c12c6ddf27e4ae811a90b4a43e23abeaace"),
-    ], ids=["oracle-check-json", "fractal-selftest"])
+    ], ids=["oracle-check-json"])
     def test_stdout_unchanged(self, argv, digest, capsys):
         assert run_cli(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -450,10 +444,8 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert out.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("switches", [
-        ["--selftest", "--histogram"], ["--selftest", "--sigma"],
-        ["--histogram", "--sigma"], ["--selftest", "--histogram", "--sigma"],
-    ])
+    @pytest.mark.parametrize("switches", [["--histogram", "--sigma"]],
+                             ids=["histogram-sigma"])
     def test_fractal_modes_exclude_each_other(self, switches, tmp_path, capsys):
         # each switch picks what fractal writes, so two of them are ambiguous
         out = tmp_path / "F"
@@ -547,6 +539,8 @@ class TestErrorContract:
         # a --tol the mode cap cannot meet used to exit 1
         (["coeffs", "--tol", "1e-30"], None),
         (["escape", "--tol", "1e-30"], None),
+        # the synthetic eps^-1/4 fit is gone; TestDimensionFit keeps its check
+        (["fractal", "--selftest"], None),
     ])
     def test_usage_errors_exit_2_with_one_line(self, argv, config, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

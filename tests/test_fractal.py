@@ -261,6 +261,12 @@ class TestScaling:
         slope, _ = phase_sum_scaling([1e-5, 1e-4, 1e-3])
         assert slope == pytest.approx(-0.25, abs=0.07)
 
+    @pytest.mark.parametrize("rulers", [[1e-3], [1e-3, 1e-3]], ids=["one", "repeated"])
+    def test_one_ruler_is_refused(self, rulers):
+        # the fit used to return a slope of -0.085 with a RankWarning
+        with pytest.raises(InsufficientSpanError):
+            phase_sum_scaling(rulers)
+
 
 class TestNormalityDiagnostics:
     def test_histogram_counts_the_whole_sample(self):

@@ -724,3 +724,48 @@ class TestRecords:
                 assert getattr(record, field_name) == value
             else:
                 assert not hasattr(record, field_name)
+
+
+_SHAPE_WELL = WellConfig(0.01)
+_SHAPE_COEFFS = mode_coefficients(_SHAPE_WELL, 300)
+# each pointwise reader, and the unit its points are scaled by
+_READERS = {
+    "survival_amplitude": (lambda t: survival.survival_amplitude(_SHAPE_WELL, t, 300),
+                           _SHAPE_WELL.period),
+    "escape_probability_exact": (
+        lambda t: survival.escape_probability_exact(_SHAPE_WELL, t, 300), _SHAPE_WELL.period),
+    "escape_probability_aligned": (
+        lambda t: survival.escape_probability_aligned(_SHAPE_WELL, t, 300), _SHAPE_WELL.period),
+    "escape_small_delta": (lambda t: survival.escape_small_delta(_SHAPE_WELL, t, 300),
+                           _SHAPE_WELL.period),
+    "asymptote_free": (survival.asymptote_free, 1e-3),
+    "asymptote_confined": (lambda t: survival.asymptote_confined(0.01, t), 1e-3),
+    "universal_function": (lambda xi: universal.universal_function(xi, 300), 1.0),
+    "wavefunction": (lambda x: wavefunction(_SHAPE_WELL, _SHAPE_COEFFS, x, 0.01),
+                     _SHAPE_WELL.width),
+}
+
+
+class TestPointShapes:
+    """Every pointwise reader returns one value per point in the shape of its
+    input: a (2, 2) array used to raise from the lattice test in some readers
+    and come back flat from others."""
+
+    @pytest.mark.parametrize("points", [
+        np.array([[0.1, 0.2], [0.35, 0.5]]),
+        np.arange(8).reshape(2, 4) / 8.0,
+    ], ids=["2x2", "2x4-lattice"])
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_result_is_the_flat_call_reshaped(self, reader, points):
+        read, unit = _READERS[reader]
+        points = points * unit
+        out = read(points)
+        assert out.shape == points.shape
+        assert np.array_equal(out, read(points.ravel()).reshape(points.shape))
+
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_scalar_gives_one_number(self, reader):
+        read, unit = _READERS[reader]
+        value = read(0.25 * unit)
+        assert type(value) in (float, complex)
+        assert value == read(np.array([0.25 * unit]))[0]

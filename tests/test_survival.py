@@ -161,15 +161,25 @@ class TestEscapeIntegral:
 
     # the power series below alpha = 2, the bracket from 2 on; above alpha =
     # 0.3 the oracle runs at 1e-10, because at 1e-12 its panels need up to
-    # 1 GB near alpha = 200
+    # 1 GB near alpha = 200; from 1e3 on it takes the mean-field shortcut
     @pytest.mark.parametrize("alpha", [
         1e-3, 3e-3, 0.01, 0.0299, 0.03, 0.1, 0.3, 1.0, 2.0, 5.0, 30.0, 100.0,
         199.9, 200.0, 1e3, 1e4])
     def test_closed_form_against_quadrature_oracle(self, alpha):
-        tol = 1e-10 if 0.3 < alpha < 200.0 else 1e-12
+        tol = 1e-10 if 0.3 < alpha <= 200.0 else 1e-12
         closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
         quadrature = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
         assert abs(closed - quadrature) <= max(1e-8 * quadrature, 1e-13)
+
+    def test_mean_field_shortcut_honours_tol(self):
+        # sin^2(alpha y) was taken as its mean 1/2 from alpha = 200 on at any
+        # tol, 1.24e-10 off here; now only where 0.3 / alpha^4 <= tol
+        closed = escape_integral(200.0, 1.0) / (16.0 * math.pi)
+        assert abs(_oscillatory.kernel_integral(4, alpha=200.0, tol=1e-10)
+                   - closed) <= 1e-10
+        mean = 0.5 * _oscillatory.kernel_integral(4, tol=1e-12)
+        for alpha in (1e3, 1e200):
+            assert _oscillatory.kernel_integral(4, alpha=alpha, tol=1e-12) == mean
 
     @pytest.mark.parametrize("lo, hi", [
         (1e-3, 0.03), (0.03, 2.0), (2.0, 30.0), (30.0, 200.0), (200.0, 1e3),
@@ -372,6 +382,12 @@ class TestRegimeReport:
         assert report.fitted_slope_early == pytest.approx(1.5, abs=0.05)
         assert report.prefactor_early == pytest.approx(FREE_LAW_COEFFICIENT,
                                                        rel=0.05)
+
+    def test_window_whose_escape_rounds_to_zero_is_refused(self):
+        # at delta = 1e-4 the escape before 3e-10 is 0 to the clamp, and the
+        # fit used to return a NaN slope and prefactor with a RuntimeWarning
+        with pytest.raises(ValueError, match="escape probabilities must be finite"):
+            regime_report(1e-4, (3e-11, 3e-10), (3e-7, 3e-6))
 
     def test_late_regime_fit_far_from_transition(self):
         # the confined law needs t >> delta^2 by a wide margin; a window two
