@@ -252,7 +252,8 @@ def _window_sums(theta, c, P: int) -> np.ndarray:
             scaled = theta[start:start + block] * cells
             cell = np.floor(scaled)
             kernel = np.exp(-(math.pi**2 / a) * ((scaled - cell)[:, None] - spread) ** 2)
-            index = ((cell.astype(np.int64)[:, None] + spread) % cells).ravel()
+            # cells is a power of two: the mask is the non-negative remainder
+            index = ((cell.astype(np.int64)[:, None] + spread) & (cells - 1)).ravel()
             for row, weights in zip(grid, twisted[:, start:start + block]):
                 np.add.at(row, index, (weights[:, None] * kernel).ravel())
         kappa = np.arange(first, first + size) - centre
@@ -264,20 +265,22 @@ def _window_sums(theta, c, P: int) -> np.ndarray:
 
 def _direct_sums(points: np.ndarray, rates: np.ndarray, terms,
                  turns: bool = False) -> np.ndarray:
-    """S_i = sum_n terms(points_i * rates_n)[n] for every point.
+    """S_i = sum_n terms(points_i * rates_n)[..., n] for every point.
 
     ``terms`` maps a block of phases (points down, modes across) to the
-    summands of the same shape.  With ``turns`` the rates are integers and
-    the block holds the exact turns frac(points_i * rates_n) instead.  Blocks
-    hold whole rows of at most _CHUNK_BUDGET phases, so each S_i is one sum
-    over every n and the budget sets the memory, never the bits.
+    summands, modes along the last axis: one block of the same shape, or a
+    stack of such blocks, whose sums come back stacked the same way.  With
+    ``turns`` the rates are integers and the block holds the exact turns
+    frac(points_i * rates_n) instead.  Blocks hold whole rows of at most
+    _CHUNK_BUDGET phases, so each S_i is one sum over every n and the budget
+    sets the memory, never the bits.
     """
     chunk = max(1, _CHUNK_BUDGET // max(1, rates.size))
     phases = (lambda x: _turns(rates, x[:, None])) if turns else (
         lambda x: np.outer(x, rates))
     # an empty input still makes one (empty) block, which sets the dtype
-    return np.concatenate([terms(phases(points[i:i + chunk])).sum(axis=1)
-                           for i in range(0, max(1, points.size), chunk)])
+    return np.concatenate([terms(phases(points[i:i + chunk])).sum(axis=-1)
+                           for i in range(0, max(1, points.size), chunk)], axis=-1)
 
 
 def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] | None:

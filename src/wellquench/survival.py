@@ -77,10 +77,19 @@ def _escape_core(a2, energies, ts, reference: float):
     1 - |R - B|^2 = (1 - R^2) + 2 R Re B - |B|^2 for the ``reference`` R
     (sum w_n, or 1 for the aligned escape, whose modes start at n = 2).
     Re B is accumulated as 2 w sin^2(theta/2), which never cancels, so the
-    result stays accurate down to the 1e-15 scale.
+    result stays accurate down to the 1e-15 scale.  Both sums come from one
+    phase block: w sin^2(theta/2) and w sin(theta) are formed in place, and
+    doubling the first sum is exact.
     """
-    re_b = _direct_sums(ts, energies, lambda p: a2 * 2.0 * np.sin(p / 2.0) ** 2)
-    im_b = -_direct_sums(ts, energies, lambda p: a2 * np.sin(p))
+    def terms(p):
+        stack = np.empty((2,) + p.shape)
+        np.multiply(a2, np.sin(p, out=stack[1]), out=stack[1])
+        np.sin(np.multiply(p, 0.5, out=p), out=p)
+        np.multiply(a2, np.square(p, out=p), out=stack[0])
+        return stack
+
+    half, im = _direct_sums(ts, energies, terms)
+    re_b, im_b = 2.0 * half, -im
     return ((1.0 - reference) * (1.0 + reference)
             + 2.0 * reference * re_b - re_b * re_b - im_b * im_b)
 
@@ -260,17 +269,20 @@ def regime_report(delta: float, early_window, late_window) -> RegimeReport:
     The prefactors are the least-squares amplitudes at the theoretical
     exponents (3/2 early, 1/2 late), which keeps them meaningful even when
     the fitted slope drifts a little.  Each window holds _FIT_POINTS times,
-    and the modes are as many as keep the survival tail bound under 1e-3 of
-    the free law at the first time.
+    summed over as many modes as keep the survival tail bound under 1e-3 of
+    the continuum escape (``escape_integral``) at that window's first time.
     """
     config = WellConfig(delta)
-    target = 1e-3 * float(asymptote_free(float(early_window[0])))
-    n_modes = truncation_for_tolerance(config, "survival", target)
     slopes, amplitudes = [], []
     for window, exponent in ((early_window, 1.5), (late_window, 0.5)):
         lo, hi = float(window[0]), float(window[1])
         if not 0.0 < lo < hi:
             raise ValueError(f"bad fit window {window}")
+        scale = escape_integral(delta, lo)
+        if not scale > 0.0:
+            raise ValueError(f"escape probabilities must be finite and positive: the "
+                             f"continuum escape of wall shift {delta!r} at t = {lo!r} is 0")
+        n_modes = truncation_for_tolerance(config, "survival", 1e-3 * scale)
         ts = np.logspace(math.log10(lo), math.log10(hi), _FIT_POINTS)
         ps = escape_probability_exact(config, ts, n_modes)
         slopes.append(_power_law_fit(ts, ps, ("times", "escape probabilities"))[0])

@@ -91,6 +91,26 @@ class TestEscapeExact:
         with pytest.raises(ValueError):
             escape_probability_exact(WellConfig(0.1), -1.0, 100)
 
+    @pytest.mark.parametrize("delta, times", [
+        # the escape CLI defaults, and a 20-point window about the crossover
+        # as the benchmark's escape sweep draws them
+        (0.003, np.logspace(-8.0, -2.0, 121)),
+        (0.0052, 3.0 * 0.0052**2 * np.logspace(-1.75, 1.75, 20)),
+    ])
+    def test_one_phase_block_keeps_the_two_pass_bits(self, delta, times):
+        config = WellConfig(delta)
+        coeffs = mode_coefficients(
+            config, spectral.truncation_for_tolerance(config, "survival", 1e-12))
+        a2, energies = coeffs.weights, coeffs.energies
+        reference = math.fsum(a2)
+        phases = np.outer(times, energies)
+        re_b = (a2 * 2.0 * np.sin(phases / 2.0) ** 2).sum(axis=1)
+        im_b = -(a2 * np.sin(phases)).sum(axis=1)
+        expected = ((1.0 - reference) * (1.0 + reference)
+                    + 2.0 * reference * re_b - re_b * re_b - im_b * im_b)
+        fused = survival._escape_core(a2, energies, times, reference)
+        assert np.array_equal(fused, expected)
+
     def test_noise_clamp_contract(self):
         from wellquench.survival import _apply_noise_clamp
         # noise-level violations are clamped
@@ -388,6 +408,55 @@ class TestRegimeReport:
         # fit used to return a NaN slope and prefactor with a RuntimeWarning
         with pytest.raises(ValueError, match="escape probabilities must be finite"):
             regime_report(1e-4, (3e-11, 3e-10), (3e-7, 3e-6))
+
+    def test_zero_shift_is_refused_for_its_zero_escape(self):
+        # the per-window tolerance would be 0, which truncation_for_tolerance
+        # refuses as "tolerance must be positive"
+        with pytest.raises(ValueError, match="continuum escape of wall shift 0.0 "
+                                             "at t = 1e-08 is 0"):
+            regime_report(0.0, (1e-8, 1e-7), (1e-2, 1e-1))
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = []
+        exact = survival.escape_probability_exact
+
+        def spy(config, t, n_modes):
+            seen.append(n_modes)
+            return exact(config, t, n_modes)
+
+        monkeypatch.setattr(survival, "escape_probability_exact", spy)
+        return seen
+
+    @pytest.mark.parametrize("delta, windows", [
+        (0.003, ((1e-8, 1e-7), (1e-2, 1e-1))),
+        (0.008033, ((1.9e-7, 1.9e-6), (5.8e-3, 5.8e-2))),
+    ])
+    def test_each_window_sums_the_fewest_modes_its_escape_needs(self, counts,
+                                                                delta, windows):
+        regime_report(delta, *windows)
+        config = WellConfig(delta)
+        assert len(counts) == 2
+        for (lo, _), n_modes in zip(windows, counts):
+            target = 1e-3 * escape_integral(delta, lo)
+            assert spectral.survival_tail_bound(config, n_modes) <= target
+            assert spectral.survival_tail_bound(config, n_modes - 1) > target
+
+    def test_late_fit_holds_at_the_early_windows_count(self, counts):
+        # the late window sums about 1% of the early window's modes; every
+        # value stays within the tail bound, and the fit within 1e-5
+        delta = 0.003
+        report = regime_report(delta, (1e-8, 1e-7), (1e-2, 1e-1))
+        early_modes, late_modes = counts
+        config = WellConfig(delta)
+        ts = np.logspace(-2.0, -1.0, 16)
+        fewer = escape_probability_exact(config, ts, late_modes)
+        more = escape_probability_exact(config, ts, early_modes)
+        assert np.abs(fewer - more).max() <= spectral.survival_tail_bound(config, late_modes)
+        slope, _ = survival._power_law_fit(ts, more, ("times", "escape probabilities"))
+        assert report.fitted_slope_late == pytest.approx(slope, abs=1e-5)
+        assert report.prefactor_late == pytest.approx(
+            survival._fixed_exponent_amplitude(ts, more, 0.5), rel=1e-5)
 
     def test_late_regime_fit_far_from_transition(self):
         # the confined law needs t >> delta^2 by a wide margin; a window two
