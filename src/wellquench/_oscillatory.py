@@ -28,14 +28,11 @@ _MEAN_FIELD_ALPHA = 200.0
 
 
 def _kernel(y: np.ndarray, power: int, alpha: float | None) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    tiny = y < 1e-12
-    ys = np.where(tiny, 1.0, y)
-    out = np.sin(ys * ys / 2.0) ** 2 / ys**power
+    """The integrand at Gauss nodes, which lie inside panels and so at y > 0."""
+    out = np.sin(y * y / 2.0) ** 2 / y**power
     if alpha is not None:
-        out = out * np.sin(alpha * ys) ** 2
-    # integrand extends continuously to 0 at y = 0 for every supported kernel
-    return np.where(tiny, 0.0, out)
+        out = out * np.sin(alpha * y) ** 2
+    return out
 
 
 def _panel_edges(upper: float, alpha: float | None) -> np.ndarray:

@@ -216,7 +216,8 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
 
 def _ruler_period(epsilon):
     """K = rint(1/eps) <= _FFT_LIMIT if the points m eps lie on j/K by
-    _lattice_of's rule, |eps K - 1| <= _LATTICE_ULPS ulps of 1; else 0."""
+    _lattice_of's rule, |eps K - 1| <= _LATTICE_ULPS ulps of 1; else 0.  Not
+    _lattice_of itself: on the K points that costs more than the phase sums."""
     K = np.rint(1.0 / epsilon)
     exact = np.abs(epsilon * K - 1.0) <= _LATTICE_ULPS * np.finfo(float).eps
     return np.where(exact & (K <= _FFT_LIMIT), K, 0).astype(np.int64)
@@ -310,6 +311,16 @@ def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] |
     return None
 
 
+def _lattice_read(weights, rates, xs: np.ndarray, n_terms: int) -> np.ndarray | None:
+    """B of ``_lattice_sums`` at the points ``xs`` if they lie on a lattice
+    (``_lattice_of`` with ``n_terms`` modes), one FFT of length K; else None."""
+    lattice = _lattice_of(xs, n_terms)
+    if lattice is None:
+        return None
+    K, origin, index = lattice
+    return _lattice_sums(weights, rates, K, origin)[index]
+
+
 def _window_of(xs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     """(origin, step, offsets) with xs[i] = origin + i * step + offsets[i],
     the offsets exact up to their own rounding, if ``xs`` lies on the window
@@ -383,25 +394,20 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
 
     ``x`` is a scalar or a non-empty array of positions inside [0, width],
     ``t`` one time >= 0; returns complex amplitudes of the shape of ``x``.
-    Where x / (2L) lies on a lattice (``_lattice_of``), as linspace(0, L,
-    M) does with K = 2(M - 1), the sines are Im B of ``_lattice_sums`` with
-    the rates n, once for each part of c_n = a_n e^{-i E_n t}: within 1e-14
-    absolute of the direct sum ``_mode_sums``, which every other ``x`` takes.
+    Where x / (2L) lies on a lattice, as linspace(0, L, M) does with K =
+    2(M - 1), the sines are Im B of ``_lattice_read`` with the rates n, once
+    for each part of c_n = a_n e^{-i E_n t}: within 1e-14 absolute of the
+    direct sum ``_mode_sums``, which every other ``x`` takes.
     """
     if np.ndim(t) != 0:
         raise ValueError("time must be a scalar")
     ts = _valid_times(t)
     xs = _valid_positions(config, coeffs, x)
-    lattice = _lattice_of(xs / (2.0 * config.width), coeffs.truncation)
-    if lattice is None:
-        psi = _mode_sums(config, coeffs, xs, ts)[0]
-    else:
-        K, origin, index = lattice
-        n = np.arange(1, coeffs.truncation + 1)
-        c = coeffs.values * np.exp(-1j * (ts * coeffs.energies))
-        real, imag = (_lattice_sums(part, n, K, origin).imag[index]
-                      for part in (c.real, c.imag))
-        psi = real + 1j * imag
+    n = np.arange(1, coeffs.truncation + 1)
+    c = coeffs.values * np.exp(-1j * (ts * coeffs.energies))
+    real, imag = (_lattice_read(part, n, xs / (2.0 * config.width), coeffs.truncation)
+                  for part in (c.real, c.imag))
+    psi = _mode_sums(config, coeffs, xs, ts)[0] if real is None else real.imag + 1j * imag.imag
     return _shaped(psi * math.sqrt(2.0 / config.width), x)
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from ._special import lentz, two_square
 from .errors import InsufficientSpanError, TruncationInconsistencyError
-from .spectral import (WellConfig, _direct_sums, _lattice_of, _lattice_sums,
-                       _shaped, _valid_shift, _valid_times,
-                       mode_coefficients, truncation_for_tolerance)
+from .spectral import (WellConfig, _direct_sums, _lattice_read, _shaped,
+                       _valid_shift, _valid_times, mode_coefficients,
+                       truncation_for_tolerance)
 
 #: closed forms of int_0^inf sin^2(y^2/2)/y^p dy for p = 4 and p = 2
 FREE_KERNEL_CONSTANT = math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
@@ -124,18 +124,16 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     8 delta^2 times the universal profile; the physical escape
     (escape_probability_exact) agrees with it at short times but differs at
     order-one fractions of the period by the ground-phase bookkeeping.
-    Times on a lattice (x0 + j / K) T of the period T (spectral._lattice_of;
-    E_n T = 2 pi n^2) are read off one spectral._lattice_sums.
+    Times on a lattice (x0 + j / K) T of the period T (E_n T = 2 pi n^2) make
+    _escape_core's B one spectral._lattice_read of a_n^2 at the rates n^2.
     """
     coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
-    lattice = _lattice_of(ts / config.period, n_modes - 1)
-    if lattice is None:
+    nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
+    b = _lattice_read(coeffs.weights[1:], nsq, ts / config.period, n_modes - 1)
+    if b is None:
         core = _escape_core(coeffs.weights[1:], coeffs.energies[1:], ts, 1.0)
-    else:  # E_n T = 2 pi n^2 exactly, so _escape_core's B is a lattice sum
-        K, origin, index = lattice
-        nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
-        b = _lattice_sums(coeffs.weights[1:], nsq, K, origin)[index]
+    else:
         core = 2.0 * b.real - b.real * b.real - b.imag * b.imag
     out = _apply_noise_clamp(core)
     return _shaped(out, t)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._special import trigamma
-from .spectral import (WellConfig, _direct_sums, _lattice_of, _lattice_sums, _shaped,
+from .spectral import (WellConfig, _direct_sums, _lattice_read, _lattice_sums, _shaped,
                        _turns, _twist, _valid_times, _window_of, _window_sums)
 from .survival import escape_probability_aligned
 
@@ -70,7 +70,7 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
     The function is periodic with period 1, so any finite xi is accepted.
     Terms fall off as 1/n^2; see universal_tail_bound for the cutoff error.
-    The route follows the shape of ``xi`` (spectral._lattice_of, then
+    The route follows the shape of ``xi`` (spectral._lattice_read, then
     spectral._window_of):
 
     - a lattice j/K is read off one residue FFT at the rational points, within
@@ -91,12 +91,12 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
       the others are tested against.
     """
     xs = _valid_times(xi, "xi", signed=True)
-    lattice = _lattice_of(xs, n_modes - 1)
-    if lattice is not None:
-        K, origin, index = lattice
-        out = _grid_profile(K, n_modes, origin)[index]
-        return _shaped(out, xi)
     nsq, weights = _profile_modes(n_modes)
+    b = _lattice_read(weights, nsq, xs, n_modes - 1)
+    if b is not None:
+        # F's terms are >= 0, but where all vanish (n = 2 alone, at 4j = 0 mod
+        # K) rounding leaves -1e-16: the lattice and window reads cut F at 0
+        return _shaped(np.maximum(b.real, 0.0), xi)
     window = _window_of(xs)
     if window is None:
         out = _direct_sums(xs, nsq, lambda t: weights * (1.0 - np.cos(2.0 * math.pi * t)),
@@ -118,14 +118,6 @@ def _profile_modes(n_modes: int):
         raise ValueError("need at least the n = 2 mode")
     nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
     return nsq, nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
-
-
-def _grid_profile(K: int, n_modes: int, origin: float = 0.0) -> np.ndarray:
-    """F(origin + j/K), j = 0..K-1, as Re B of spectral._lattice_sums.  F is a
-    sum of non-negative terms; where they all vanish (n = 2 alone, at 4j = 0
-    mod K) rounding leaves -1e-16, which is cut to 0."""
-    nsq, weights = _profile_modes(n_modes)
-    return np.maximum(_lattice_sums(weights, nsq, K, origin).real, 0.0)
 
 
 def universal_tail_bound(n_modes: int) -> float:
@@ -151,7 +143,8 @@ def universal_curve(intervals: int, n_modes: int = DEFAULT_MODES,
         raise ValueError("need at least 2 grid intervals")
     K = int(intervals)
     idx = np.arange(K + 1 + extra_points)
-    values = _grid_profile(K, n_modes)[idx % K]
+    nsq, weights = _profile_modes(n_modes)
+    values = np.maximum(_lattice_sums(weights, nsq, K).real, 0.0)[idx % K]
     xi = idx / float(K)
     return UniversalCurve(xi_grid=xi, values=values, truncation=n_modes,
                           tail_bound=universal_tail_bound(n_modes))
@@ -205,7 +198,7 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
     for p in sorted({p for _, p in candidates.values()}):
         sums = (_lattice_sums(weights, nsq, p * p),
                 _lattice_sums(weights, nsq, p * p, spacing, twisted))
-        lattices[p] = [np.maximum(b.real, 0.0) for b in sums]  # as _grid_profile
+        lattices[p] = [np.maximum(b.real, 0.0) for b in sums]
     # the profile is periodic, so q = p^2 reads the lattice at j = 0
     entries = []
     for q, p in candidates.values():

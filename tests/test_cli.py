@@ -18,6 +18,7 @@ import wellquench
 from wellquench import cli
 from wellquench.cli import (COMMANDS, _build_parser, _render_table, main,
                             parse_args)
+from wellquench.errors import QuadratureConvergenceError
 
 
 def run_cli(args):
@@ -422,6 +423,17 @@ class TestExitCodes:
             "b8a886d9f949538ff3e44afd7d822b1dd38250ccb49b5433724bbe8ab69c0ecb"
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("verification failure: ")
+
+    def test_nonconvergence_exits_3_with_one_line(self, capsys, monkeypatch):
+        # oracle-check's quadratures have fixed arguments, so no argv reaches it
+        def diverging(*args, **kwargs):
+            raise QuadratureConvergenceError("did not converge: panels=8")
+
+        monkeypatch.setattr(cli.oracle, "kernel_integral", diverging)
+        assert run_cli(["oracle-check", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("non-convergence: ")
 
     def test_failing_command_writes_no_file(self, tmp_path, capsys):
         # the profile file used to be written before --p-max 1 was rejected

@@ -248,6 +248,24 @@ class TestPhaseSums:
         expected = np.concatenate([sums[1:], sums[:1]])[:sample.values.size]
         assert np.array_equal(sample.values, expected)
 
+    # 1e-5 is left out: floor(1/eps) = 99999 drops the sample m = K, and the
+    # spread reads 5.0e-6 relative high (the phase_sum_samples count debt)
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-4, 1e-6, 1 / 37000, 1 / 20000])
+    def test_lattice_spread_is_a_residue_count(self, epsilon):
+        # over m = 1..K, n^2 +- n'^2 = 0 mod K for no two modes n != n' <= c,
+        # so sigma^2 is half the count of modes with 2 n^2 != 0 mod K: c - 1,
+        # or c - 2 at K = 2 c^2, where the n = c mode vanishes (sigma = 7 at
+        # K = 20000, c = 100)
+        K = round(1.0 / epsilon)
+        assert _ruler_period(epsilon) == K
+        sample = phase_sum_samples(epsilon)
+        c = sample.cutoff
+        modes = sum(1 for n in range(2, c + 1) if 2 * n * n % K)
+        assert modes == c - 1 - (K == 2 * c * c)
+        sigma = math.sqrt(modes / 2)
+        assert abs(sample.std - sigma) <= 4 * np.spacing(sigma)
+        assert abs(sample.mean) <= 1e-15
+
     @pytest.mark.parametrize("inverse", [20011, 37500])
     def test_lattice_phase_sums_are_odd_in_m(self, inverse):
         # xi_{K-m} = -xi_m bit for bit, as B_{K-m} = conj B_m

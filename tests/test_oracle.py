@@ -242,6 +242,13 @@ class TestAdaptiveQuadrature:
         with pytest.raises(ValueError, match=match):
             kernel_integral(power, alpha=alpha, tol=tol)
 
+    def test_zero_rate_is_zero_before_any_panel(self, monkeypatch):
+        def no_panels(*args):
+            raise AssertionError("a panel layout was built")
+
+        monkeypatch.setattr(_oscillatory, "_panel_edges", no_panels)
+        assert kernel_integral(4, alpha=0.0) == 0.0
+
     def test_nonconvergence_raises_with_diagnostics(self):
         # rounding alone leaves |fine - coarse| near 1e-16
         with pytest.raises(QuadratureConvergenceError,

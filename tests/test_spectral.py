@@ -681,7 +681,35 @@ def _record_builds():
     }
 
 
+# each refusal of a record or of the function that makes one, and its message
+_REFUSALS = {
+    "ModeCoefficients": (lambda: spectral.ModeCoefficients(
+        values=np.ones((2, 2)), config=WellConfig(0.1)), "coefficient array must be 1-d"),
+    "coefficient_tail_bound": (lambda: coefficient_tail_bound(WellConfig(5.0), 3),
+                               "truncation must exceed the well width"),
+    "dimension_fit": (lambda: fractal.dimension_fit([1, 2], [1, 2, 3]),
+                      "rulers and lengths must be matching 1-d arrays"),
+    "UniversalCurve": (lambda: universal.UniversalCurve([0.0], [0.0], 2),
+                       "curve needs matching 1-d grids with >= 2 samples"),
+    "universal_curve": (lambda: universal.universal_curve(1),
+                        "need at least 2 grid intervals"),
+    "PhaseSumSample": (lambda: fractal.PhaseSumSample(1e-3, []), "empty sample"),
+    "profile_dimension": (lambda: fractal.profile_dimension([0]),
+                          "strides must be positive integers"),
+    "GridState": (lambda: oracle.GridState(x_grid=[0.0, 1.0], amplitudes=[0.0, 0.0], t=0.0),
+                  "state needs matching 1-d grids with >= 3 points"),
+    "initial_state": (lambda: oracle.initial_state(WellConfig(0.1), 2),
+                      "need at least 3 grid points"),
+}
+
+
 class TestRecords:
+    @pytest.mark.parametrize("name", sorted(_REFUSALS))
+    def test_bad_shapes_and_sizes_are_refused(self, name):
+        call, match = _REFUSALS[name]
+        with pytest.raises(ValueError, match=match):
+            call()
+
     @pytest.mark.parametrize("name", sorted(_record_builds()))
     def test_array_records_compare_and_hash_by_identity(self, name):
         # equal values do not make equal records: == and hash() go by identity

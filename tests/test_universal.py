@@ -1,3 +1,4 @@
+import cmath
 import inspect
 import math
 from fractions import Fraction
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wellquench import spectral, survival, universal
+from wellquench import spectral, universal
 from wellquench.cli import main
 from wellquench.spectral import (WellConfig, _lattice_of, _turns, _window_of,
                                  mode_coefficients)
 from wellquench.survival import (_apply_noise_clamp, _escape_core,
                                  escape_probability_aligned)
 from wellquench.universal import (MODE_WEIGHT_TOTAL, UPPER_BOUND,
-                                  UniversalCurve, _grid_profile,
+                                  UniversalCurve, _profile_modes,
                                   scaled_escape_limit,
                                   universal_curve, universal_function,
                                   universal_tail_bound, valley_locations)
@@ -37,6 +38,12 @@ def exact_turns(nsq, x):
     of ``x`` (a float or a Fraction) with Python integers."""
     num, den = Fraction(x).as_integer_ratio()
     return np.array([(int(s) * num % den) / den for s in nsq])
+
+
+def gauss_mean(a, b):
+    """g(a/b) = (1/b) sum_{r<b} e^{2 pi i a r^2 / b}, the normalised quadratic
+    Gauss sum (Apostol, Introduction to Analytic Number Theory, ch. 9)."""
+    return sum(cmath.exp(2j * math.pi * (a * r * r % b) / b) for r in range(b)) / b
 
 
 def exact_profile(points, n_modes):
@@ -213,6 +220,28 @@ class TestValleys:
         valley_locations(4, n_modes=1000)
         assert calls == {"modes": 1, "turns": 1}
 
+    @pytest.mark.parametrize("p_max, spacing, n_modes", [
+        (4, 1e-4, 10**5),                   # the CLI default
+        (5, 10**-4.5, 5 * 10**4), (5, 10**-3.5, 5 * 10**4),
+        (6, 1e-6, 10**6)])
+    def test_gauss_sums_predict_the_valleys(self, p_max, spacing, n_modes):
+        # near a reduced a/b the one-sided slopes of F are pi sqrt(h) (Re g
+        # +- Im g), g = gauss_mean(a, b): a valley at first order exactly when
+        # Re g > |Im g|.  Where g = 0 or Re g = |Im g| the next order decides
+        predicted, marginal = set(), set()
+        for p in range(2, p_max + 1):
+            for q in range(p * p + 1):
+                x = Fraction(q, p * p)
+                g = gauss_mean(x.numerator, x.denominator)
+                if abs(g) <= 1e-9 or abs(g.real - abs(g.imag)) <= 1e-9:
+                    marginal.add(x)
+                elif g.real > abs(g.imag):
+                    predicted.add(x)
+        found = {Fraction(e.numerator, e.denominator_root**2)
+                 for e in valley_locations(p_max, spacing, n_modes).entries}
+        assert predicted <= found
+        assert found - predicted <= marginal
+
     def test_p_max_validation(self):
         with pytest.raises(ValueError):
             valley_locations(1)
@@ -367,15 +396,27 @@ class TestResidueGrid:
            n_modes=st.integers(2, 3000))
     def test_valley_lattices_match_exact_turns(self, p_max, log_spacing,
                                                n_modes):
-        # valley_locations reads each q/p^2 and its neighbours q/p^2 -+ spacing
-        # off three lattices of length p^2
+        # valley_locations reads each q/p^2 off the lattice j/p^2 and its
+        # neighbours q/p^2 + spacing at q and, as F(x) = F(-x), q/p^2 - spacing
+        # at -q off the lattice shifted by spacing: the same two calls here
         spacing = 10.0 ** log_spacing
         K = p_max * p_max
-        for shift in (0.0, -spacing, spacing):
-            exact = exact_profile([Fraction(j, K) + Fraction(shift) for j in range(K)],
-                                  n_modes)
-            assert np.abs(_grid_profile(K, n_modes, shift) - exact).max() <= 1e-14
-        for e in valley_locations(p_max, spacing=spacing, n_modes=n_modes).entries:
+        nsq, weights = _profile_modes(n_modes)
+        centres = spectral._lattice_sums(weights, nsq, K).real
+        shifted = spectral._lattice_sums(weights, nsq, K, spacing,
+                                         spectral._twist(weights, nsq, spacing)).real
+        j = np.arange(K)
+        for values, shift in ((centres, Fraction(0)), (shifted, Fraction(spacing)),
+                              (shifted[-j % K], -Fraction(spacing))):
+            exact = exact_profile([Fraction(int(i), K) + shift for i in j], n_modes)
+            assert np.abs(values - exact).max() <= 1e-14
+        calls, lattice_sums = [], spectral._lattice_sums
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(universal, "_lattice_sums",
+                          lambda *args: calls.append(args[2:4]) or lattice_sums(*args))
+            valleys = valley_locations(p_max, spacing=spacing, n_modes=n_modes)
+        assert calls == [c for p in range(2, p_max + 1) for c in ((p * p,), (p * p, spacing))]
+        for e in valleys.entries:
             exact = exact_profile([Fraction(e.numerator, e.denominator_root**2)], n_modes)
             assert abs(e.depth - exact[0]) <= 1e-14
 
@@ -438,7 +479,7 @@ class TestResidueGrid:
         assume(origin != 0.0)
         calls, lattice_sums = [], spectral._lattice_sums
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(survival, "_lattice_sums",
+            patch.setattr(spectral, "_lattice_sums",
                           lambda *args: calls.append(args[2:]) or lattice_sums(*args))
             grid = escape_probability_aligned(config, ts, n_modes)
         assert calls == [(period, origin)]
