@@ -219,9 +219,9 @@ def cmd_fractal(args) -> list:
                    report.counts.tolist())
         return [(args.out, header, ["bin_left", "bin_right", "count"], rows)]
     if args.sigma:
-        slope, samples = fractal.phase_sum_scaling(SIGMA_EPSILONS)
+        slope, spreads = fractal.phase_sum_scaling(SIGMA_EPSILONS)
         return [(args.out, _base_header(sigma_slope=slope), ["epsilon", "sigma"],
-                 [(s.epsilon, s.std) for s in samples])]
+                 zip(SIGMA_EPSILONS, spreads))]
     fit, lengths = fractal.profile_dimension(
         LENGTH_STRIDES, base_intervals=args.base_intervals, n_modes=args.n)
     header = _base_header(n_modes=args.n, base_intervals=args.base_intervals,

@@ -5,6 +5,8 @@ the ruler eps shrinks, i.e. the curve has length dimension D = 1 - slope =
 1.25.  The scaling is driven by the quadratic phase sums
 xi_m = sum_n sin(2 pi n^2 m eps), whose m-ensemble behaves like a nearly
 normal deterministic "random" variable with standard deviation ~ eps^{-1/4}.
+On a ruler lattice eps = 1/K, Parseval reads that deviation off the counts of
+the residues n^2 mod K (phase_sum_spread), so ``fractal --sigma`` sums no phases.
 """
 
 from __future__ import annotations
@@ -120,6 +122,17 @@ def _cutoff(epsilon: float) -> int:
     return int(math.floor(math.sqrt(1.0 / (2.0 * epsilon))))
 
 
+def _ruler_modes(epsilon: float) -> tuple[np.ndarray, int]:
+    """n^2 for n = 2..cutoff and the sample count floor(1/eps) of a ruler;
+    refuses one that is not finite and positive or leaves no modes."""
+    if not math.isfinite(epsilon) or epsilon <= 0.0:
+        raise ValueError(f"ruler must be finite and positive, got {epsilon}")
+    cutoff = _cutoff(epsilon)
+    if cutoff < 2:
+        raise ValueError(f"ruler {epsilon:g} leaves no modes below the cutoff")
+    return _profile_modes(cutoff)[0], int(math.floor(1.0 / epsilon))
+
+
 def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     """xi_m = sum_{n=2}^{cutoff} sin(2 pi n^2 m eps), m = 1..1/eps.
 
@@ -134,13 +147,7 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     absolute of the sums over exact turns frac(n^2 m eps) (2e-8 at
     1/eps = 8e4, where 1e-10 is measured).
     """
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError(f"ruler must be finite and positive, got {epsilon}")
-    cutoff = _cutoff(epsilon)
-    if cutoff < 2:
-        raise ValueError(f"ruler {epsilon:g} leaves no modes below the cutoff")
-    count = int(math.floor(1.0 / epsilon))
-    nsq, _ = _profile_modes(cutoff)
+    nsq, count = _ruler_modes(epsilon)
     K = int(_ruler_period(epsilon))
     if K:
         sums = _lattice_sums(np.ones(nsq.size), nsq, K).imag
@@ -148,6 +155,25 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     else:
         values = _window_sums(_turns(nsq, epsilon), np.ones(nsq.size), count + 1)[1:].imag
     return PhaseSumSample(epsilon=epsilon, values=values)
+
+
+def phase_sum_spread(epsilon: float) -> float:
+    """phase_sum_samples(epsilon).std, without the samples on a ruler lattice.
+
+    At eps = 1/K Parseval gives sum_{m<K} xi_m^2 = (K/2) sum_r h_r (h_r -
+    h_{-r}) in integers, h_r the number of modes with n^2 = r mod K, and the
+    mean is exactly 0 (xi_{K-m} = -xi_m, xi_K = 0): sigma, the root of it over
+    floor(1/eps) samples, is rounded twice, within 4 ulps of the FFT route's
+    std.  Other rulers read phase_sum_samples' window route.
+    """
+    nsq, count = _ruler_modes(epsilon)
+    K = int(_ruler_period(epsilon))
+    if not K:
+        return phase_sum_samples(epsilon).std
+    residues, h = np.unique(nsq % K, return_counts=True)
+    _, r, minus_r = np.intersect1d(residues, -residues % K, assume_unique=True,
+                                   return_indices=True)
+    return math.sqrt(K * int(h @ h - h[r] @ h[minus_r]) / (2 * count))
 
 
 def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityReport:
@@ -169,9 +195,9 @@ def normality_diagnostics(sample: PhaseSumSample, bins: int = 61) -> NormalityRe
                            skewness=skew, excess_kurtosis=kurt)
 
 
-def phase_sum_scaling(epsilons) -> tuple[float, list[PhaseSumSample]]:
+def phase_sum_scaling(epsilons) -> tuple[float, list[float]]:
     """Slope of log std against log eps (~ -1/4) by ``survival._power_law_fit``,
-    which refuses one ruler or a repeated one (InsufficientSpanError)."""
-    samples = [phase_sum_samples(float(e)) for e in epsilons]
-    return _power_law_fit([s.epsilon for s in samples], [s.std for s in samples],
-                          ("rulers", "deviations"))[0], samples
+    which refuses one ruler or a repeated one, and each ``phase_sum_spread``."""
+    rulers = [float(e) for e in epsilons]
+    spreads = [phase_sum_spread(e) for e in rulers]
+    return _power_law_fit(rulers, spreads, ("rulers", "deviations"))[0], spreads

@@ -42,6 +42,10 @@ _LATTICE_SPAN = 2.0**40
 #: to copy row j of a time grid to row T-1-j
 _MIRROR_ULPS = 4
 
+#: largest prime factor of a length seen to keep numpy's FFT off Bluestein's
+#: route (331 did; 881 did not)
+_DIRECT_PRIME = 512
+
 #: fewest points summed as a window; below, the direct route costs less
 _WINDOW_MIN = 32
 # a window point must lie this many ulps of 1 from its grid point, which keeps
@@ -112,14 +116,17 @@ def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
     if n_modes < 1:
         raise ValueError("need at least one mode")
     L = config.width
-    n = np.arange(1, n_modes + 1, dtype=float)
-    u = n / L
-    e = u - 1.0
-    singular = np.abs(e) < _SINGULAR_WINDOW
+    u = np.arange(1, n_modes + 1, dtype=float)
+    u /= L
+    singular = np.abs(u - 1.0) < _SINGULAR_WINDOW
     safe = np.where(singular, 2.0, u)  # keep the regular branch finite everywhere
-    a = (2.0 / (math.pi * math.sqrt(L))) * np.sin(math.pi * safe) / (1.0 - safe * safe)
+    # (2 / (pi sqrt(L))) sin(pi safe) / (1 - safe^2), each step in place
+    a = np.multiply(math.pi, safe)
+    np.sin(a, out=a)
+    a *= 2.0 / (math.pi * math.sqrt(L))
+    a /= np.subtract(1.0, np.square(safe, out=safe), out=safe)
     if singular.any():
-        es = e[singular]
+        es = u[singular] - 1.0
         a[singular] = (1.0 / math.sqrt(L)) * (1.0 - es / 2.0 + _EXPANSION_C2 * es * es)
     return ModeCoefficients(values=a, config=config)
 
@@ -179,9 +186,40 @@ def _turns(nsq, x) -> np.ndarray:
     return out
 
 
+def _cis(turns) -> np.ndarray:
+    """e^{2 pi i t}: np.exp(2j pi t)'s bits, its cos and sin written in place."""
+    angle = 2.0 * math.pi * np.asarray(turns)
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _twist(weights, nsq, origin: float) -> np.ndarray:
     """The weights w_n e^{-2 pi i r_n origin}, their phases taken in exact turns."""
-    return weights * np.exp(-2j * math.pi * _turns(nsq, origin))
+    return weights * _cis(-_turns(nsq, origin))
+
+
+def _real_dft(x) -> np.ndarray:
+    """np.fft.rfft(x) for a real x of length K, within 1e-16 log2(K) sum |x_n|.
+
+    numpy takes Bluestein's route, at K ~ 1e5 ten times the time and six
+    times the memory of a smooth K, when K's largest prime factor P is above
+    _DIRECT_PRIME; if P < K, one Cooley-Tukey step K = a P is taken instead.
+    """
+    K, P, f = x.size, x.size, 2
+    while f * f <= P:
+        P, f = (P, f + 1) if P % f else (P // f, f)
+    if P <= _DIRECT_PRIME or P == K:
+        return np.fft.rfft(x)
+    a, h = K // P, P // 2 + 1
+    # X_{P k1 + k2} = sum_n1 e^{-2 pi i n1 (k1/a + k2/K)} sum_n2 x_{n1 + a n2} e^{-2 pi i n2 k2/P}
+    inner = np.fft.rfft(x.reshape(P, a).T, axis=1)
+    inner *= _cis(-(np.outer(np.arange(a), np.arange(h)) % K) / K)
+    out = np.empty((a, P), dtype=complex)
+    out[:, :h] = np.fft.fft(inner, axis=0)
+    np.conjugate(out[::-1, P - h:0:-1], out=out[:, h:])  # X_{K-k} = conj X_k
+    return out.ravel()[:K // 2 + 1]
 
 
 def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
@@ -193,13 +231,13 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
     only through its residue mod K, so the real weights are binned by
     residue and one FFT gives every S_j = sum_n w_n e^{-2 pi i r_n j/K}.  At
     origin 0 the binned weights are real: one real-input FFT (Sorensen et
-    al., IEEE TASSP 35 (1987) 849) gives the K//2 + 1 bins j <= K/2, B_j =
-    Re S_0 - S_j there, and B_{K-j} = conj B_j fills the rest, so B_0 is
-    exactly 0 and B exactly Hermitian.  Elsewhere the weights are twisted by
-    e^{-2 pi i r_n origin} in exact turns and B = sum w_n - S; a caller that
-    reads one origin at several K passes those weights once, as ``twisted =
-    _twist(weights, nsq, origin)``.  Absolute error about 1e-16 log2(K)
-    sum |w_n|.
+    al., IEEE TASSP 35 (1987) 849; ``_real_dft``) gives the K//2 + 1 bins
+    j <= K/2, B_j = Re S_0 - S_j there, and B_{K-j} = conj B_j fills the
+    rest, so B_0 is exactly 0 and B exactly Hermitian.  Elsewhere the
+    weights are twisted by e^{-2 pi i r_n origin} in exact turns and B =
+    sum w_n - S; a caller that reads one origin at several K passes those
+    weights once, as ``twisted = _twist(weights, nsq, origin)``.  Absolute
+    error about 1e-16 log2(K) sum |w_n|.
     """
     residues = nsq % K
     if origin:
@@ -208,7 +246,7 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
         sums = np.fft.fft(np.bincount(residues, twisted.real, minlength=K)
                           + 1j * np.bincount(residues, twisted.imag, minlength=K))
         return np.subtract(weights.sum(), sums, out=sums)
-    half = np.fft.rfft(np.bincount(residues, weights, minlength=K))
+    half = _real_dft(np.bincount(residues, weights, minlength=K))
     np.subtract(half[0].real, half, out=half)
     # j > K/2 reads conj B_{K-j}, K - j running from (K-1)//2 down to 1
     return np.concatenate((half, half[(K + 1) // 2 - 1:0:-1].conj()))
@@ -247,7 +285,7 @@ def _window_sums(theta, c, P: int) -> np.ndarray:
         cells = 1 << (4 * size).bit_length()
         # the width that makes the cut-off and the aliasing errors equal
         a = math.pi * _SPREAD / math.sqrt(1.0 - size / cells)
-        twisted = rows * np.exp(2j * math.pi * _turns(centre, theta))
+        twisted = rows * _cis(_turns(centre, theta))
         grid = np.zeros((rows.shape[0], cells), dtype=complex)
         for start in range(0, theta.size, block):
             scaled = theta[start:start + block] * cells
@@ -354,8 +392,10 @@ def _window_offsets(xs: np.ndarray, origin: float, step: float) -> np.ndarray:
 
 def mode_energies(config: WellConfig, n_modes: int) -> np.ndarray:
     """Energies (pi n / L)^2 of the expanded-well modes, n = 1..n_modes."""
-    n = np.arange(1, n_modes + 1, dtype=float)
-    return (math.pi * n / config.width) ** 2
+    energies = np.arange(1, n_modes + 1, dtype=float)
+    energies *= math.pi
+    energies /= config.width
+    return np.square(energies, out=energies)
 
 
 def _valid_positions(config: WellConfig, coeffs: ModeCoefficients, x) -> np.ndarray:

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._special import trigamma
-from .spectral import (WellConfig, _direct_sums, _lattice_read, _lattice_sums, _shaped,
-                       _turns, _twist, _valid_times, _window_of, _window_sums)
+from .spectral import (WellConfig, _cis, _direct_sums, _lattice_read, _lattice_sums,
+                       _shaped, _turns, _twist, _valid_times, _window_of, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -103,7 +103,7 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
                            turns=True)
     else:
         origin, step, offsets = window
-        twisted = weights * np.exp(2j * math.pi * _turns(nsq, origin))
+        twisted = weights * _cis(_turns(nsq, origin))
         sums = _window_sums(_turns(nsq, step),
                             np.stack([twisted, 2.0 * math.pi * nsq * twisted]), xs.size)
         # F(x0 + k h + d) = F(x0 + k h) + d F'(x0 + k h) + O(d^2)
@@ -117,7 +117,8 @@ def _profile_modes(n_modes: int):
     if n_modes < 2:
         raise ValueError("need at least the n = 2 mode")
     nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
-    return nsq, nsq.astype(float) / (1.0 - nsq.astype(float)) ** 2
+    weights = np.square(np.subtract(1.0, nsq))
+    return nsq, np.divide(nsq, weights, out=weights)
 
 
 def universal_tail_bound(n_modes: int) -> float:

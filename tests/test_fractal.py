@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellquench import fractal, universal
+from wellquench import cli, fractal, universal
 from wellquench.errors import InsufficientSpanError
 from wellquench.fractal import (dimension_fit, normality_diagnostics,
                                 phase_sum_samples, phase_sum_scaling,
-                                profile_dimension)
+                                phase_sum_spread, profile_dimension)
 from wellquench.spectral import _ruler_period
 from wellquench.universal import universal_curve
 
@@ -274,10 +276,81 @@ class TestPhaseSums:
         assert np.array_equal(values[inverse - m - 1], -values[m - 1])
 
 
+def residue_count_spread(K):
+    """sigma at eps = 1/K by Parseval in Python ints: sum_{m<K} xi_m^2 =
+    (K/2) sum_r h_r (h_r - h_{-r}), h counting the modes n^2 mod K, over
+    floor(1/eps) samples."""
+    cutoff = int(math.floor(math.sqrt(K / 2.0)))
+    h = Counter(n * n % K for n in range(2, cutoff + 1))
+    pairs = sum(count * (count - h[-r % K]) for r, count in h.items())
+    return math.sqrt(K * pairs / (2 * int(math.floor(1.0 / (1.0 / K)))))
+
+
+class TestPhaseSumSpread:
+    # 8, 50 and 578 are 2 c^2: the n = c residue is its own mirror, -r = r
+    # mod K, and that mode vanishes; 12345, 20011 and 99991 are odd periods
+    @pytest.mark.parametrize("K", [8, 50, 578, 1000, 4096, 12345, 20011, 37500,
+                                   99991, 10**5, 10**6])
+    def test_lattice_spread_is_the_fft_std(self, K):
+        spread = phase_sum_spread(1.0 / K)
+        assert spread == residue_count_spread(K)
+        std = phase_sum_samples(1.0 / K).std
+        assert abs(spread - std) <= 4 * np.spacing(max(std, 1.0))
+
+    @pytest.mark.parametrize("epsilon", [1.0 / 800.5, 1.0 / 4096.25, 1e-5 * (1 + 3e-10)])
+    def test_off_lattice_spread_is_the_window_std(self, epsilon):
+        assert _ruler_period(epsilon) == 0
+        assert phase_sum_spread(epsilon) == phase_sum_samples(epsilon).std
+
+    def test_lattice_spreads_take_no_phase_sums(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lattice spread summed the phases")
+        monkeypatch.setattr(fractal, "_lattice_sums", refuse)
+        monkeypatch.setattr(fractal, "_window_sums", refuse)
+        assert [phase_sum_spread(e) for e in cli.SIGMA_EPSILONS] == [
+            residue_count_spread(round(1.0 / e)) for e in cli.SIGMA_EPSILONS]
+        out = tmp_path / "s.csv"
+        assert cli.main(["fractal", "--sigma", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > len(cli.SIGMA_EPSILONS)
+
+    def test_lattice_spread_allocates_no_period(self):
+        # the FFT route holds arrays of K = 1e6 entries (32 MB at its peak)
+        peaks = []
+        for reader in (phase_sum_spread, phase_sum_samples):
+            tracemalloc.start()
+            try:
+                reader(1e-6)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2**20 and peaks[1] > 16 * 2**20
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0,
+                                     -1e-3, 0.2])
+    def test_spread_refuses_what_the_samples_refuse(self, bad):
+        with pytest.raises(ValueError) as samples:
+            phase_sum_samples(bad)
+        with pytest.raises(ValueError) as spread:
+            phase_sum_spread(bad)
+        assert str(spread.value) == str(samples.value)
+
+    def test_spread_keeps_the_count_debt(self):
+        # floor(1/1e-5) = 99999 samples share the sum of the full period K =
+        # 1e5, so sigma reads sqrt(K/(K-1)), 5.0e-6 relative, above the
+        # full-period sqrt(modes/2) until the sample count is rounded
+        K = 10**5
+        modes = sum(1 for n in range(2, 224) if 2 * n * n % K)
+        full = math.sqrt(modes / 2)
+        spread = phase_sum_spread(1e-5)
+        assert spread == pytest.approx(math.sqrt(K / (K - 1)) * full, rel=4e-16)
+        assert spread / full - 1 == pytest.approx(5.0e-6, rel=1e-3)
+
+
 class TestScaling:
     def test_sigma_slope_quarter_power(self):
-        slope, _ = phase_sum_scaling([1e-5, 1e-4, 1e-3])
+        slope, spreads = phase_sum_scaling([1e-5, 1e-4, 1e-3])
         assert slope == pytest.approx(-0.25, abs=0.07)
+        assert spreads == [phase_sum_spread(e) for e in [1e-5, 1e-4, 1e-3]]
 
     @pytest.mark.parametrize("rulers", [[1e-3], [1e-3, 1e-3]], ids=["one", "repeated"])
     def test_one_ruler_is_refused(self, rulers):

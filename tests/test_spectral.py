@@ -348,7 +348,7 @@ class TestLatticeSums:
     """At origin 0 one real-input FFT gives the bins j <= K/2 and conjugation
     the rest; the complex FFT of the same binned weights is the reference."""
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 4, 20011, 37500])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 1042, 20011, 37500, 91833])
     def test_origin_zero_is_exactly_hermitian(self, K):
         n = np.arange(2, 400, dtype=np.int64)
         j = np.arange(1, K)
@@ -359,7 +359,8 @@ class TestLatticeSums:
             assert B[0] == 0.0
             assert K % 2 or B[K // 2].imag == 0.0
 
-    @pytest.mark.parametrize("K", [1000, 4096, 20011, 34292, 37500, 10**5, 10**6])
+    @pytest.mark.parametrize("K", [1000, 1042, 4096, 12345, 20011, 34292, 37500, 91833,
+                                   10**5, 10**6])
     def test_origin_zero_matches_the_complex_fft(self, K):
         # the phase sums' unit weights up to floor(sqrt(K/2)), and signed
         # weights on n = 1..3000 whose residues fold; the bound is
@@ -372,6 +373,37 @@ class TestLatticeSums:
             bound = 1e-16 * math.log2(K) * np.abs(weights).sum()
             B = spectral._lattice_sums(weights, n * n, K)
             assert np.abs(B - expected).max() <= bound
+
+
+class TestRealDft:
+    """A length whose largest prime factor P exceeds _DIRECT_PRIME and is not
+    the whole length takes one Cooley-Tukey step K = a P; every other length
+    is rfft's own."""
+
+    @pytest.mark.parametrize("K, P", [(1042, 521), (12345, 823), (60682, 30341),
+                                      (82814, 881), (91833, 4373)])
+    def test_split_lengths_match_rfft(self, K, P, monkeypatch):
+        x = np.random.default_rng(K).random(K)
+        expected = np.fft.rfft(x)
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(a, *args, axis=-1, **kwargs):
+            lengths.append(np.shape(a)[axis])
+            return rfft(a, *args, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        X = spectral._real_dft(x)
+        assert lengths == [P]
+        assert X.shape == expected.shape
+        assert np.abs(X - expected).max() <= 1e-16 * math.log2(K) * x.sum()
+
+    @pytest.mark.parametrize("K", [1, 2, 511, 4097, 61609, 65538, 80028, 84534])
+    def test_other_lengths_are_rfft(self, K):
+        # 511 = 7 * 73, 4097 = 17 * 241, 65538 has 331, 84534 has 193, all at
+        # most _DIRECT_PRIME; 61609 is prime
+        x = np.random.default_rng(K).random(K)
+        assert np.array_equal(spectral._real_dft(x), np.fft.rfft(x))
 
 
 class TestDensityField:
