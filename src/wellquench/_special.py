@@ -1,4 +1,4 @@
-"""Scalar special functions, trigamma and the sine integral's tail, and their helpers.
+"""Scalar special functions, trigamma and its helpers.
 
 Each function is a convergent series for small arguments and a continued
 fraction or an asymptotic series for large ones, in double precision with
@@ -15,8 +15,6 @@ _EPS = sys.float_info.epsilon
 _TINY = 1e-300
 _MAX_TERMS = 1000
 
-# sine_integral_tail's switch from the power series of Si to the continued fraction
-_SI_SWITCH = 4.0
 # trigamma recurs up to this x, then sums the asymptotic series
 _TRIGAMMA_SWITCH = 10.0
 # B_2k for k = 8 down to 1: the asymptotic series of trigamma in Horner order
@@ -75,24 +73,3 @@ def trigamma(x: float) -> float:
         series = series * t2 + b
     terms.append(t + t2 * (0.5 + t * series))
     return math.fsum(terms)
-
-
-def sine_integral_tail(x: float) -> float:
-    """pi/2 - Si(x) = -Im E1(ix) for x >= 0, Si(x) = int_0^x sin(s)/s ds.
-
-    Below 4 pi/2 less the power series of Si summed with math.fsum, within
-    7e-16 absolute.  From 4 on the continued fraction E1(z) = e^{-z} /
-    (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) (Numerical Recipes, 3rd ed.,
-    sec. 6.8.2), with no cancellation: absolute error <= 4e-15 / x, a few
-    ulps of the envelope 1/x, where pi/2 - Si(x) would keep one ulp of pi/2.
-    """
-    if x < _SI_SWITCH:
-        terms, power, k = [], x, 0
-        while power > _EPS * 1e-3 * x:
-            terms.append((-1.0) ** k * power / (2 * k + 1))
-            k += 1
-            power *= x * x / ((2 * k) * (2 * k + 1))
-        return math.pi / 2.0 - math.fsum(terms)
-    z = complex(1.0, x)
-    fraction = lentz(z, lambda j: (-float(j * j), z + 2.0 * j))
-    return -(complex(math.cos(x), -math.sin(x)) / fraction).imag

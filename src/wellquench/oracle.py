@@ -3,10 +3,9 @@
 Nothing here shares a formula with the routes it checks: the propagator solves
 the Schrodinger equation on a real-space grid with the norm-preserving
 Crank-Nicolson scheme, in closed form in the sine basis (DST-I) of the grid
-Laplacian; overlaps are trapezoid sums of sampled states; and the escape-law
-kernel integrals are computed by panel quadrature on [0, inf), the oracle of
-their closed forms (the two kernel constants and the series and bracket of
-``survival.escape_integral``): ``kernel_integral``, the package's one
+Laplacian; overlaps are trapezoid sums of sampled states; and the two
+escape-law kernel constants are computed by panel quadrature on [0, inf), the
+oracle of their closed forms: ``kernel_integral``, the package's one
 quadrature, defined in ``_oscillatory`` and re-exported here.  The DST here
 and the spectral wavefunction on a grid both call numpy's FFT, on independent
 inputs: the grid samples here, the expansion coefficients binned by mode

@@ -170,8 +170,8 @@ def escape_integral(delta: float, t: float) -> float:
     (L2 its tail from level 2, by ``_special.lentz``): its O(a^-4) correction
     cancels nothing, and e^{i a^2} = e^{i hi} (1 + i lo) for a^2 = hi + lo
     (``_special.two_square``).  Relative error <= 3e-15 below 2 and 6e-16
-    from 2 on; tests pin it to 60-digit mpmath and to the quadrature oracle
-    ``_oscillatory.kernel_integral``.  ``t`` is one time; returns 0 at t = 0.
+    from 2 on; tests pin it to I's Fresnel form in 60-digit mpmath, itself
+    checked by a panel quadrature.  ``t`` is one time; returns 0 at t = 0.
     """
     delta = _valid_shift(delta)
     if np.ndim(t) != 0:

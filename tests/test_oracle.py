@@ -12,6 +12,7 @@ from wellquench.oracle import (GridState, eigenmode_state, initial_state,
                                invariant_checks, kernel_integral, overlap,
                                propagate, uniform_grid)
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
+from wellquench.survival import escape_integral
 
 
 class TestGridState:
@@ -203,56 +204,45 @@ class TestAdaptiveQuadrature:
         assert abs(value - math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))) < 1e-8
 
     def test_escape_kernel_saturates_to_half_free(self):
-        value = kernel_integral(4, alpha=30.0)
-        half_free = 0.5 * math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))
-        assert value == pytest.approx(half_free, rel=1e-5)
+        # I(alpha) of the continuum escape, escape_integral(alpha, 1) / (16 pi)
+        value = escape_integral(30.0, 1.0) / (16.0 * math.pi)
+        assert value == pytest.approx(0.5 * kernel_integral(4), rel=1e-5)
 
     def test_escape_kernel_small_rate(self):
         # sin^2(alpha y) ~ alpha^2 y^2 regime approaches alpha^2 * confined
         alpha = 0.01
-        value = kernel_integral(4, alpha=alpha)
-        confined = math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))
-        assert value == pytest.approx(alpha**2 * confined, rel=2e-2)
+        value = escape_integral(alpha, 1.0) / (16.0 * math.pi)
+        assert value == pytest.approx(alpha**2 * kernel_integral(2), rel=2e-2)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            kernel_integral(2, alpha=1.0)     # alpha only with power 4
+        with pytest.raises(TypeError):
+            kernel_integral(4, alpha=1.0)     # the shifted kernel is gone
         with pytest.raises(ValueError):
             kernel_integral(3)
 
-    @pytest.mark.parametrize("power, alpha, tol, match", [
-        (3, None, 1e-9, "unsupported kernel power 3"),
-        (2, 1.0, 1e-9, "only used with power 4"),
-        (4, None, 0.0, "tolerance must be positive"),
-        (4, None, -1.0, "tolerance must be positive"),
-        (4, None, math.nan, "tolerance must be positive"),
-        (4, 1.0, 0.0, "tolerance must be positive"),
-        (4, 1.0, -1.0, "tolerance must be positive"),
-        (4, 1.0, math.nan, "tolerance must be positive"),
-        (2, None, math.nan, "tolerance must be positive"),
+    @pytest.mark.parametrize("power, tol, match", [
+        (3, 1e-9, "unsupported kernel power 3"),
+        (4, 0.0, "tolerance must be positive"),
+        (4, -1.0, "tolerance must be positive"),
+        (4, math.nan, "tolerance must be positive"),
+        (2, 0.0, "tolerance must be positive"),
+        (2, -1.0, "tolerance must be positive"),
+        (2, math.nan, "tolerance must be positive"),
     ])
     def test_bad_arguments_refused_before_any_panel(self, monkeypatch, power,
-                                                    alpha, tol, match):
-        # a NaN tol used to run three refinements and end in non-convergence,
-        # tol = 0 with alpha in ZeroDivisionError, tol = -1 in TypeError
+                                                    tol, match):
+        # a NaN tol used to run three refinements and end in non-convergence
         def no_panels(*args):
             raise AssertionError("a panel layout was built")
 
         monkeypatch.setattr(_oscillatory, "_panel_edges", no_panels)
         with pytest.raises(ValueError, match=match):
-            kernel_integral(power, alpha=alpha, tol=tol)
-
-    def test_zero_rate_is_zero_before_any_panel(self, monkeypatch):
-        def no_panels(*args):
-            raise AssertionError("a panel layout was built")
-
-        monkeypatch.setattr(_oscillatory, "_panel_edges", no_panels)
-        assert kernel_integral(4, alpha=0.0) == 0.0
+            kernel_integral(power, tol=tol)
 
     def test_nonconvergence_raises_with_diagnostics(self):
         # rounding alone leaves |fine - coarse| near 1e-16
         with pytest.raises(QuadratureConvergenceError,
-                           match=r"power=4 alpha=None .* panels=\d+ "):
+                           match=r"power=4 .* panels=\d+ "):
             kernel_integral(4, tol=1e-18)
 
 

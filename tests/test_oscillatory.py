@@ -1,82 +1,16 @@
-"""The quadrature oracle: its vectorised panel layout pinned to the per-panel
-linspace route it replaced, and its values pinned bit for bit."""
+"""The quadrature oracle of the two kernel constants, pinned bit for bit, and
+the exact Fresnel form of the shifted kernel that ``escape_integral`` is
+tested against, checked by a Gauss-panel route that shares none of its
+algebra."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy.special import exp1
 
 from wellquench import _oscillatory
-from wellquench.survival import CONFINED_KERNEL_CONSTANT
-
-
-def reference_panel_edges(upper, alpha):
-    """One np.linspace per interval between kernel zeros, then np.unique."""
-    ks = np.arange(1, int(upper * upper / (2.0 * math.pi)) + 1)
-    zeros = np.sqrt(2.0 * math.pi * ks)
-    edges = np.concatenate([[0.0], zeros[zeros < upper], [upper]])
-    width = math.pi / max(alpha or 1.0, 1.0)
-    pieces = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        parts = max(1, int(math.ceil((b - a) / width)))
-        pieces.append(np.linspace(a, b, parts + 1))
-    return np.unique(np.concatenate(pieces))
-
-
-def upper_for(alpha, tol=1e-7):
-    """The cut-off kernel_integral chooses for this rate and tolerance."""
-    if alpha is None:
-        return 60.0
-    return max(150.0, 2.5 * alpha, (alpha / (4.0 * tol)) ** 0.25,
-               (1.0 / tol) ** 0.2)
-
-
-rates = st.one_of(st.none(), st.floats(min_value=0.0, max_value=200.0,
-                                       exclude_min=True, exclude_max=True))
-
-
-# the tolerances of escape_integral and kernel_integral's default
-@settings(max_examples=30, deadline=None)
-@given(alpha=rates, tol=st.sampled_from([1e-7, 1e-9]))
-def test_panel_edges_match_linspace_route(alpha, tol):
-    upper = upper_for(alpha, tol)
-    edges = _oscillatory._panel_edges(upper, alpha)
-    expected = reference_panel_edges(upper, alpha)
-    assert edges.shape == expected.shape
-    assert np.array_equal(edges, expected)
-    assert edges[0] == 0.0 and edges[-1] == upper
-    assert np.all(np.diff(edges) > 0.0)
-    # every zero of sin^2(y^2/2) below the cut-off is a panel edge
-    ks = np.arange(1, int(upper * upper / (2.0 * math.pi)) + 1)
-    zeros = np.sqrt(2.0 * math.pi * ks)
-    assert np.isin(zeros[zeros < upper], edges).all()
-    width = math.pi / max(alpha or 1.0, 1.0)
-    assert np.diff(edges).max() <= width * (1.0 + 1e-12)
-
-
-def test_results_do_not_depend_on_call_order():
-    sequence = [0.5, 3.0, 0.5, None, 0.5, 1.0, 0.01]
-    first = [_oscillatory.kernel_integral(4, alpha=a, tol=1e-7) for a in sequence]
-    backwards = [_oscillatory.kernel_integral(4, alpha=a, tol=1e-7)
-                 for a in reversed(sequence)][::-1]
-    assert first == backwards
-    assert first[0] == first[2] == first[4]
-
-
-# kernel_integral(4, alpha, tol) at tol = 1e-7 and 1e-9, as computed since
-# the tail takes pi/2 - Si(2 alpha Y) without cancellation
-PINNED_BITS = {
-    None: (0.41777137910516693, 0.41777137910516693),
-    1e-3: (6.261335806877072e-07, 6.261335806877072e-07),
-    0.3: (0.043112982772047385, 0.043112982772047385),
-    1.0: (0.21364465775658303, 0.21364465775658303),
-    3.0: (0.2092047592463839, 0.2092047592462981),
-    40.0: (0.20888560386450267, 0.20888560386409585),
-    250.0: (0.20888568955258346, 0.20888568955258346),
-}
 
 
 def mpmath_kernel(alpha):
@@ -91,18 +25,63 @@ def mpmath_kernel(alpha):
                             - 2 * a**3 * (re_t + im_t) + 3 * a * (im_t - re_t))
 
 
+def gauss_kernel_integral(alpha):
+    """The same integral by 20-point Gauss-Legendre on panels between the
+    zeros of sin^2(y^2/2), none wider than pi / alpha, up to
+    Y = max(150, 2.5 alpha); beyond Y sin^2(y^2/2) is its mean 1/2, which
+    leaves 1/(12 Y^3) - (1/4) int_Y^inf cos(2 alpha y) / y^4 dy, integrated
+    by parts down to pi/2 - Si(2 alpha Y), taken as -Im E1(2 i alpha Y):
+    pi/2 less scipy's Si would cost up to (2 alpha)^3 ulp(pi/2) / 24."""
+    upper = max(150.0, 2.5 * alpha)
+    zeros = np.sqrt(2.0 * math.pi * np.arange(1, int(upper**2 / (2.0 * math.pi)) + 1))
+    edges = np.concatenate([[0.0], zeros[zeros < upper], [upper]])
+    parts = np.maximum(1, np.ceil(np.diff(edges) * alpha / math.pi)).astype(int)
+    # the i-th of n equal parts of [a, b) starts at a + i (b - a) / n
+    i = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    edges = np.append(np.repeat(edges[:-1], parts)
+                      + i * np.repeat(np.diff(edges) / parts, parts), upper)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    half = np.diff(edges)[:, None] / 2.0
+    y = (edges[:-1, None] + half) + half * nodes
+    body = np.sum(half * weights * (np.sin(alpha * y) * np.sin(y * y / 2.0) / (y * y)) ** 2)
+    beta, Y = 2.0 * alpha, upper
+    c2 = math.cos(beta * Y) / Y + beta * exp1(1j * beta * Y).imag
+    c3 = math.sin(beta * Y) / (2.0 * Y**2) + beta / 2.0 * c2
+    c4 = math.cos(beta * Y) / (3.0 * Y**3) - beta / 3.0 * c3
+    return float(body) + 1.0 / (12.0 * Y**3) - c4 / 4.0
+
+
+# the series branch of escape_integral below alpha = 2, its bracket from 2 on
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0, 10.0, 40.0, 100.0, 199.0])
 def test_kernel_integral_against_mpmath(alpha):
-    # far inside tol: with pi/2 - Si(2 alpha Y) taken by subtraction the tail
-    # lost up to 2e-10 at alpha = 199 (2.3e-12 at 40)
-    value = _oscillatory.kernel_integral(4, alpha=alpha, tol=1e-9)
-    assert abs(value - mpmath_kernel(alpha)) <= 1e-12
+    assert abs(gauss_kernel_integral(alpha) - mpmath_kernel(alpha)) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", list(PINNED_BITS))
-def test_kernel_integral_keeps_its_bits(alpha):
-    for tol, expected in zip((1e-7, 1e-9), PINNED_BITS[alpha]):
-        assert _oscillatory.kernel_integral(4, alpha=alpha, tol=tol) == expected
+def test_panels_are_the_kernel_zeros():
+    edges = _oscillatory._panel_edges(60.0)
+    assert edges[0] == 0.0 and edges[-1] == 60.0
+    assert edges.size - 2 == int(60.0**2 / (2.0 * math.pi))
+    assert np.abs(np.sin(edges[1:-1] ** 2 / 2.0)).max() <= 1e-12
+    assert 0.0 < np.diff(edges).min() and np.diff(edges).max() <= math.sqrt(2.0 * math.pi)
+
+
+def test_results_do_not_depend_on_call_order():
+    sequence = [(4, 1e-7), (2, 1e-9), (4, 1e-7), (4, 1e-9), (2, 1e-7), (4, 1e-7)]
+    first = [_oscillatory.kernel_integral(p, tol=t) for p, t in sequence]
+    backwards = [_oscillatory.kernel_integral(p, tol=t)
+                 for p, t in reversed(sequence)][::-1]
+    assert first == backwards
+    assert first[0] == first[2] == first[5]
+
+
+# kernel_integral(power, tol) at tol = 1e-7 and 1e-9
+PINNED_BITS = {4: 0.41777137910516693, 2: 0.6266570686576636}
+
+
+@pytest.mark.parametrize("power", list(PINNED_BITS))
+def test_kernel_integral_keeps_its_bits(power):
+    for tol in (1e-7, 1e-9):
+        assert _oscillatory.kernel_integral(power, tol=tol) == PINNED_BITS[power]
 
 
 def test_memoised_arrays_are_read_only():
@@ -113,15 +92,3 @@ def test_memoised_arrays_are_read_only():
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 1.0
-
-
-@pytest.mark.parametrize("tol", [1e-12, 1e-13])
-@pytest.mark.parametrize("alpha", [1e-3, 1e-2])
-def test_tight_tolerances_converge_to_the_small_rate_series(alpha, tol):
-    # the cut-off grows with 1/tol, so the 0.5/Y^5 tail bound no longer
-    # stalls the estimate above tol (at Y = 150 it is 6.6e-12); the series
-    # I = C a^2 - (pi/6) a^3 + (sqrt(pi/2)/12) a^4 drops O(a^6 / 100) terms
-    series = (CONFINED_KERNEL_CONSTANT * alpha**2 - (math.pi / 6.0) * alpha**3
-              + math.sqrt(math.pi / 2.0) / 12.0 * alpha**4)
-    value = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
-    assert abs(value - series) <= tol

@@ -31,20 +31,6 @@ class TestTrigamma:
                 assert abs(_special.trigamma(x) - reference) <= 2 * math.ulp(float(reference))
 
 
-class TestSineIntegral:
-    XS = np.geomspace(1e-3, 1e5, 201).tolist() + [
-        math.nextafter(_special._SI_SWITCH, 0.0), _special._SI_SWITCH]
-
-    def test_tail_against_mpmath(self):
-        # pi/2 - Si(x) oscillates about 0 within 1/x; from 4 on it is taken
-        # without the cancellation that pi/2 less Si(x) in doubles suffers
-        with mpmath.workdps(40):
-            for x in self.XS:
-                reference = mpmath.pi / 2 - mpmath.si(mpmath.mpf(x))
-                bound = 4e-15 / x if x >= _special._SI_SWITCH else 7e-16
-                assert abs(_special.sine_integral_tail(x) - reference) <= bound
-
-
 class TestHelpers:
     def test_lentz_gives_the_golden_ratio(self):
         golden = _special.lentz(1.0, lambda j: (1.0, 1.0))

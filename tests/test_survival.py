@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellquench import _oscillatory, oracle, spectral, survival, universal
+from wellquench import oracle, spectral, survival, universal
 from wellquench.errors import TruncationInconsistencyError
 from wellquench.spectral import WellConfig, mode_coefficients, wavefunction
 from wellquench.survival import (CONFINED_KERNEL_CONSTANT,
@@ -17,6 +17,8 @@ from wellquench.survival import (CONFINED_KERNEL_CONSTANT,
                                  escape_integral, escape_probability_exact,
                                  escape_small_delta, regime_report,
                                  survival_amplitude)
+
+from test_oscillatory import mpmath_kernel
 
 
 class TestSurvivalAmplitude:
@@ -179,27 +181,17 @@ class TestEscapeIntegral:
         assert np.all(np.diff(np.abs(gaps - target)) < 0.0)
         assert gaps[-1] == pytest.approx(target, rel=0.01)
 
-    # the power series below alpha = 2, the bracket from 2 on; above alpha =
-    # 0.3 the oracle runs at 1e-10, because at 1e-12 its panels need up to
-    # 1 GB near alpha = 200; from 1e3 on it takes the mean-field shortcut
+    # the power series below alpha = 2, the bracket from 2 on, against the
+    # exact Fresnel form that test_oscillatory's Gauss-panel quadrature
+    # checks; 0.03 and 200 were the edges of earlier routes
     @pytest.mark.parametrize("alpha", [
         1e-3, 3e-3, 0.01, 0.0299, 0.03, 0.1, 0.3, 1.0, 2.0, 5.0, 30.0, 100.0,
         199.9, 200.0, 1e3, 1e4])
     def test_closed_form_against_quadrature_oracle(self, alpha):
-        tol = 1e-10 if 0.3 < alpha <= 200.0 else 1e-12
+        bound = 3e-15 if alpha < 2.0 else 6e-16
+        exact = mpmath_kernel(alpha)
         closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
-        quadrature = _oscillatory.kernel_integral(4, alpha=alpha, tol=tol)
-        assert abs(closed - quadrature) <= max(1e-8 * quadrature, 1e-13)
-
-    def test_mean_field_shortcut_honours_tol(self):
-        # sin^2(alpha y) was taken as its mean 1/2 from alpha = 200 on at any
-        # tol, 1.24e-10 off here; now only where 0.3 / alpha^4 <= tol
-        closed = escape_integral(200.0, 1.0) / (16.0 * math.pi)
-        assert abs(_oscillatory.kernel_integral(4, alpha=200.0, tol=1e-10)
-                   - closed) <= 1e-10
-        mean = 0.5 * _oscillatory.kernel_integral(4, tol=1e-12)
-        for alpha in (1e3, 1e200):
-            assert _oscillatory.kernel_integral(4, alpha=alpha, tol=1e-12) == mean
+        assert abs(closed - exact) <= bound * exact
 
     @pytest.mark.parametrize("lo, hi", [
         (1e-3, 0.03), (0.03, 2.0), (2.0, 30.0), (30.0, 200.0), (200.0, 1e3),
@@ -209,18 +201,10 @@ class TestEscapeIntegral:
         # 2 on, is the worst over 1500 log-spaced points per band; every 25th
         # of them is checked against the Fresnel form of I to 60 digits
         bound = 3e-15 if hi <= 2.0 else 6e-16
-        with mpmath.workdps(60):
-            for alpha in np.geomspace(lo, hi, 1500, endpoint=False)[::25].tolist():
-                a, scale = mpmath.mpf(alpha), mpmath.sqrt(mpmath.pi / 2)
-                u = a / scale
-                re_t = scale * (0.5 - mpmath.fresnelc(u))
-                im_t = scale * (0.5 - mpmath.fresnels(u))
-                sin2, cos2 = mpmath.sin(a * a), mpmath.cos(a * a)
-                exact = scale / 6 * (
-                    1 - sin2 - cos2 - a * a * (sin2 - cos2)
-                    - 2 * a**3 * (re_t + im_t) + 3 * a * (im_t - re_t))
-                closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
-                assert abs(closed - exact) <= bound * exact
+        for alpha in np.geomspace(lo, hi, 1500, endpoint=False)[::25].tolist():
+            exact = mpmath_kernel(alpha)
+            closed = escape_integral(alpha, 1.0) / (16.0 * math.pi)
+            assert abs(closed - exact) <= bound * exact
 
     @pytest.mark.parametrize("edge, bound", [
         (0.03, 5e-12), (2.0, 3e-15 + 6e-16), (200.0, 3e-9)])
@@ -250,15 +234,17 @@ class TestEscapeIntegral:
             escape_integral(0.003, t)
 
     def test_cli_grid_matches_the_quadrature_route(self):
-        # the escape command's default grid, against the tol = 1e-7
-        # quadrature that computed its integral column before the closed form
+        # the escape command's default grid, whose integral column a tol =
+        # 1e-7 quadrature computed before the closed form, against the exact
+        # 16 pi t^{3/2} I(alpha): the documented bound on I, plus 5e-16 for
+        # fl(pi), t**1.5 and the two products that carry I to P in doubles
         delta = 0.003
-        for t in np.logspace(-8, -2, 121):
-            t = float(t)
-            quadrature = 16.0 * math.pi * t**1.5 * _oscillatory.kernel_integral(
-                4, alpha=delta / math.sqrt(t), tol=1e-7)
-            assert escape_integral(delta, t) == pytest.approx(quadrature,
-                                                              rel=1e-9)
+        for t in np.logspace(-8, -2, 121).tolist():
+            alpha = delta / math.sqrt(t)
+            with mpmath.workdps(60):
+                exact = 16 * mpmath.pi * mpmath.mpf(t) ** 1.5 * mpmath_kernel(alpha)
+            bound = (3e-15 if alpha < 2.0 else 6e-16) + 5e-16
+            assert abs(escape_integral(delta, t) - exact) <= bound * exact
 
     def test_confined_law_third_term(self):
         # P = two-term law + (4 pi/3) sqrt(pi/2) delta^4 / sqrt(t) (1 + a^2/15
@@ -299,14 +285,6 @@ class TestEscapeIntegral:
                 escape_integral(delta, 1e-3)
         with pytest.raises(ValueError):
             escape_integral(0.1, math.nan)
-        with pytest.raises(ValueError, match="oscillation rate"):
-            _oscillatory.kernel_integral(4, alpha=math.nan)
-        for alpha in (math.nan, -1.0):
-            with pytest.raises(ValueError, match="oscillation rate"):
-                oracle.kernel_integral(4, alpha=alpha)
-        # an infinite rate is the fully averaged limit, not an error
-        assert _oscillatory.kernel_integral(4, alpha=math.inf) == \
-            0.5 * _oscillatory.kernel_integral(4)
 
     def test_overflowing_time_names_the_input(self):
         # t**1.5 used to raise a bare OverflowError
