@@ -1,9 +1,10 @@
-"""Scalar special functions, trigamma and its helpers.
+"""Scalar helpers in double precision, each as accurate as its docstring says.
 
-Each function is a convergent series for small arguments and a continued
-fraction or an asymptotic series for large ones, in double precision with
-the accuracy stated in its docstring.  Continued fractions are evaluated by
-``lentz``, the modified Lentz method (Numerical Recipes, 3rd ed., sec. 5.2).
+``lentz`` (modified Lentz, Numerical Recipes 3rd ed. sec. 5.2) evaluates the
+erfc continued fraction of ``survival.escape_integral``; ``veltkamp`` and
+``two_square`` are exact splits, for ``spectral._window_offsets`` and for the
+e^{i a^2} of ``escape_integral``; ``trigamma``, a recurrence up to x = 10 and
+then an asymptotic series, serves ``universal.universal_tail_bound``.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ Crank-Nicolson scheme, in closed form in the sine basis (DST-I) of the grid
 Laplacian; overlaps are trapezoid sums of sampled states; and the two
 escape-law kernel constants are computed by panel quadrature on [0, inf), the
 oracle of their closed forms: ``kernel_integral``, the package's one
-quadrature, defined in ``_oscillatory`` and re-exported here.  The DST here
-and the spectral wavefunction on a grid both call numpy's FFT, on independent
-inputs: the grid samples here, the expansion coefficients binned by mode
-residue there; the direct mode sum ``spectral._mode_sums`` stays the tested
-reference of the latter.  ``invariant_checks`` runs these routes against each
-other and against the spectral route.
+quadrature, to a fixed 1e-9, defined in ``_oscillatory`` and re-exported here.
+The DST here and the spectral wavefunction on a grid both call numpy's FFT, on
+independent inputs: the grid samples here, the expansion coefficients binned
+by mode residue there; the direct mode sum ``spectral._mode_sums`` stays the
+tested reference of the latter.  ``invariant_checks`` runs these routes
+against each other and against the spectral route.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def invariant_checks(coarse: bool = False) -> list[dict]:
     # quadrature constants against their closed forms
     for kind, power, exact in (("free", 4, survival.FREE_KERNEL_CONSTANT),
                                ("confined", 2, survival.CONFINED_KERNEL_CONSTANT)):
-        value = kernel_integral(power, tol=1e-9)
+        value = kernel_integral(power)
         check(f"{kind}_kernel_constant", abs(value - exact), 1e-6)
     # grid propagator against the spectral wavefunction
     t_target = 0.005

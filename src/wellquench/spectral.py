@@ -302,20 +302,18 @@ def _window_sums(theta, c, P: int) -> np.ndarray:
     return out if np.ndim(c) > 1 else out[0]
 
 
-def _direct_sums(points: np.ndarray, rates: np.ndarray, terms,
-                 turns: bool = False) -> np.ndarray:
+def _direct_sums(points: np.ndarray, rates: np.ndarray, terms) -> np.ndarray:
     """S_i = sum_n terms(points_i * rates_n)[..., n] for every point.
 
     ``terms`` maps a block of phases (points down, modes across) to the
     summands, modes along the last axis: one block of the same shape, or a
-    stack of such blocks, whose sums come back stacked the same way.  With
-    ``turns`` the rates are integers and the block holds the exact turns
-    frac(points_i * rates_n) instead.  Blocks hold whole rows of at most
-    _CHUNK_BUDGET phases, so each S_i is one sum over every n and the budget
-    sets the memory, never the bits.
+    stack of such blocks, whose sums come back stacked the same way.  Integer
+    ``rates`` give the block the exact turns frac(points_i * rates_n)
+    instead.  Blocks hold whole rows of at most _CHUNK_BUDGET phases, so each
+    S_i is one sum over every n and the budget sets the memory, never the bits.
     """
     chunk = max(1, _CHUNK_BUDGET // max(1, rates.size))
-    phases = (lambda x: _turns(rates, x[:, None])) if turns else (
+    phases = (lambda x: _turns(rates, x[:, None])) if rates.dtype.kind in "iu" else (
         lambda x: np.outer(x, rates))
     # an empty input still makes one (empty) block, which sets the dtype
     return np.concatenate([terms(phases(points[i:i + chunk])).sum(axis=-1)
@@ -349,10 +347,10 @@ def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] |
     return None
 
 
-def _lattice_read(weights, rates, xs: np.ndarray, n_terms: int) -> np.ndarray | None:
-    """B of ``_lattice_sums`` at the points ``xs`` if they lie on a lattice
-    (``_lattice_of`` with ``n_terms`` modes), one FFT of length K; else None."""
-    lattice = _lattice_of(xs, n_terms)
+def _lattice_read(weights, rates, xs: np.ndarray) -> np.ndarray | None:
+    """B of ``_lattice_sums`` at ``xs`` if they lie on a lattice (``_lattice_of``
+    with ``weights.size`` modes), one FFT of length K; else None."""
+    lattice = _lattice_of(xs, weights.size)
     if lattice is None:
         return None
     K, origin, index = lattice
@@ -415,12 +413,14 @@ def _valid_positions(config: WellConfig, coeffs: ModeCoefficients, x) -> np.ndar
 def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
                ts: np.ndarray) -> np.ndarray:
     """sum_n a_n sin(n pi x/L) e^{-i E_n t}, rows over ``ts``, columns over
-    ``xs``, both validated by the caller."""
+    ``xs``, both validated by the caller.  Mode blocks are added up, so unlike
+    _direct_sums the budget can move the last bits (6.7e-16 between 3 blocks
+    and 1 at N = 5000); the default ``evolve`` takes one block."""
     n = np.arange(1, coeffs.truncation + 1, dtype=float)
     parts = np.zeros((2 * ts.size, xs.size))
-    # accumulate (times x modes) @ (modes x positions) in mode blocks, the
-    # real and imaginary rows of the phases stacked over one real sine table
-    chunk = max(1, int(2**22 / max(1, ts.size, xs.size)))
+    # accumulate (times x modes) @ (modes x positions) in mode blocks: real and
+    # imaginary phase rows stacked over one sine table, ~4 doubles an entry
+    chunk = max(1, _CHUNK_BUDGET // 4 // max(1, ts.size, xs.size))
     for i in range(0, coeffs.truncation, chunk):
         sl = slice(i, i + chunk)
         phased = coeffs.values[sl] * np.exp(-1j * np.outer(ts, coeffs.energies[sl]))
@@ -445,7 +445,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
     xs = _valid_positions(config, coeffs, x)
     n = np.arange(1, coeffs.truncation + 1)
     c = coeffs.values * np.exp(-1j * (ts * coeffs.energies))
-    real, imag = (_lattice_read(part, n, xs / (2.0 * config.width), coeffs.truncation)
+    real, imag = (_lattice_read(part, n, xs / (2.0 * config.width))
                   for part in (c.real, c.imag))
     psi = _mode_sums(config, coeffs, xs, ts)[0] if real is None else real.imag + 1j * imag.imag
     return _shaped(psi * math.sqrt(2.0 / config.width), x)

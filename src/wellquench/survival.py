@@ -130,7 +130,7 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
     nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
-    b = _lattice_read(coeffs.weights[1:], nsq, ts / config.period, n_modes - 1)
+    b = _lattice_read(coeffs.weights[1:], nsq, ts / config.period)
     if b is None:
         core = _escape_core(coeffs.weights[1:], coeffs.energies[1:], ts, 1.0)
     else:

@@ -38,7 +38,7 @@ class UniversalCurve:
     xi_grid: np.ndarray
     values: np.ndarray
     truncation: int
-    tail_bound: float = 0.0
+    tail_bound: float = math.nan  # no bound known
 
     def __post_init__(self):
         xi = np.asarray(self.xi_grid, dtype=float)
@@ -92,15 +92,14 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
     """
     xs = _valid_times(xi, "xi", signed=True)
     nsq, weights = _profile_modes(n_modes)
-    b = _lattice_read(weights, nsq, xs, n_modes - 1)
+    b = _lattice_read(weights, nsq, xs)
     if b is not None:
         # F's terms are >= 0, but where all vanish (n = 2 alone, at 4j = 0 mod
         # K) rounding leaves -1e-16: the lattice and window reads cut F at 0
         return _shaped(np.maximum(b.real, 0.0), xi)
     window = _window_of(xs)
     if window is None:
-        out = _direct_sums(xs, nsq, lambda t: weights * (1.0 - np.cos(2.0 * math.pi * t)),
-                           turns=True)
+        out = _direct_sums(xs, nsq, lambda t: weights * (1.0 - np.cos(2.0 * math.pi * t)))
     else:
         origin, step, offsets = window
         twisted = weights * _cis(_turns(nsq, origin))
@@ -167,8 +166,7 @@ def scaled_escape_limit(delta: float, xi_grid, n_modes: int = 2 * 10**4) -> Univ
     xs = np.asarray(xi_grid, dtype=float)
     escape = escape_probability_aligned(config, xs * config.period, n_modes)
     scaled = escape / (8.0 * delta * delta)
-    return UniversalCurve(xi_grid=xs, values=scaled, truncation=n_modes,
-                          tail_bound=float("nan"))
+    return UniversalCurve(xi_grid=xs, values=scaled, truncation=n_modes)
 
 
 def valley_locations(p_max: int, spacing: float = 1e-4,

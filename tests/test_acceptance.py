@@ -180,8 +180,8 @@ def test_criterion_08_oracle_equivalence():
 
 
 def test_criterion_09_quadrature_constants():
-    free = oracle.kernel_integral(4, tol=1e-9)
-    confined = oracle.kernel_integral(2, tol=1e-9)
+    free = oracle.kernel_integral(4)
+    confined = oracle.kernel_integral(2)
     err_free = abs(free - math.sqrt(math.pi) / (3.0 * math.sqrt(2.0)))
     err_conf = abs(confined - math.sqrt(math.pi) / (2.0 * math.sqrt(2.0)))
     ok = report(9, err_free < 1e-6 and err_conf < 1e-6,

@@ -196,11 +196,11 @@ class TestAdaptiveQuadrature:
         assert oracle.kernel_integral is _oscillatory.kernel_integral
 
     def test_free_kernel_constant(self):
-        value = kernel_integral(4, tol=1e-9)
+        value = kernel_integral(4)
         assert abs(value - math.sqrt(math.pi) / (3.0 * math.sqrt(2.0))) < 1e-8
 
     def test_confined_kernel_constant(self):
-        value = kernel_integral(2, tol=1e-9)
+        value = kernel_integral(2)
         assert abs(value - math.sqrt(math.pi) / (2.0 * math.sqrt(2.0))) < 1e-8
 
     def test_escape_kernel_saturates_to_half_free(self):
@@ -217,33 +217,30 @@ class TestAdaptiveQuadrature:
     def test_argument_validation(self):
         with pytest.raises(TypeError):
             kernel_integral(4, alpha=1.0)     # the shifted kernel is gone
+        with pytest.raises(TypeError):
+            kernel_integral(4, 30.0)          # no second argument of any kind
+        with pytest.raises(TypeError):
+            kernel_integral(4, tol=1e-9)      # the error target is fixed
         with pytest.raises(ValueError):
             kernel_integral(3)
 
-    @pytest.mark.parametrize("power, tol, match", [
-        (3, 1e-9, "unsupported kernel power 3"),
-        (4, 0.0, "tolerance must be positive"),
-        (4, -1.0, "tolerance must be positive"),
-        (4, math.nan, "tolerance must be positive"),
-        (2, 0.0, "tolerance must be positive"),
-        (2, -1.0, "tolerance must be positive"),
-        (2, math.nan, "tolerance must be positive"),
-    ])
-    def test_bad_arguments_refused_before_any_panel(self, monkeypatch, power,
-                                                    tol, match):
-        # a NaN tol used to run three refinements and end in non-convergence
+    def test_bad_arguments_refused_before_any_panel(self, monkeypatch):
         def no_panels(*args):
             raise AssertionError("a panel layout was built")
 
         monkeypatch.setattr(_oscillatory, "_panel_edges", no_panels)
-        with pytest.raises(ValueError, match=match):
-            kernel_integral(power, tol=tol)
+        with pytest.raises(ValueError, match="unsupported kernel power 3"):
+            kernel_integral(3)
 
-    def test_nonconvergence_raises_with_diagnostics(self):
-        # rounding alone leaves |fine - coarse| near 1e-16
-        with pytest.raises(QuadratureConvergenceError,
-                           match=r"power=4 .* panels=\d+ "):
-            kernel_integral(4, tol=1e-18)
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
+        # the panels err by 1.3e-12 at most, so a tail bound of 2e-9 is the seam
+        tail = _oscillatory._tail
+        monkeypatch.setattr(_oscillatory, "_tail", lambda p: (tail(p)[0], 2e-9))
+        for power in (4, 2):
+            with pytest.raises(QuadratureConvergenceError,
+                               match=rf"power={power} .* panels=\d+ "
+                                     r"estimate=2\.00\de-09 tol=1\.000e-09"):
+                kernel_integral(power)
 
 
 class TestChecksCanFail:

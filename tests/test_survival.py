@@ -301,9 +301,9 @@ class TestAsymptotes:
 
     def test_kernel_constants_against_quadrature(self):
         # numerical integrals must reproduce the closed forms
-        assert abs(oracle.kernel_integral(4, tol=1e-9)
+        assert abs(oracle.kernel_integral(4)
                    - FREE_KERNEL_CONSTANT) < 1e-8
-        assert abs(oracle.kernel_integral(2, tol=1e-9)
+        assert abs(oracle.kernel_integral(2)
                    - CONFINED_KERNEL_CONSTANT) < 1e-8
 
     def test_law_coefficients(self):

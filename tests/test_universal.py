@@ -166,6 +166,13 @@ class TestScaledEscapeLimit:
         with pytest.raises(ValueError):
             scaled_escape_limit(0.0, np.array([0.1]))
 
+    def test_no_bound_is_claimed_unless_one_is_known(self):
+        # a default of 0.0 claimed the truncated profile was exact
+        assert math.isnan(UniversalCurve([0.0, 1.0], [0.0, 0.0], 2).tail_bound)
+        assert math.isnan(scaled_escape_limit(1e-2, np.array([0.1, 0.25]), 200).tail_bound)
+        curve = universal_curve(8, 50)
+        assert curve.tail_bound == universal_tail_bound(50) > 0.0
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("delta", [1e-170, 1e-160])
     def test_underflowing_scale_names_the_shift(self, delta):
@@ -290,6 +297,19 @@ class TestResidueGrid:
         period = values[:K + 1]
         assert np.array_equal(period, period[::-1])
         assert np.array_equal(values[K:], values[:extra + 1])
+
+    def test_the_mode_count_sets_the_lattice_limit(self):
+        # three points j/1000 read the lattice only once the direct sum costs
+        # more than the FFT: 999 modes do (2997 >= 1000 terms), 99 do not
+        xs = np.arange(3) / 1000
+        for n_modes, expected in ((100, []), (1000, [1000])):
+            calls, lattice_sums = [], spectral._lattice_sums
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectral, "_lattice_sums",
+                              lambda *args: calls.append(args[2]) or lattice_sums(*args))
+                values = universal_function(xs, n_modes)
+            assert calls == expected
+            assert np.abs(values - exact_profile(xs, n_modes)).max() <= 1e-14
 
     def test_never_negative_and_zero_at_origin(self):
         # with sum(w) as the reference instead of FFT bin 0,
