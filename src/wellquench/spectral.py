@@ -52,6 +52,9 @@ _WINDOW_MIN = 32
 # the second-order error of the offset correction, (2 pi^2 / 3) N^3 d^2,
 # below 2e-12 for N <= 1e6 modes
 _WINDOW_ULPS = 2
+#: most modes or bins in one block of stacked lattice rows: small enough to
+#: stay in cache and to reuse the allocator's pages from block to block
+_ROW_BLOCK = 2**15
 #: grid cells a window source spreads to on each side of its own
 _SPREAD = 12
 #: most entries one spreading block holds: small enough to stay in cache
@@ -186,13 +189,25 @@ def _turns(nsq, x) -> np.ndarray:
     return out
 
 
-def _cis(turns) -> np.ndarray:
-    """e^{2 pi i t}: np.exp(2j pi t)'s bits, its cos and sin written in place."""
-    angle = 2.0 * math.pi * np.asarray(turns)
-    out = np.empty(angle.shape, dtype=complex)
+def _expi(angle) -> np.ndarray:
+    """e^{i angle}: np.exp(1j angle)'s bits, its cos and sin written in place."""
+    out = np.empty(np.shape(angle), dtype=complex)
     np.cos(angle, out=out.real)
     np.sin(angle, out=out.imag)
     return out
+
+
+def _cis(turns) -> np.ndarray:
+    """e^{2 pi i t}, np.exp(2j pi t)'s bits."""
+    return _expi(2.0 * math.pi * np.asarray(turns))
+
+
+def _phased(values, energies, ts) -> np.ndarray:
+    """c_n(t) = a_n e^{-i E_n t}, rows over ``ts``: the bits of
+    values * np.exp(-1j * np.outer(ts, energies))."""
+    c = _expi(np.outer(-ts, energies))
+    c *= values
+    return c
 
 
 def _twist(weights, nsq, origin: float) -> np.ndarray:
@@ -201,30 +216,43 @@ def _twist(weights, nsq, origin: float) -> np.ndarray:
 
 
 def _real_dft(x) -> np.ndarray:
-    """np.fft.rfft(x) for a real x of length K, within 1e-16 log2(K) sum |x_n|.
+    """np.fft.rfft(x) along the last axis of a real x of length K, each row of a
+    stack to its bits alone, within 1e-16 log2(K) sum |x_n|.
 
     numpy takes Bluestein's route, at K ~ 1e5 ten times the time and six
     times the memory of a smooth K, when K's largest prime factor P is above
     _DIRECT_PRIME; if P < K, one Cooley-Tukey step K = a P is taken instead.
     """
-    K, P, f = x.size, x.size, 2
+    K, P, f = x.shape[-1], x.shape[-1], 2
     while f * f <= P:
         P, f = (P, f + 1) if P % f else (P // f, f)
     if P <= _DIRECT_PRIME or P == K:
         return np.fft.rfft(x)
     a, h = K // P, P // 2 + 1
     # X_{P k1 + k2} = sum_n1 e^{-2 pi i n1 (k1/a + k2/K)} sum_n2 x_{n1 + a n2} e^{-2 pi i n2 k2/P}
-    inner = np.fft.rfft(x.reshape(P, a).T, axis=1)
+    rows = x.shape[:-1]
+    inner = np.fft.rfft(x.reshape(rows + (P, a)).swapaxes(-1, -2), axis=-1)
     inner *= _cis(-(np.outer(np.arange(a), np.arange(h)) % K) / K)
-    out = np.empty((a, P), dtype=complex)
-    out[:, :h] = np.fft.fft(inner, axis=0)
-    np.conjugate(out[::-1, P - h:0:-1], out=out[:, h:])  # X_{K-k} = conj X_k
-    return out.ravel()[:K // 2 + 1]
+    out = np.empty(rows + (a, P), dtype=complex)
+    out[..., :h] = np.fft.fft(inner, axis=-2)
+    np.conjugate(out[..., ::-1, P - h:0:-1], out=out[..., h:])  # X_{K-k} = conj X_k
+    return out.reshape(rows + (K,))[..., :K // 2 + 1]
+
+
+def _binned(residues, weights, K: int) -> np.ndarray:
+    """np.bincount(residues, w, minlength=K) for each row w of ``weights``, a
+    stack in one bincount whose rows' bins lie K apart: each row's bits alone."""
+    rows = weights.shape[:-1]
+    if rows:
+        residues = residues + K * np.arange(math.prod(rows)).reshape(rows + (1,))
+    return np.bincount(residues.ravel(), weights.ravel(),
+                       minlength=math.prod(rows) * K).reshape(rows + (K,))
 
 
 def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
                   twisted=None) -> np.ndarray:
-    """B_j = sum_n w_n (1 - exp(-2 pi i r_n (origin + j/K))) for j = 0..K-1.
+    """B_j = sum_n w_n (1 - exp(-2 pi i r_n (origin + j/K))) for j = 0..K-1,
+    along the last axis of a stack of weight rows that share the rates.
 
     The rates r_n = ``nsq`` are integers: n^2 for the phase sums, n for the
     wavefunction on a grid (whose sines are Im B).  A phase depends on r_n
@@ -243,13 +271,13 @@ def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
     if origin:
         if twisted is None:
             twisted = _twist(weights, nsq, origin)
-        sums = np.fft.fft(np.bincount(residues, twisted.real, minlength=K)
-                          + 1j * np.bincount(residues, twisted.imag, minlength=K))
-        return np.subtract(weights.sum(), sums, out=sums)
-    half = _real_dft(np.bincount(residues, weights, minlength=K))
-    np.subtract(half[0].real, half, out=half)
+        sums = np.fft.fft(_binned(residues, twisted.real, K)
+                          + 1j * _binned(residues, twisted.imag, K))
+        return np.subtract(weights.sum(axis=-1, keepdims=True), sums, out=sums)
+    half = _real_dft(_binned(residues, weights, K))
+    np.subtract(half[..., :1].real, half, out=half)
     # j > K/2 reads conj B_{K-j}, K - j running from (K-1)//2 down to 1
-    return np.concatenate((half, half[(K + 1) // 2 - 1:0:-1].conj()))
+    return np.concatenate((half, half[..., (K + 1) // 2 - 1:0:-1].conj()), axis=-1)
 
 
 def _ruler_period(epsilon):
@@ -349,12 +377,12 @@ def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] |
 
 def _lattice_read(weights, rates, xs: np.ndarray) -> np.ndarray | None:
     """B of ``_lattice_sums`` at ``xs`` if they lie on a lattice (``_lattice_of``
-    with ``weights.size`` modes), one FFT of length K; else None."""
-    lattice = _lattice_of(xs, weights.size)
+    with one row's modes), one FFT of length K per weight row; else None."""
+    lattice = _lattice_of(xs, weights.shape[-1])
     if lattice is None:
         return None
     K, origin, index = lattice
-    return _lattice_sums(weights, rates, K, origin)[index]
+    return _lattice_sums(weights, rates, K, origin)[..., index]
 
 
 def _window_of(xs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
@@ -413,9 +441,11 @@ def _valid_positions(config: WellConfig, coeffs: ModeCoefficients, x) -> np.ndar
 def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
                ts: np.ndarray) -> np.ndarray:
     """sum_n a_n sin(n pi x/L) e^{-i E_n t}, rows over ``ts``, columns over
-    ``xs``, both validated by the caller.  Mode blocks are added up, so unlike
-    _direct_sums the budget can move the last bits (6.7e-16 between 3 blocks
-    and 1 at N = 5000); the default ``evolve`` takes one block."""
+    ``xs``, both validated by the caller: the direct reference of ``_psi_rows``.
+    Within eps sum |a_n| (N + 1 + 5 pi n), eps = 2^-53, of the exact sum of
+    the same c_n: a sine's argument rounds by at most 5 eps pi n, the sine by
+    eps, and N terms add N eps sum |c_n|.  Mode blocks are added up, so unlike
+    _direct_sums the budget can move the last bits (6.7e-16 at N = 5000)."""
     n = np.arange(1, coeffs.truncation + 1, dtype=float)
     parts = np.zeros((2 * ts.size, xs.size))
     # accumulate (times x modes) @ (modes x positions) in mode blocks: real and
@@ -423,10 +453,34 @@ def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
     chunk = max(1, _CHUNK_BUDGET // 4 // max(1, ts.size, xs.size))
     for i in range(0, coeffs.truncation, chunk):
         sl = slice(i, i + chunk)
-        phased = coeffs.values[sl] * np.exp(-1j * np.outer(ts, coeffs.energies[sl]))
+        phased = _phased(coeffs.values[sl], coeffs.energies[sl], ts)
         parts += (np.concatenate((phased.real, phased.imag))
                   @ np.sin(np.outer(n[sl], math.pi * xs / config.width)))
     return parts[:ts.size] + 1j * parts[ts.size:]
+
+
+def _psi_rows(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
+              ts: np.ndarray) -> np.ndarray:
+    """sum_n c_n(t) sin(n pi x/L), rows over ``ts``, columns over ``xs``.
+
+    Where x / (2L) lies on a lattice, as linspace(0, L, M) does with K =
+    2(M - 1), the sines are Im B of one ``_lattice_sums`` with the rates n
+    over the real, then the imaginary rows of c_n(t) for each block of
+    _ROW_BLOCK // max(N, K) times (the block sets the memory, never the
+    bits): within 1e-16 log2(K) sum |a_n| of exact residues (n j mod K) / K.
+    Every other ``x`` takes ``_mode_sums``."""
+    lattice = _lattice_of(xs / (2.0 * config.width), coeffs.truncation)
+    if lattice is None:
+        return _mode_sums(config, coeffs, xs, ts)
+    K, origin, index = lattice
+    n = np.arange(1, coeffs.truncation + 1)
+    psi = np.empty((ts.size, xs.size), dtype=complex)
+    block = max(1, _ROW_BLOCK // max(n.size, K))
+    for i in range(0, ts.size, block):
+        c = _phased(coeffs.values, coeffs.energies, ts[i:i + block])
+        sines = _lattice_sums(np.concatenate((c.real, c.imag)), n, K, origin)[:, index]
+        psi[i:i + block] = sines[:len(c)].imag + 1j * sines[len(c):].imag
+    return psi
 
 
 def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> np.ndarray:
@@ -434,20 +488,14 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
 
     ``x`` is a scalar or a non-empty array of positions inside [0, width],
     ``t`` one time >= 0; returns complex amplitudes of the shape of ``x``.
-    Where x / (2L) lies on a lattice, as linspace(0, L, M) does with K =
-    2(M - 1), the sines are Im B of ``_lattice_read`` with the rates n, once
-    for each part of c_n = a_n e^{-i E_n t}: within 1e-14 absolute of the
-    direct sum ``_mode_sums``, which every other ``x`` takes.
+    The sum is one row of ``_psi_rows``: on a lattice x / (2L), a residue FFT
+    within 1e-14 absolute of the direct ``_mode_sums``, which the rest takes.
     """
     if np.ndim(t) != 0:
         raise ValueError("time must be a scalar")
     ts = _valid_times(t)
     xs = _valid_positions(config, coeffs, x)
-    n = np.arange(1, coeffs.truncation + 1)
-    c = coeffs.values * np.exp(-1j * (ts * coeffs.energies))
-    real, imag = (_lattice_read(part, n, xs / (2.0 * config.width))
-                  for part in (c.real, c.imag))
-    psi = _mode_sums(config, coeffs, xs, ts)[0] if real is None else real.imag + 1j * imag.imag
+    psi = _psi_rows(config, coeffs, xs, ts)[0]
     return _shaped(psi * math.sqrt(2.0 / config.width), x)
 
 
@@ -460,7 +508,10 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
     as linspace(0, P, T) is, sums the rows j < ceil(T/2) and copies row j to
     row T-1-j.  A copy is within _MIRROR_ULPS ulp(kP) (4/L) sum |a_n| sum
     |a_n| E_n absolute of the sum at its own t: 6.3e-12 at evolve's defaults,
-    measured 1.7e-13 (a summed row is 3e-14 from one with 40-digit phases).
+    measured 1.7e-13.  ``_psi_rows`` sums the rows: a stacked residue FFT
+    where x / (2L) lies on a lattice, as in evolve, psi within 1e-16 log2(K)
+    sum |a_n|; else the direct ``_mode_sums``, within eps sum |a_n| (N + 1 +
+    5 pi n).  At evolve's defaults the two are 1.5e-14 apart in rho.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -474,7 +525,7 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
     mirrored = (np.abs(sums - multiple).max()
                 <= _MIRROR_ULPS * np.spacing(multiple))
     half = (ts.size + 1) // 2 if mirrored else ts.size
-    psi = _mode_sums(config, coeffs, xs, ts[:half])
+    psi = _psi_rows(config, coeffs, xs, ts[:half])
     rows = np.empty((ts.size, xs.size))
     np.multiply(2.0 / config.width, psi.real**2 + psi.imag**2, out=rows[:half])
     rows[half:] = rows[:ts.size - half][::-1]

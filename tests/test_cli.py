@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wellquench
-from wellquench import cli
+from wellquench import cli, spectral
 from wellquench.cli import (COMMANDS, _build_parser, _render_table, main,
                             parse_args)
 from wellquench.errors import QuadratureConvergenceError
@@ -255,11 +255,14 @@ class TestDefaultOutputs:
     # real-input FFT: F moved by at most 4.4e-16 and one check value by
     # 1.7e-18 (they were, in order,
     # db46a3dfde51bb4b7ceea626319e8b8058115de69cfd98c10da693f8a5e66ec7 and
-    # 6289d5d25f5c523031fcb42372e3d61766cab3b7820e0a4ac92d25f995740efa)
+    # 6289d5d25f5c523031fcb42372e3d61766cab3b7820e0a4ac92d25f995740efa);
+    # evolve's since density_field sums the lattice rows by stacked residue
+    # FFTs: a value moved by at most 1.5e-14 (it was
+    # 9c32d324917d07e2b1a51dc9d3a39be65770a46d8c2828f0a5837ed6e7ec699e)
 
     @pytest.mark.parametrize("argv, digest", [
         (["coeffs"], "d9ca7f4ea6dc97c3e87a3122e0f6c2fe072b2c5ccd5275fe669be663640414cf"),
-        (["evolve"], "9c32d324917d07e2b1a51dc9d3a39be65770a46d8c2828f0a5837ed6e7ec699e"),
+        (["evolve"], "36ebb3b22702794d7a44df4cfadfc6a972b371ce0c82ed0683a95134aa312402"),
         (["escape"], "d4349fa72285e53a45d7d4006cabb584913fc3a7127ff361ca9eb4111584f1da"),
         (["universal", "--format", "jsonl"],
          "3cb7b2fea345bbca622a00a203d63f8accfdf3345dbc40d687a97fe2204eddec"),
@@ -268,6 +271,14 @@ class TestDefaultOutputs:
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_default_evolve_takes_no_direct_sum(self, tmp_path, monkeypatch):
+        # x = linspace(0, L, nx) is a lattice: every row comes from the
+        # residue FFT, none from the direct product _mode_sums
+        calls = []
+        monkeypatch.setattr(spectral, "_mode_sums", lambda *args: calls.append(args))
+        assert run_cli(["evolve", "--out", str(tmp_path / "out")]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("argv, digest", [
         (["oracle-check", "--json"],

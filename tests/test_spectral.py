@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -375,6 +376,60 @@ class TestLatticeSums:
             assert np.abs(B - expected).max() <= bound
 
 
+def same_bits(a, b):
+    """True if the arrays have one shape and every entry the same bits."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedRows:
+    """A stack of weight rows that share the rates gives every row the bits
+    of the 1-D call alone: per-row bins, the real FFT along the rows."""
+
+    @pytest.mark.parametrize("nx, origin", [(384, 0.0), (384, 0.31), (602, 0.0)],
+                             ids=["folded", "shifted", "split"])
+    def test_rows_match_one_dimensional_calls(self, nx, origin):
+        # K = 2(nx - 1): 766 < N = 800 folds the residues; 1202 = 2 * 601 takes
+        # _real_dft's Cooley-Tukey step; origin 0.31 twists and takes the
+        # complex FFT
+        w = _ROUTE_WELL
+        coeffs = mode_coefficients(w, 800)
+        x = origin + np.arange(nx // 2) * (w.width / (nx - 1))
+        xs = x / (2.0 * w.width)
+        K, found, _ = spectral._lattice_of(xs, coeffs.truncation)
+        assert K == 2 * (nx - 1) and (found != 0.0) == (origin != 0.0)
+        c = spectral._phased(coeffs.values, coeffs.energies,
+                             np.linspace(0.0, w.period, 7))
+        stack = np.concatenate((c.real, c.imag))
+        n = np.arange(1, coeffs.truncation + 1)
+        sums = spectral._lattice_sums(stack, n, K, found)
+        read = spectral._lattice_read(stack, n, xs)
+        assert sums.shape == (14, K) and read.shape == (14, x.size)
+        for weights, row, values in zip(stack, sums, read):
+            assert same_bits(row, spectral._lattice_sums(weights, n, K, found))
+            assert same_bits(values, spectral._lattice_read(weights, n, xs))
+
+    @pytest.mark.parametrize("delta, nx, nt", [(0.2, 512, 512), (0.07, 384, 683),
+                                               (0.45, 640, 410)])
+    def test_phases_are_the_bits_of_np_exp(self, delta, nx, nt):
+        w = WellConfig(delta)
+        coeffs = mode_coefficients(w, 800)
+        for ts in (np.linspace(0.0, w.period, nt)[:(nt + 1) // 2],
+                   np.random.default_rng(nx).uniform(0.0, 50.0, 9)):
+            expected = coeffs.values * np.exp(-1j * np.outer(ts, coeffs.energies))
+            assert same_bits(spectral._phased(coeffs.values, coeffs.energies, ts),
+                             expected)
+
+    def test_time_blocks_keep_the_bits(self, monkeypatch):
+        w = _ROUTE_WELL
+        coeffs = mode_coefficients(w, 800)
+        x, ts = np.linspace(0.0, w.width, 129), np.linspace(0.0, 0.3, 40)
+        default = spectral._psi_rows(w, coeffs, x, ts)
+        for block in (1, 7, 2**40):
+            monkeypatch.setattr(spectral, "_ROW_BLOCK", block)
+            assert same_bits(spectral._psi_rows(w, coeffs, x, ts), default)
+
+
 class TestRealDft:
     """A length whose largest prime factor P exceeds _DIRECT_PRIME and is not
     the whole length takes one Cooley-Tukey step K = a P; every other length
@@ -472,6 +527,17 @@ def mirror_bound(w, coeffs, multiple):
             * a.sum() * (a * energies).sum())
 
 
+def route_gap_bound(w, coeffs, K):
+    """The summed routes' stated errors of psi / sqrt(2/L), added and carried
+    to rho = (2/L) |psi|^2: the residue FFT's 1e-16 log2(K) sum |a_n| and the
+    direct sum's eps sum |a_n| (N + 1 + 5 pi n), with |psi| <= sum |a_n|."""
+    a = np.abs(coeffs.values)
+    n = np.arange(1, a.size + 1)
+    d = (1e-16 * math.log2(K) * a.sum()
+         + 2.0**-53 * (a * (a.size + 1 + 5.0 * math.pi * n)).sum())
+    return (2.0 / w.width) * (2.0 * a.sum() + d) * d
+
+
 def mpmath_density(w, coeffs, x, t):
     """rho(x, t) with every phase E_n t taken in 40 digits; the sines and
     the sum in doubles add about 1e-15."""
@@ -497,15 +563,22 @@ class TestDensityMirror:
 
     @pytest.fixture
     def summed(self, monkeypatch):
-        """The number of times each _mode_sums call sums."""
-        sizes, mode_sums = [], spectral._mode_sums
+        """The times each route sums: half the weight rows of every stacked
+        _lattice_sums call, and the times of every _mode_sums call."""
+        counts = collections.Counter()
+        lattice_sums, mode_sums = spectral._lattice_sums, spectral._mode_sums
 
-        def spy(config, coeffs, xs, ts):
-            sizes.append(ts.size)
+        def lattice_spy(weights, *args):
+            counts["lattice"] += len(weights) // 2
+            return lattice_sums(weights, *args)
+
+        def direct_spy(config, coeffs, xs, ts):
+            counts["direct"] += ts.size
             return mode_sums(config, coeffs, xs, ts)
 
-        monkeypatch.setattr(spectral, "_mode_sums", spy)
-        return sizes
+        monkeypatch.setattr(spectral, "_lattice_sums", lattice_spy)
+        monkeypatch.setattr(spectral, "_mode_sums", direct_spy)
+        return counts
 
     @pytest.mark.parametrize("delta, nx, nt", _EVOLVE_GRIDS)
     def test_rows_mirror_bit_for_bit(self, delta, nx, nt, summed):
@@ -513,7 +586,7 @@ class TestDensityMirror:
         field = density_field(w, mode_coefficients(w, 800),
                               np.linspace(0.0, w.width, nx),
                               np.linspace(0.0, w.period, nt))
-        assert summed == [(nt + 1) // 2]
+        assert summed == {"lattice": (nt + 1) // 2}
         assert np.array_equal(field, field[::-1])
 
     @pytest.mark.parametrize("delta, nx, nt", _EVOLVE_GRIDS)
@@ -526,7 +599,8 @@ class TestDensityMirror:
         bound = mirror_bound(w, coeffs, w.period)
         assert bound < 1.1e-11
         assert gap.max() <= bound
-        assert gap[:(nt + 1) // 2].max() <= 1e-14  # the summed rows
+        # the summed rows, residue FFT against the direct sum
+        assert gap[:(nt + 1) // 2].max() <= route_gap_bound(w, coeffs, 2 * (nx - 1))
 
     @pytest.mark.parametrize("delta, nx, nt", [(0.2, 512, 512), (0.07, 384, 683)])
     def test_rows_against_40_digit_phases(self, delta, nx, nt):
@@ -539,16 +613,28 @@ class TestDensityMirror:
             assert gap <= mirror_bound(w, coeffs, w.period)
             assert j >= (nt + 1) // 2 or gap <= 1e-13
 
-    @pytest.mark.parametrize("fraction", [
+    _ASYMMETRIC = pytest.mark.parametrize("fraction", [
         np.linspace(0.0, 0.9, 9), np.array([0.0, 0.2, 0.7]),
         np.array([0.0, 0.5, 1.0 + 1e-12]),
     ], ids=["0-0.9P", "0-0.2P-0.7P", "P-off-by-1e-12"])
+
+    @_ASYMMETRIC
     def test_asymmetric_grid_sums_every_row(self, fraction, summed):
         w = WellConfig(0.2)
         coeffs = mode_coefficients(w, 800)
         x, ts = np.linspace(0.0, w.width, 129), fraction * w.period
         values = density_field(w, coeffs, x, ts)
-        assert summed == [ts.size]
+        assert summed == {"lattice": ts.size}
+        assert (np.abs(values - direct_density(w, coeffs, x, ts)).max()
+                <= route_gap_bound(w, coeffs, 256))
+
+    @_ASYMMETRIC
+    def test_off_lattice_grid_keeps_the_direct_bits(self, fraction, summed):
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, 800)
+        x, ts = np.geomspace(1e-3, w.width, 129), fraction * w.period
+        values = density_field(w, coeffs, x, ts)
+        assert summed == {"direct": ts.size}
         assert np.array_equal(values, direct_density(w, coeffs, x, ts))
 
     @pytest.mark.parametrize("ts", [[0.0, 0.0, 0.0], [0.3, 0.7], [1.0],
@@ -559,10 +645,10 @@ class TestDensityMirror:
         coeffs = mode_coefficients(w, 800)
         x, ts = np.linspace(0.0, w.width, 65), np.asarray(ts) * w.period
         values = density_field(w, coeffs, x, ts)
-        assert summed == [(ts.size + 1) // 2]
+        assert summed == {"lattice": (ts.size + 1) // 2}
         multiple = round((ts[0] + ts[-1]) / w.period) * w.period
         assert (np.abs(values - direct_density(w, coeffs, x, ts)).max()
-                <= max(mirror_bound(w, coeffs, multiple), 1e-14))
+                <= mirror_bound(w, coeffs, multiple) + route_gap_bound(w, coeffs, 128))
 
 
 class TestModeSums:
