@@ -143,9 +143,9 @@ def phase_sum_samples(epsilon: float) -> PhaseSumSample:
     log2(K) cutoff).
     Any other ruler, one near 1/K too, makes m = 1..1/eps a window: with
     theta_n = frac(n^2 eps) in exact turns, xi_m = Im sum_n e^{2 pi i m
-    theta_n} is one non-uniform FFT, within cutoff (2e-14 + 2 pi m 5e-16)
-    absolute of the sums over exact turns frac(n^2 m eps) (2e-8 at
-    1/eps = 8e4, where 1e-10 is measured).
+    theta_n} is one spectral._window_sums, a Gaussian spread (far fewer modes
+    than samples), within cutoff (2e-14 + 2 pi m 5e-16) absolute of the sums
+    over exact turns frac(n^2 m eps) (2e-8 at 1/eps = 8e4; 1e-10 measured).
     """
     nsq, count = _ruler_modes(epsilon)
     K = int(_ruler_period(epsilon))

@@ -11,6 +11,7 @@ computed here.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -55,10 +56,8 @@ _WINDOW_ULPS = 2
 #: most modes or bins in one block of stacked lattice rows: small enough to
 #: stay in cache and to reuse the allocator's pages from block to block
 _ROW_BLOCK = 2**15
-#: grid cells a window source spreads to on each side of its own
-_SPREAD = 12
-#: most entries one spreading block holds: small enough to stay in cache
-_SPREAD_BLOCK = 2**14
+#: fewest sources per frequency that bin a window segment; spreading ties at 16-32
+_BIN_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -292,41 +291,48 @@ def _ruler_period(epsilon):
 def _window_sums(theta, c, P: int) -> np.ndarray:
     """S_k = sum_n c_n exp(2 pi i k theta_n) for k = 0..P-1.
 
-    A type-1 non-uniform FFT by Gaussian gridding (Greengard & Lee, SIAM Rev.
-    46 (2004) 443).  ``c`` is one row of weights or a stack of rows that share
-    the spreading.  Each segment of at most _FFT_LIMIT / 8 frequencies is
-    centred on its middle k by twisting the weights with exact turns; every
-    source is spread over 2 _SPREAD cells of a grid more than 4 times finer
-    than the segment, in blocks of at most _SPREAD_BLOCK (and _CHUNK_BUDGET)
-    entries added in source order, so the block size never sets the bits,
-    and one FFT and a Gaussian deconvolution give the segment.  For exact
-    theta the absolute error is below 2e-14 sum |c_n|; a rounding d_n of
-    theta adds up to 2 pi k |d_n| |c_n| per term.
+    A type-1 non-uniform FFT of one row of weights ``c`` or a stack of rows
+    sharing theta, in segments of at most _FFT_LIMIT / 32 frequencies centred
+    on their middle k by twisting the weights with exact turns.  With _BIN_MIN
+    or more sources per frequency, theta_n cells = j_n + e_n, j_n the nearest
+    of cells >= 16 size, and the segment is sum_p (2 pi i kappa / cells)^p / p!
+    FFT(bin(c e^p)) while (pi max|kappa| / cells)^p / p! >= 1e-17 (Anderson &
+    Dahleh, SIAM J. Sci. Comput. 17 (1996) 913); with fewer, a Gaussian spreads
+    each source on 2.5 size < cells <= 5 size (Greengard & Lee, SIAM Rev. 46
+    (2004) 443).  For exact theta the absolute error is below 2e-15 sum |c_n|
+    binned, 2e-14 spread; a rounding d_n of theta adds 2 pi k |d_n| |c_n|.
     """
     rows = np.atleast_2d(c)
-    out = np.empty((rows.shape[0], P), dtype=complex)
-    spread = np.arange(1 - _SPREAD, _SPREAD + 1)
-    block = max(1, min(_CHUNK_BUDGET, _SPREAD_BLOCK) // spread.size)
-    for first in range(0, P, _FFT_LIMIT // 8):
-        size = min(_FFT_LIMIT // 8, P - first)
-        centre = first + size // 2
-        cells = 1 << (4 * size).bit_length()
-        # the width that makes the cut-off and the aliasing errors equal
-        a = math.pi * _SPREAD / math.sqrt(1.0 - size / cells)
-        twisted = rows * _cis(_turns(centre, theta))
+    out = np.zeros((rows.shape[0], P), dtype=complex)
+    for first in range(0, P, _FFT_LIMIT // 32):
+        size = min(_FFT_LIMIT // 32, P - first)
+        kappa = np.arange(size) - size // 2
+        twisted = rows * _cis(_turns(first + size // 2, theta))
+        binned = theta.size >= _BIN_MIN * size
+        cells = 1 << (16 * size - 1 if binned else 5 * size // 2).bit_length()
+        cell = np.rint(theta * cells)
+        # cells is a power of two: the mask is the non-negative remainder
+        offsets, index = theta * cells - cell, cell.astype(np.int64) & (cells - 1)
         grid = np.zeros((rows.shape[0], cells), dtype=complex)
-        for start in range(0, theta.size, block):
-            scaled = theta[start:start + block] * cells
-            cell = np.floor(scaled)
-            kernel = np.exp(-(math.pi**2 / a) * ((scaled - cell)[:, None] - spread) ** 2)
-            # cells is a power of two: the mask is the non-negative remainder
-            index = ((cell.astype(np.int64)[:, None] + spread) & (cells - 1)).ravel()
-            for row, weights in zip(grid, twisted[:, start:start + block]):
-                np.add.at(row, index, (weights[:, None] * kernel).ravel())
-        kappa = np.arange(first, first + size) - centre
-        tau = a / cells**2
-        out[:, first:first + size] = (np.fft.ifft(grid)[:, kappa % cells]
-                                      * (math.sqrt(math.pi / tau) * np.exp(tau * kappa**2)))
+        if binned:  # one pass over the sources per term
+            x = math.pi * np.abs(kappa).max() / cells
+            for p in range(next(p for p in range(1, 64) if x**p / math.factorial(p) < 1e-17)):
+                grid[:] = 0.0
+                for row, weights in zip(grid, twisted):
+                    np.add.at(row, index, weights)
+                out[:, first:first + size] += ((2j * math.pi / cells) * kappa) ** p / (
+                    math.factorial(p)) * np.fft.ifft(grid, norm="forward")[:, kappa % cells]
+                twisted *= offsets
+            continue
+        # S and the width a equalise the cut-off and aliasing errors (README)
+        S = math.ceil(32.6 * (2 * cells - size) / (2 * math.pi * (cells - size)) - 0.5)
+        a = 2 * math.pi * (S + 0.5) * cells / (2 * cells - size)
+        for s in range(-S, S + 1):
+            kernel = np.exp(-(math.pi**2 / a) * (offsets - s) ** 2)
+            for row, weights in zip(grid, twisted):
+                np.add.at(row, (index + s) & (cells - 1), weights * kernel)
+        out[:, first:first + size] = np.fft.ifft(grid, norm="forward", out=grid)[
+            :, kappa % cells] * (math.sqrt(math.pi / a) * np.exp(a * (kappa / cells) ** 2))
     return out if np.ndim(c) > 1 else out[0]
 
 
@@ -589,11 +595,6 @@ def truncation_for_tolerance(config: WellConfig, observable: str, tol: float) ->
         raise TruncationCapError(
             f"tolerance {tol:g} for {observable!r} needs more than "
             f"{DEFAULT_MODE_CAP} modes")
-    lo, hi = n_min, DEFAULT_MODE_CAP
-    while hi - lo > 1:  # bound is monotone decreasing in N
-        mid = (lo + hi) // 2
-        if bound(config, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the bound decreases with N: the first N past n_min that meets tol
+    return bisect.bisect_left(range(DEFAULT_MODE_CAP), True, lo=n_min + 1,
+                              key=lambda n: bound(config, n) <= tol)

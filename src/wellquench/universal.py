@@ -80,12 +80,11 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
       inputs lie d from them (|d| <= 8 ulps of max |xi|), so against F at
       the inputs add 2 pi |d| sum(n^2 w_n), about 2 pi N |d|;
     - a window of P >= 32 evenly spaced points x0 + k h (a linspace) is one
-      non-uniform FFT plus a first-order correction for the offsets d by
-      which the inputs miss x0 + k h (|d| <= 2 ulps of 1).  Against F at the
-      inputs its absolute error is at most (2e-14 + 2 pi P 5e-16) sum(w_n)
-      from the transform and the rounding of the turns, plus
-      (2 pi^2 / 3) N^3 d^2 from the correction: 1e-12 at P = 300 and
-      N = 1e5, 2e-12 at N = 1e6;
+      spectral._window_sums (binned on a zoom, N >= 32 P) plus a first-order
+      correction for the offsets d of the inputs from x0 + k h (|d| <= 2 ulps
+      of 1): against F at the inputs within (2e-14 + 2 pi P 5e-16) sum(w_n)
+      from the transform and the turns' rounding, plus (2 pi^2 / 3) N^3 d^2
+      from the correction, 1e-12 at P = 300 and N = 1e5, 2e-12 at N = 1e6;
     - anything else is summed directly over exact turns frac(n^2 xi), within
       1e-15 sum(w_n) absolute of F at the inputs; this route is the oracle
       the others are tested against.

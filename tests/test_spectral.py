@@ -804,6 +804,65 @@ class TestWindowSums:
             assert np.abs(row[ks] - direct).max() <= 2e-14 * np.abs(weights).sum()
         assert spectral._window_sums(theta, c[0], P).shape == (P,)
 
+    @settings(max_examples=40, deadline=None)
+    @given(sources=st.integers(1, 20000), P=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), segment=st.sampled_from([None, 64]))
+    def test_many_sources_per_frequency_match_exact_turns(self, sources, P, seed,
+                                                          segment):
+        # up to 2e4 sources against P <= 300 reach both routes and the switch
+        # at _BIN_MIN sources per frequency; where every segment is binned the
+        # tighter bound of the binned route holds
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-1.0, 2.0, sources)
+        c = rng.standard_normal((2, sources)) + 1j * rng.standard_normal((2, sources))
+        with pytest.MonkeyPatch.context() as patch:
+            if segment is not None:
+                patch.setattr(spectral, "_FFT_LIMIT", 32 * segment)
+            sums = spectral._window_sums(theta, c, P)
+        binned = sources >= spectral._BIN_MIN * min(P, segment or P)
+        ks = rng.integers(0, P, 8)
+        for row, weights in zip(sums, c):
+            direct = np.array([np.sum(weights * np.exp(
+                2j * math.pi * spectral._turns(k, theta))) for k in ks])
+            assert (np.abs(row[ks] - direct).max()
+                    <= (2e-15 if binned else 2e-14) * np.abs(weights).sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(sources=st.integers(1, 300), P=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_route_holds_its_bound_at_any_shape(self, sources, P, seed):
+        # a _BIN_MIN of 0 bins every segment and one above any count spreads
+        # every one, so each route meets few and many sources per frequency
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-1.0, 2.0, sources)
+        c = rng.standard_normal(sources) + 1j * rng.standard_normal(sources)
+        ks = np.unique(np.concatenate([[0, P - 1], rng.integers(0, P, 6)]))
+        direct = np.array([np.sum(c * np.exp(2j * math.pi * spectral._turns(k, theta)))
+                           for k in ks])
+        for threshold, bound in ((0, 2e-15), (10**9, 2e-14)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectral, "_BIN_MIN", threshold)
+                sums = spectral._window_sums(theta, c, P)
+            assert np.abs(sums[ks] - direct).max() <= bound * np.abs(c).sum()
+
+    def test_the_shape_of_the_call_picks_the_route(self):
+        # a zoom window has some 400 modes per point and bins; the phase sums
+        # off a ruler have some 1/200 of a mode per sample and spread: each
+        # reads the bits of its route forced, and not those of the other
+        def routes(call):
+            with pytest.MonkeyPatch.context() as patch:
+                forced = []
+                for threshold in (0, 10**9):
+                    patch.setattr(spectral, "_BIN_MIN", threshold)
+                    forced.append(call())
+            return call(), forced
+        zoom = np.linspace(1 / 9 - 7e-4, 1 / 9 + 7e-4, 257)  # on no lattice j/K
+        default, (binned, spread) = routes(lambda: universal.universal_function(zoom, 10**5))
+        assert np.array_equal(default, binned) and not np.array_equal(default, spread)
+        default, (binned, spread) = routes(
+            lambda: fractal.phase_sum_samples(1.0 / 20000.5).values)
+        assert np.array_equal(default, spread) and not np.array_equal(default, binned)
+
 
 def _record_builds():
     """A maker of each record that compares by identity; two calls give
