@@ -47,8 +47,9 @@ _MIRROR_ULPS = 4
 #: route (331 did; 881 did not)
 _DIRECT_PRIME = 512
 
-#: fewest points summed as a window; below, the direct route costs less
-_WINDOW_MIN = 32
+#: fewest points summed as a window; at 8 points on a 2-core VM the window beats
+#: the direct route at N = 1e5 modes (39 vs 48 ms), ties at 1e4, loses at 1e3
+_WINDOW_MIN = 8
 # a window point must lie this many ulps of 1 from its grid point, which keeps
 # the second-order error of the offset correction, (2 pi^2 / 3) N^3 d^2,
 # below 2e-12 for N <= 1e6 modes
@@ -248,28 +249,22 @@ def _binned(residues, weights, K: int) -> np.ndarray:
                        minlength=math.prod(rows) * K).reshape(rows + (K,))
 
 
-def _lattice_sums(weights, nsq, K: int, origin: float = 0.0,
-                  twisted=None) -> np.ndarray:
-    """B_j = sum_n w_n (1 - exp(-2 pi i r_n (origin + j/K))) for j = 0..K-1,
-    along the last axis of a stack of weight rows that share the rates.
+def _lattice_sums(weights, nsq, K: int, twisted=None) -> np.ndarray:
+    """B_j = sum_n w_n (1 - exp(-2 pi i r_n j/K)) for j = 0..K-1, along the
+    last axis of a stack of weight rows that share the rates.
 
     The rates r_n = ``nsq`` are integers: n^2 for the phase sums, n for the
     wavefunction on a grid (whose sines are Im B).  A phase depends on r_n
-    only through its residue mod K, so the real weights are binned by
-    residue and one FFT gives every S_j = sum_n w_n e^{-2 pi i r_n j/K}.  At
-    origin 0 the binned weights are real: one real-input FFT (Sorensen et
-    al., IEEE TASSP 35 (1987) 849; ``_real_dft``) gives the K//2 + 1 bins
-    j <= K/2, B_j = Re S_0 - S_j there, and B_{K-j} = conj B_j fills the
-    rest, so B_0 is exactly 0 and B exactly Hermitian.  Elsewhere the
-    weights are twisted by e^{-2 pi i r_n origin} in exact turns and B =
-    sum w_n - S; a caller that reads one origin at several K passes those
-    weights once, as ``twisted = _twist(weights, nsq, origin)``.  Absolute
-    error about 1e-16 log2(K) sum |w_n|.
+    only through its residue mod K, so the weights are binned by residue and
+    one real-input FFT (Sorensen et al., IEEE TASSP 35 (1987) 849;
+    ``_real_dft``) gives S_j = sum_n w_n e^{-2 pi i r_n j/K} for j <= K/2,
+    B_j = Re S_0 - S_j there, and B_{K-j} = conj B_j fills the rest, so B_0
+    is exactly 0 and B exactly Hermitian.  Weights ``twisted`` by
+    ``_twist(weights, nsq, origin)`` read B at origin + j/K off one complex
+    FFT instead.  Absolute error about 1e-16 log2(K) sum |w_n|.
     """
     residues = nsq % K
-    if origin:
-        if twisted is None:
-            twisted = _twist(weights, nsq, origin)
+    if twisted is not None:
         sums = np.fft.fft(_binned(residues, twisted.real, K)
                           + 1j * _binned(residues, twisted.imag, K))
         return np.subtract(weights.sum(axis=-1, keepdims=True), sums, out=sums)
@@ -354,14 +349,13 @@ def _direct_sums(points: np.ndarray, rates: np.ndarray, terms) -> np.ndarray:
                            for i in range(0, max(1, points.size), chunk)], axis=-1)
 
 
-def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] | None:
-    """(K, origin, index) with xs = origin + index / K up to rounding, the
-    integers ``index`` reduced mod K, if ``xs`` lies on the lattice j / K or,
-    tried next, on xs[0] + j / K; else None.  K is the inverse of the first
-    step and must be an integer no larger than _FFT_LIMIT or than ``n_terms *
-    xs.size`` (beyond that one FFT of length K costs more than summing
-    ``n_terms`` modes at each point); every (xs - origin) * K must then be
-    within a few ulps of an integer."""
+def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, np.ndarray] | None:
+    """(K, index) with xs = index / K up to rounding, the integers ``index``
+    reduced mod K, if ``xs`` lies on the lattice j / K; else None.  K is the
+    inverse of the first step and must be an integer no larger than
+    _FFT_LIMIT or than ``n_terms * xs.size`` (beyond that one FFT of length K
+    costs more than summing ``n_terms`` modes at each point); every xs * K
+    must then be within a few ulps of an integer."""
     if xs.size < 2:
         return None
     # decide on the step before inverting it: 1 / a subnormal step overflows
@@ -371,14 +365,13 @@ def _lattice_of(xs: np.ndarray, n_terms: int) -> tuple[int, float, np.ndarray] |
     K = round(inverse) if 0.5 <= inverse < limit + 0.5 else 0
     if not K or abs(inverse - K) > 1e-6 * K:
         return None
-    span = float(np.abs(xs * K).max())
-    for origin in (0.0, float(xs[0])):
-        scaled = (xs - origin) * K
-        j = np.rint(scaled)
-        if (span < _LATTICE_SPAN and np.abs(scaled - j).max()
-                <= _LATTICE_ULPS * np.finfo(float).eps * span):
-            return K, origin, np.mod(j, K).astype(np.int64)
-    return None
+    scaled = xs * K
+    j = np.rint(scaled)
+    span = float(np.abs(scaled).max())
+    if not (span < _LATTICE_SPAN and np.abs(scaled - j).max()
+            <= _LATTICE_ULPS * np.finfo(float).eps * span):
+        return None
+    return K, np.mod(j, K).astype(np.int64)
 
 
 def _lattice_read(weights, rates, xs: np.ndarray) -> np.ndarray | None:
@@ -387,8 +380,8 @@ def _lattice_read(weights, rates, xs: np.ndarray) -> np.ndarray | None:
     lattice = _lattice_of(xs, weights.shape[-1])
     if lattice is None:
         return None
-    K, origin, index = lattice
-    return _lattice_sums(weights, rates, K, origin)[..., index]
+    K, index = lattice
+    return _lattice_sums(weights, rates, K)[..., index]
 
 
 def _window_of(xs: np.ndarray) -> tuple[float, float, np.ndarray] | None:
@@ -469,22 +462,22 @@ def _psi_rows(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
               ts: np.ndarray) -> np.ndarray:
     """sum_n c_n(t) sin(n pi x/L), rows over ``ts``, columns over ``xs``.
 
-    Where x / (2L) lies on a lattice, as linspace(0, L, M) does with K =
-    2(M - 1), the sines are Im B of one ``_lattice_sums`` with the rates n
-    over the real, then the imaginary rows of c_n(t) for each block of
+    Where x / (2L) lies on a lattice j / K, as linspace(0, L, M) does with
+    K = 2(M - 1), the sines are Im B of one ``_lattice_sums`` with the rates
+    n over the real, then the imaginary rows of c_n(t) for each block of
     _ROW_BLOCK // max(N, K) times (the block sets the memory, never the
     bits): within 1e-16 log2(K) sum |a_n| of exact residues (n j mod K) / K.
-    Every other ``x`` takes ``_mode_sums``."""
+    Every other ``x``, a shifted lattice x0 + j / K too, takes ``_mode_sums``."""
     lattice = _lattice_of(xs / (2.0 * config.width), coeffs.truncation)
     if lattice is None:
         return _mode_sums(config, coeffs, xs, ts)
-    K, origin, index = lattice
+    K, index = lattice
     n = np.arange(1, coeffs.truncation + 1)
     psi = np.empty((ts.size, xs.size), dtype=complex)
     block = max(1, _ROW_BLOCK // max(n.size, K))
     for i in range(0, ts.size, block):
         c = _phased(coeffs.values, coeffs.energies, ts[i:i + block])
-        sines = _lattice_sums(np.concatenate((c.real, c.imag)), n, K, origin)[:, index]
+        sines = _lattice_sums(np.concatenate((c.real, c.imag)), n, K)[:, index]
         psi[i:i + block] = sines[:len(c)].imag + 1j * sines[len(c):].imag
     return psi
 

@@ -124,7 +124,7 @@ def escape_probability_aligned(config: WellConfig, t, n_modes: int):
     8 delta^2 times the universal profile; the physical escape
     (escape_probability_exact) agrees with it at short times but differs at
     order-one fractions of the period by the ground-phase bookkeeping.
-    Times on a lattice (x0 + j / K) T of the period T (E_n T = 2 pi n^2) make
+    Times on a lattice jT/K of the period T (E_n T = 2 pi n^2) make
     _escape_core's B one spectral._lattice_read of a_n^2 at the rates n^2.
     """
     coeffs = mode_coefficients(config, n_modes)

@@ -75,11 +75,7 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 
     - a lattice j/K is read off one residue FFT at the rational points, within
       1e-14 absolute of exact residues;
-    - a shifted lattice x0 + j/K is read off one residue FFT with twisted
-      weights at the points x0 + j/K, within 1e-14 absolute of them.  The
-      inputs lie d from them (|d| <= 8 ulps of max |xi|), so against F at
-      the inputs add 2 pi |d| sum(n^2 w_n), about 2 pi N |d|;
-    - a window of P >= 32 evenly spaced points x0 + k h (a linspace) is one
+    - a window of P >= 8 evenly spaced points x0 + k h (a linspace) is one
       spectral._window_sums (binned on a zoom, N >= 32 P) plus a first-order
       correction for the offsets d of the inputs from x0 + k h (|d| <= 2 ulps
       of 1): against F at the inputs within (2e-14 + 2 pi P 5e-16) sum(w_n)
@@ -195,7 +191,7 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
     lattices = {}
     for p in sorted({p for _, p in candidates.values()}):
         sums = (_lattice_sums(weights, nsq, p * p),
-                _lattice_sums(weights, nsq, p * p, spacing, twisted))
+                _lattice_sums(weights, nsq, p * p, twisted))
         lattices[p] = [np.maximum(b.real, 0.0) for b in sums]
     # the profile is periodic, so q = p^2 reads the lattice at j = 0
     entries = []

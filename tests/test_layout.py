@@ -1,5 +1,6 @@
 """Rules on the package source as a whole: which module may import the
-quadrature oracle, and how many lines the source may take."""
+quadrature oracle, which may find a residue lattice, and how many lines the
+source may take."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,38 @@ def test_only_the_oracle_imports_the_quadrature():
     importers = {path.name for path in SOURCE.glob("*.py")
                  if imports_oscillatory(ast.parse(path.read_text()))}
     assert importers == {"oracle.py"}
+
+
+def calls_lattice_of(tree):
+    """Whether ``tree`` calls _lattice_of, bare or as an attribute, or imports
+    it, which would let it call it under another name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "_lattice_of":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source", [
+    "_lattice_of(xs, n)", "spectral._lattice_of(xs, n)",
+    "from .spectral import _lattice_of as find",
+    "def f(xs):\n    return wellquench.spectral._lattice_of(xs, 2)"])
+def test_the_scan_sees_every_call_form(source):
+    assert calls_lattice_of(ast.parse(source))
+    assert not calls_lattice_of(ast.parse(source.replace("_lattice_of", "_lattice_read")))
+
+
+def test_only_spectral_finds_a_lattice():
+    # every other module reads one through _lattice_read, so the rule for
+    # what is a residue lattice lives in one module
+    finders = {path.name for path in SOURCE.glob("*.py")
+               if calls_lattice_of(ast.parse(path.read_text()))}
+    assert finders == {"spectral.py"}
 
 
 def test_source_stays_within_the_line_budget():

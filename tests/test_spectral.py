@@ -298,13 +298,13 @@ class TestWavefunctionRoute:
         assert np.abs(psi - direct_psi(w, coeffs, x, t)).max() <= 1e-14
 
     def test_shifted_lattice_matches_the_direct_sum(self):
+        # no residue FFT reads x0 + j/K: it is summed directly, to the bits
         w = _ROUTE_WELL
         coeffs = mode_coefficients(w, 2000)
         x = 0.31 + np.arange(500) * (w.width / 1000)
-        period, origin, _ = spectral._lattice_of(x / (2.0 * w.width), 2000)
-        assert period == 2000 and origin != 0.0
+        assert spectral._lattice_of(x / (2.0 * w.width), 2000) is None
         psi = wavefunction(w, coeffs, x, 0.01)
-        assert np.abs(psi - direct_psi(w, coeffs, x, 0.01)).max() <= 1e-14
+        assert np.array_equal(psi, direct_psi(w, coeffs, x, 0.01))
 
     @pytest.mark.parametrize("M, N, t", [(65, 2000, 0.005), (1025, 2000, 0.005),
                                          (129, 5000, 1.3)])
@@ -386,27 +386,25 @@ class TestStackedRows:
     """A stack of weight rows that share the rates gives every row the bits
     of the 1-D call alone: per-row bins, the real FFT along the rows."""
 
-    @pytest.mark.parametrize("nx, origin", [(384, 0.0), (384, 0.31), (602, 0.0)],
-                             ids=["folded", "shifted", "split"])
-    def test_rows_match_one_dimensional_calls(self, nx, origin):
+    @pytest.mark.parametrize("nx", [384, 602], ids=["folded", "split"])
+    def test_rows_match_one_dimensional_calls(self, nx):
         # K = 2(nx - 1): 766 < N = 800 folds the residues; 1202 = 2 * 601 takes
-        # _real_dft's Cooley-Tukey step; origin 0.31 twists and takes the
-        # complex FFT
+        # _real_dft's Cooley-Tukey step
         w = _ROUTE_WELL
         coeffs = mode_coefficients(w, 800)
-        x = origin + np.arange(nx // 2) * (w.width / (nx - 1))
+        x = np.arange(nx // 2) * (w.width / (nx - 1))
         xs = x / (2.0 * w.width)
-        K, found, _ = spectral._lattice_of(xs, coeffs.truncation)
-        assert K == 2 * (nx - 1) and (found != 0.0) == (origin != 0.0)
+        K, _ = spectral._lattice_of(xs, coeffs.truncation)
+        assert K == 2 * (nx - 1)
         c = spectral._phased(coeffs.values, coeffs.energies,
                              np.linspace(0.0, w.period, 7))
         stack = np.concatenate((c.real, c.imag))
         n = np.arange(1, coeffs.truncation + 1)
-        sums = spectral._lattice_sums(stack, n, K, found)
+        sums = spectral._lattice_sums(stack, n, K)
         read = spectral._lattice_read(stack, n, xs)
         assert sums.shape == (14, K) and read.shape == (14, x.size)
         for weights, row, values in zip(stack, sums, read):
-            assert same_bits(row, spectral._lattice_sums(weights, n, K, found))
+            assert same_bits(row, spectral._lattice_sums(weights, n, K))
             assert same_bits(values, spectral._lattice_read(weights, n, xs))
 
     @pytest.mark.parametrize("delta, nx, nt", [(0.2, 512, 512), (0.07, 384, 683),
@@ -708,7 +706,7 @@ class TestSurvivalTailBound:
 
 _ENGINE_WELL = WellConfig(0.05)
 _ENGINE_TIMES = np.logspace(-6, 0, 25) * math.pi
-_ENGINE_XI = np.linspace(0.1234, 0.3456789, 23)  # no j/K lattice
+_ENGINE_XI = np.geomspace(0.1234, 0.3456789, 23)  # neither a lattice nor a window
 # every route that sums modes through spectral._direct_sums; with budgets of
 # 1, 7 and 97 phases a block holds one row or several, as the mode count sets
 _DIRECT_ROUTES = {
@@ -721,7 +719,9 @@ _DIRECT_ROUTES = {
     "escape_small_delta": lambda n: survival.escape_small_delta(
         _ENGINE_WELL, _ENGINE_TIMES, n),
     "universal_function": lambda n: universal.universal_function(_ENGINE_XI, n),
-    "phase_sum_samples": lambda n: fractal.phase_sum_samples(1.0 / (n + 0.5)).values,
+    # a shifted lattice x0 + j/K too short to be a window
+    "universal_shifted": lambda n: universal.universal_function(
+        0.123 + np.arange(5) / 97, n),
 }
 
 
@@ -731,7 +731,16 @@ class TestDirectSums:
     @pytest.mark.parametrize("route", sorted(_DIRECT_ROUTES))
     def test_budget_sets_memory_never_bits(self, monkeypatch, route, budget,
                                            n_modes):
+        calls, direct_sums = [], spectral._direct_sums
+
+        def spy(*args):
+            calls.append(args[0].size)
+            return direct_sums(*args)
+
+        for module in (spectral, survival, universal):
+            monkeypatch.setattr(module, "_direct_sums", spy)
         default = _DIRECT_ROUTES[route](n_modes)
+        assert calls, f"{route} never reached _direct_sums"
         monkeypatch.setattr(spectral, "_CHUNK_BUDGET", budget)
         blocked = _DIRECT_ROUTES[route](n_modes)
         assert blocked.dtype == default.dtype

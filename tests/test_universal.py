@@ -63,16 +63,6 @@ def window_bound(points, n_modes, offsets):
             + curvature * float(np.abs(offsets).max()) ** 2)
 
 
-def shifted_lattice_bound(xs, K, n_modes):
-    """universal_function's stated bound on a shifted lattice: 1e-14 from the
-    FFT, and 2 pi sum n^2 w_n |d| for the distance d of each input from its
-    lattice point xs[0] + j/K."""
-    nsq, weights = profile_weights(n_modes)
-    origin = Fraction(xs[0])
-    d = max(abs(float(Fraction(x) - origin - Fraction(i, K))) for i, x in enumerate(xs))
-    return 1e-14 + 2.0 * math.pi * float((nsq * weights).sum()) * d
-
-
 class TestProfileValues:
     def test_zero_at_origin_and_period(self):
         assert universal_function(0.0, 10**4) == 0.0
@@ -327,8 +317,8 @@ class TestResidueGrid:
     def test_nudged_lattice_is_summed_directly(self, K, size, nudge, sign,
                                                where, n_modes):
         xs = np.arange(size) / K
-        period, origin, index = _lattice_of(xs, NO_COST_LIMIT)
-        assert period == K and origin == 0.0
+        period, index = _lattice_of(xs, NO_COST_LIMIT)
+        assert period == K
         assert np.array_equal(index, np.arange(size) % K)
         nudged = min(size - 1, int(where * size))
         xs[nudged] += sign * nudge
@@ -379,8 +369,8 @@ class TestResidueGrid:
 
     @settings(max_examples=30, deadline=None)
     @given(center=st.floats(-1.0, 1.5), log_half_width=st.floats(-6.0, -0.5),
-           points=st.integers(32, 700), n_modes=st.integers(2, 20000),
-           data=st.data())
+           points=st.integers(spectral._WINDOW_MIN, 700),
+           n_modes=st.integers(2, 20000), data=st.data())
     def test_windows_match_exact_turns(self, center, log_half_width, points,
                                        n_modes, data):
         xs = np.linspace(center - 10.0 ** log_half_width,
@@ -399,17 +389,18 @@ class TestResidueGrid:
            n_modes=st.integers(2, 3000), data=st.data())
     def test_shifted_lattices_match_exact_turns(self, K, size, start, fraction,
                                                 n_modes, data):
-        origin = (start + fraction) / K
-        xs = origin + np.arange(size) / K
-        period, origin, _ = _lattice_of(xs, NO_COST_LIMIT)
-        assert period == K and origin == xs[0]
-        # with few modes one FFT of length K costs more than the other routes
-        assume(K < (n_modes - 1) * size)
+        # no residue FFT reads x0 + j/K: a window takes _window_sums, the rest
+        # the direct route, each within its own bound
+        xs = (start + fraction) / K + np.arange(size) / K
+        assert _lattice_of(xs, NO_COST_LIMIT) is None
+        window = _window_of(xs)
+        bound = (1e-15 * profile_weights(n_modes)[1].sum() if window is None
+                 else window_bound(size, n_modes, window[2]))
         picks = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
                                    max_size=3, unique=True))
         error = np.abs(universal_function(xs, n_modes)[picks]
                        - exact_profile(xs[picks], n_modes)).max()
-        assert error <= shifted_lattice_bound(xs, K, n_modes)
+        assert error <= bound
 
     @settings(max_examples=20, deadline=None)
     @given(p_max=st.integers(2, 5), log_spacing=st.floats(-4.5, -3.5),
@@ -423,8 +414,8 @@ class TestResidueGrid:
         K = p_max * p_max
         nsq, weights = _profile_modes(n_modes)
         centres = spectral._lattice_sums(weights, nsq, K).real
-        shifted = spectral._lattice_sums(weights, nsq, K, spacing,
-                                         spectral._twist(weights, nsq, spacing)).real
+        twisted = spectral._twist(weights, nsq, spacing)
+        shifted = spectral._lattice_sums(weights, nsq, K, twisted).real
         j = np.arange(K)
         for values, shift in ((centres, Fraction(0)), (shifted, Fraction(spacing)),
                               (shifted[-j % K], -Fraction(spacing))):
@@ -432,10 +423,11 @@ class TestResidueGrid:
             assert np.abs(values - exact).max() <= 1e-14
         calls, lattice_sums = [], spectral._lattice_sums
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(universal, "_lattice_sums",
-                          lambda *args: calls.append(args[2:4]) or lattice_sums(*args))
+            patch.setattr(universal, "_lattice_sums", lambda *args: calls.append(
+                (args[2],) + tuple(np.array_equal(t, twisted) for t in args[3:]))
+                or lattice_sums(*args))
             valleys = valley_locations(p_max, spacing=spacing, n_modes=n_modes)
-        assert calls == [c for p in range(2, p_max + 1) for c in ((p * p,), (p * p, spacing))]
+        assert calls == [c for p in range(2, p_max + 1) for c in ((p * p,), (p * p, True))]
         for e in valleys.entries:
             exact = exact_profile([Fraction(e.numerator, e.denominator_root**2)], n_modes)
             assert abs(e.depth - exact[0]) <= 1e-14
@@ -451,10 +443,11 @@ class TestResidueGrid:
         window = universal_function(xs, n_modes)[picks]
         assert np.abs(window - direct(xs[picks])).max() <= \
             window_bound(64, n_modes, offsets) + 2e-15 * MODE_WEIGHT_TOTAL
+        # a shifted lattice too short to be a window is summed directly
         xs = 0.123 + np.arange(5) / 97.0
-        assert _lattice_of(xs, n_modes - 1)[0] == 97
+        assert _lattice_of(xs, n_modes - 1) is None and _window_of(xs) is None
         assert np.abs(universal_function(xs, n_modes) - direct(xs)).max() <= \
-            shifted_lattice_bound(xs, 97, n_modes) + 2e-15 * MODE_WEIGHT_TOTAL
+            1e-15 * MODE_WEIGHT_TOTAL
         exact = exact_profile(xs[:1], n_modes)[0]
         assert abs(direct(xs[:1])[0] - exact) <= 1e-15 * MODE_WEIGHT_TOTAL
 
@@ -493,23 +486,21 @@ class TestResidueGrid:
            start=st.floats(0.01, 0.99), n_modes=st.integers(2, 3000))
     def test_aligned_escape_on_shifted_period_lattice_matches_direct_route(
             self, log_delta, K, start, n_modes):
+        # no residue FFT reads the shifted period lattice (start + j/K) T:
+        # it takes the direct route, bit for bit
         config = WellConfig(10.0 ** log_delta)
         ts = (start + np.arange(K + 1) / K) * config.period
-        period, origin, _ = _lattice_of(ts / config.period, n_modes - 1)
-        assume(origin != 0.0)
+        assume(_lattice_of(ts / config.period, NO_COST_LIMIT) is None)
         calls, lattice_sums = [], spectral._lattice_sums
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectral, "_lattice_sums",
                           lambda *args: calls.append(args[2:]) or lattice_sums(*args))
             grid = escape_probability_aligned(config, ts, n_modes)
-        assert calls == [(period, origin)]
+        assert calls == []
         coeffs = mode_coefficients(config, n_modes)
         a2, energies = coeffs.weights, coeffs.energies
         direct = _apply_noise_clamp(_escape_core(a2[1:], energies[1:], ts, 1.0))
-        # the bound of the origin-0 lattice test above
-        phase_rounding = float(np.sum(a2[1:] * energies[1:])) * ts.max()
-        tol = 8.0 * np.finfo(float).eps * (phase_rounding + 1.0)
-        assert np.abs(grid - direct).max() <= tol
+        assert np.array_equal(grid, direct)
 
     def test_only_universal_function_reads_windows(self):
         # the wavefunction and the aligned escape sum a window directly, so
