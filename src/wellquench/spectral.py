@@ -210,11 +210,6 @@ def _phased(values, energies, ts) -> np.ndarray:
     return c
 
 
-def _twist(weights, nsq, origin: float) -> np.ndarray:
-    """The weights w_n e^{-2 pi i r_n origin}, their phases taken in exact turns."""
-    return weights * _cis(-_turns(nsq, origin))
-
-
 def _real_dft(x) -> np.ndarray:
     """np.fft.rfft(x) along the last axis of a real x of length K, each row of a
     stack to its bits alone, within 1e-16 log2(K) sum |x_n|.
@@ -249,7 +244,7 @@ def _binned(residues, weights, K: int) -> np.ndarray:
                        minlength=math.prod(rows) * K).reshape(rows + (K,))
 
 
-def _lattice_sums(weights, nsq, K: int, twisted=None) -> np.ndarray:
+def _lattice_sums(weights, nsq, K: int) -> np.ndarray:
     """B_j = sum_n w_n (1 - exp(-2 pi i r_n j/K)) for j = 0..K-1, along the
     last axis of a stack of weight rows that share the rates.
 
@@ -259,16 +254,10 @@ def _lattice_sums(weights, nsq, K: int, twisted=None) -> np.ndarray:
     one real-input FFT (Sorensen et al., IEEE TASSP 35 (1987) 849;
     ``_real_dft``) gives S_j = sum_n w_n e^{-2 pi i r_n j/K} for j <= K/2,
     B_j = Re S_0 - S_j there, and B_{K-j} = conj B_j fills the rest, so B_0
-    is exactly 0 and B exactly Hermitian.  Weights ``twisted`` by
-    ``_twist(weights, nsq, origin)`` read B at origin + j/K off one complex
-    FFT instead.  Absolute error about 1e-16 log2(K) sum |w_n|.
+    is exactly 0 and B exactly Hermitian.  Absolute error about 1e-16
+    log2(K) sum |w_n|.
     """
-    residues = nsq % K
-    if twisted is not None:
-        sums = np.fft.fft(_binned(residues, twisted.real, K)
-                          + 1j * _binned(residues, twisted.imag, K))
-        return np.subtract(weights.sum(axis=-1, keepdims=True), sums, out=sums)
-    half = _real_dft(_binned(residues, weights, K))
+    half = _real_dft(_binned(nsq % K, weights, K))
     np.subtract(half[..., :1].real, half, out=half)
     # j > K/2 reads conj B_{K-j}, K - j running from (K-1)//2 down to 1
     return np.concatenate((half, half[..., (K + 1) // 2 - 1:0:-1].conj()), axis=-1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._special import trigamma
 from .spectral import (WellConfig, _cis, _direct_sums, _lattice_read, _lattice_sums,
-                       _shaped, _turns, _twist, _valid_times, _window_of, _window_sums)
+                       _shaped, _turns, _valid_times, _window_of, _window_sums)
 from .survival import escape_probability_aligned
 
 DEFAULT_MODES = 10**5
@@ -171,11 +171,10 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
     Enumerates q/p^2 for 2 <= p <= p_max and 0 <= q <= p^2, deduplicates
     equal locations in reduced form, and keeps the points that are strict
     local minima against neighbors ``spacing`` (finite, > 0) away.  Each p
-    costs two spectral._lattice_sums of length p^2: the lattice q/p^2, whose
-    values are the depths (within 1e-14 absolute of exact residues), and
-    the lattice shifted by ``spacing``, which gives the neighbours q/p^2 +
-    spacing and, since F(x) = F(-x), q/p^2 - spacing at -q, within 1e-14
-    absolute.
+    costs one spectral._lattice_sums of length p^2 on the rows w_n and w_n
+    cos, w_n sin of 2 pi n^2 s, s = ``spacing``: F(q/p^2) = Re B_w[q] and
+    F(q/p^2 +- s) = F(s) + Re B_cos[q] +- Im B_sin[q], each within 1e-14
+    absolute of exact residues.
     """
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
@@ -185,20 +184,23 @@ def valley_locations(p_max: int, spacing: float = 1e-4,
     for p in range(2, p_max + 1):
         for q in range(0, p * p + 1):
             candidates.setdefault(Fraction(q, p * p), (q, p))
-    # one mode table and one twist to the shifted lattices serve every p
+    # one mode table and one set of turns serve every p
     nsq, weights = _profile_modes(n_modes)
-    twisted = _twist(weights, nsq, spacing)
-    lattices = {}
-    for p in sorted({p for _, p in candidates.values()}):
-        sums = (_lattice_sums(weights, nsq, p * p),
-                _lattice_sums(weights, nsq, p * p, twisted))
-        lattices[p] = [np.maximum(b.real, 0.0) for b in sums]
+    angles = 2.0 * math.pi * _turns(nsq, spacing)
+    rows = np.empty((3, nsq.size))
+    rows[0] = weights
+    np.cos(angles, out=rows[1])
+    np.sin(angles, out=rows[2])
+    rows[1:] *= weights
+    f_s = weights.sum() - rows[1].sum()
+    lattices = {p: _lattice_sums(rows, nsq, p * p) for p in range(2, p_max + 1)}
     # the profile is periodic, so q = p^2 reads the lattice at j = 0
     entries = []
     for q, p in candidates.values():
-        centres, shifted = lattices[p]
-        c, lo, hi = centres[q % (p * p)], shifted[-q % (p * p)], shifted[q % (p * p)]
-        if c < lo and c < hi:
-            entries.append(ValleyEntry(numerator=q, denominator_root=p, depth=float(c)))
+        c, u, v = lattices[p][:, q % (p * p)]
+        depth = max(float(c.real), 0.0)
+        # a valley lies below the lower of F(q/p^2 +- s)
+        if depth < f_s + u.real - abs(v.imag):
+            entries.append(ValleyEntry(numerator=q, denominator_root=p, depth=depth))
     entries.sort(key=lambda e: e.location)
     return ValleyList(entries=tuple(entries))

@@ -1,6 +1,6 @@
 """Rules on the package source as a whole: which module may import the
-quadrature oracle, which may find a residue lattice, and how many lines the
-source may take."""
+quadrature oracle, which may find a residue lattice, which may take an FFT,
+and how many lines the source may take."""
 
 import ast
 from pathlib import Path
@@ -73,6 +73,40 @@ def test_only_spectral_finds_a_lattice():
     finders = {path.name for path in SOURCE.glob("*.py")
                if calls_lattice_of(ast.parse(path.read_text()))}
     assert finders == {"spectral.py"}
+
+
+def uses_fft(tree):
+    """Whether ``tree`` reaches an fft module: an attribute fft, as in
+    np.fft.rfft, or an import of one, which would let it call it by another name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        if "fft" in names:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source", [
+    "np.fft.rfft(x)", "numpy.fft.fft(x, axis=0)", "from numpy.fft import rfft as dft",
+    "from numpy import fft", "import numpy.fft",
+    "def f(x):\n    return scipy.fft.fft(x)"])
+def test_the_scan_sees_every_fft_form(source):
+    assert uses_fft(ast.parse(source))
+    assert not uses_fft(ast.parse(source.replace("fft", "linalg")))
+
+
+def test_only_spectral_and_the_oracle_take_an_fft():
+    # the n^2 mod K residue FFT and the NUFFT live in spectral, and oracle's
+    # DST is its own check: no other module grows a second residue FFT
+    users = {path.name for path in SOURCE.glob("*.py")
+             if uses_fft(ast.parse(path.read_text()))}
+    assert users == {"spectral.py", "oracle.py"}
 
 
 def test_source_stays_within_the_line_budget():

@@ -222,6 +222,47 @@ class TestWavefunction:
             wavefunction(WellConfig(0.2), coeffs, 0.5, 0.0)
 
 
+def revival_psi(x, a, b, L):
+    """psi(x, aT/b) = sum_{s<b} c_s g(x + 2Ls/b), the fractional revivals of
+    the box (Aronstein & Stroud, PRA 55 (1997) 4526; Berry, J. Phys. A 29
+    (1996) 6617): E_n T = 2 pi n^2 makes each phase depend on n mod b alone,
+    c_s = (1/b) sum_{r<b} e^{-2 pi i (a r^2 + r s)/b}, and g is the odd,
+    2L-periodic extension of psi_0 = sqrt(2) sin(pi x) on [0, 1], 0 on (1, L].
+    It sums no modes, so it has no truncation."""
+    r = np.arange(b, dtype=np.int64)
+    residues = (a * r[:, None] ** 2 + np.outer(r, r)) % b  # rows r, columns s
+    c = np.exp(-2j * math.pi * residues / b).sum(axis=0) / b
+    y = np.mod(np.asarray(x)[:, None] + 2.0 * L * r / b, 2.0 * L)
+    sign = np.where(y > L, -1.0, 1.0)
+    y = np.where(y > L, 2.0 * L - y, y)
+    g = np.where(y <= 1.0, math.sqrt(2.0) * np.sin(math.pi * y), 0.0)
+    return (sign * g) @ c
+
+
+def psi_tail_bound(w, n_modes, top=10**6):
+    """sqrt(2/L) sum_{n>N} |a_n|, which bounds |psi - psi_N|: the a_n up to
+    ``top`` summed, and past it |a_n| <= (2 / (pi sqrt L)) L^2 / (n^2 - L^2),
+    whose sum is below (2 / (pi sqrt L)) (L/2) ln((top + L) / (top - L))."""
+    L = w.width
+    tail = np.abs(mode_coefficients(w, top).values[n_modes:]).sum()
+    tail += 2.0 / (math.pi * math.sqrt(L)) * (L / 2.0) * math.log((top + L) / (top - L))
+    return math.sqrt(2.0 / L) * tail
+
+
+class TestRevivals:
+    """At t = aT/b the state is b shifted copies of psi_0: an untruncated
+    reference that the N-mode wavefunction meets within its tail."""
+
+    @pytest.mark.parametrize("n_modes", [800, 8000])
+    @pytest.mark.parametrize("a, b", [(1, 3), (1, 4), (37, 511), (255, 511)])
+    def test_wavefunction_meets_the_revival_form(self, a, b, n_modes):
+        w = WellConfig(0.2)
+        x = np.linspace(0.0, w.width, 512)
+        psi = wavefunction(w, mode_coefficients(w, n_modes), x, a * w.period / b)
+        gap = np.abs(psi - revival_psi(x, a, b, w.width)).max()
+        assert gap <= psi_tail_bound(w, n_modes)
+
+
 # x / (2L) on the lattice j/128 at this well, and on no lattice at the other
 _ROUTE_WELL, _OFF_WELL = WellConfig(0.2), WellConfig(0.3)
 _ROUTE_INPUTS = {
@@ -346,19 +387,22 @@ class TestWavefunctionRoute:
 
 
 class TestLatticeSums:
-    """At origin 0 one real-input FFT gives the bins j <= K/2 and conjugation
-    the rest; the complex FFT of the same binned weights is the reference."""
+    """One real-input FFT gives the bins j <= K/2 and conjugation the rest;
+    the complex FFT of the same binned weights is the reference."""
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4, 1042, 20011, 37500, 91833])
     def test_origin_zero_is_exactly_hermitian(self, K):
+        # every call, one row or a stack of rows, is Hermitian with B_0 = 0
         n = np.arange(2, 400, dtype=np.int64)
         j = np.arange(1, K)
-        for weights in (np.ones(n.size), np.random.default_rng(K).normal(size=n.size)):
+        rng = np.random.default_rng(K)
+        for weights in (np.ones(n.size), rng.normal(size=n.size),
+                        rng.normal(size=(3, n.size))):
             B = spectral._lattice_sums(weights, n * n, K)
-            assert B.shape == (K,)
-            assert np.array_equal(B[K - j], B[j].conj())
-            assert B[0] == 0.0
-            assert K % 2 or B[K // 2].imag == 0.0
+            assert B.shape == weights.shape[:-1] + (K,)
+            assert np.array_equal(B[..., K - j], B[..., j].conj())
+            assert np.all(B[..., 0] == 0.0)
+            assert K % 2 or np.all(B[..., K // 2].imag == 0.0)
 
     @pytest.mark.parametrize("K", [1000, 1042, 4096, 12345, 20011, 34292, 37500, 91833,
                                    10**5, 10**6])

@@ -202,8 +202,9 @@ class TestValleys:
             assert e.location == e.numerator / e.denominator_root**2
 
     def test_one_mode_table_and_one_twist_per_call(self, monkeypatch):
-        # each p used to rebuild the table twice and twist the weights once
-        calls = {"modes": 0, "turns": 0}
+        # each p used to rebuild the table twice and twist the weights once;
+        # one set of turns now builds the rows of each p's one lattice call
+        calls = {"modes": 0, "turns": 0, "lattice": 0}
 
         def counted(name, func):
             def wrapper(*args):
@@ -213,9 +214,12 @@ class TestValleys:
 
         monkeypatch.setattr(universal, "_profile_modes",
                             counted("modes", universal._profile_modes))
-        monkeypatch.setattr(spectral, "_turns", counted("turns", spectral._turns))
+        for module in (universal, spectral):
+            monkeypatch.setattr(module, "_turns", counted("turns", spectral._turns))
+        monkeypatch.setattr(universal, "_lattice_sums",
+                            counted("lattice", spectral._lattice_sums))
         valley_locations(4, n_modes=1000)
-        assert calls == {"modes": 1, "turns": 1}
+        assert calls == {"modes": 1, "turns": 1, "lattice": 3}
 
     @pytest.mark.parametrize("p_max, spacing, n_modes", [
         (4, 1e-4, 10**5),                   # the CLI default
@@ -407,27 +411,28 @@ class TestResidueGrid:
            n_modes=st.integers(2, 3000))
     def test_valley_lattices_match_exact_turns(self, p_max, log_spacing,
                                                n_modes):
-        # valley_locations reads each q/p^2 off the lattice j/p^2 and its
-        # neighbours q/p^2 + spacing at q and, as F(x) = F(-x), q/p^2 - spacing
-        # at -q off the lattice shifted by spacing: the same two calls here
+        # valley_locations reads each q/p^2 off the rows w, u = w cos 2 pi n^2 s
+        # and v = w sin 2 pi n^2 s of one call: the centre Re B_w[q], and both
+        # neighbours q/p^2 +- s as F(s) + Re B_u[q] +- Im B_v[q], F(s) = sum w - sum u
         spacing = 10.0 ** log_spacing
         K = p_max * p_max
         nsq, weights = _profile_modes(n_modes)
-        centres = spectral._lattice_sums(weights, nsq, K).real
-        twisted = spectral._twist(weights, nsq, spacing)
-        shifted = spectral._lattice_sums(weights, nsq, K, twisted).real
-        j = np.arange(K)
-        for values, shift in ((centres, Fraction(0)), (shifted, Fraction(spacing)),
-                              (shifted[-j % K], -Fraction(spacing))):
-            exact = exact_profile([Fraction(int(i), K) + shift for i in j], n_modes)
-            assert np.abs(values - exact).max() <= 1e-14
-        calls, lattice_sums = [], spectral._lattice_sums
+        calls, stacks, lattice_sums = [], [], spectral._lattice_sums
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(universal, "_lattice_sums", lambda *args: calls.append(
-                (args[2],) + tuple(np.array_equal(t, twisted) for t in args[3:]))
-                or lattice_sums(*args))
+                (args[2], args[0].shape)) or stacks.append(args[0]) or lattice_sums(*args))
             valleys = valley_locations(p_max, spacing=spacing, n_modes=n_modes)
-        assert calls == [c for p in range(2, p_max + 1) for c in ((p * p,), (p * p, True))]
+        assert calls == [(p * p, (3, nsq.size)) for p in range(2, p_max + 1)]
+        rows = stacks[-1]
+        assert np.array_equal(rows[0], weights)
+        c, u, v = lattice_sums(rows, nsq, K)
+        f_s = rows[0].sum() - rows[1].sum()
+        j = np.arange(K)
+        for values, shift in ((c.real, Fraction(0)),
+                              (f_s + u.real + v.imag, Fraction(spacing)),
+                              (f_s + u.real - v.imag, -Fraction(spacing))):
+            exact = exact_profile([Fraction(int(i), K) + shift for i in j], n_modes)
+            assert np.abs(values - exact).max() <= 1e-14
         for e in valleys.entries:
             exact = exact_profile([Fraction(e.numerator, e.denominator_root**2)], n_modes)
             assert abs(e.depth - exact[0]) <= 1e-14
