@@ -12,6 +12,7 @@ the residues n^2 mod K (phase_sum_spread), so ``fractal --sigma`` sums no phases
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,9 +98,9 @@ def profile_dimension(strides, base_intervals: int = 10**5,
     its samples from it (exact for a periodic curve).  A ruler's lengths use
     the two-sided increments F(m eps + eps) - F(m eps - eps), m = 1..1/eps.
     """
-    strides = sorted(int(s) for s in strides)
-    base_intervals = int(base_intervals)
-    if not strides or strides[0] < 1:
+    strides = sorted(strides)
+    if not (strides and strides[0] >= 1
+            and all(isinstance(s, numbers.Integral) for s in strides)):
         raise ValueError("strides must be positive integers")
     if base_intervals < strides[-1]:
         raise ValueError(f"base intervals {base_intervals} are fewer than the "

@@ -9,7 +9,7 @@ oracle of their closed forms: ``kernel_integral``, the package's one
 quadrature, to a fixed 1e-9, defined in ``_oscillatory`` and re-exported here.
 The DST here and the spectral wavefunction on a grid both call numpy's FFT, on
 independent inputs: the grid samples here, the expansion coefficients binned
-by mode residue there; the direct mode sum ``spectral._mode_sums`` stays the
+by mode residue there; the direct mode sum ``spectral._direct_sums`` stays the
 tested reference of the latter.  ``invariant_checks`` runs these routes
 against each other and against the spectral route.
 """

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,8 +117,8 @@ def mode_coefficients(config: WellConfig, n_modes: int) -> ModeCoefficients:
     a_n = (2 / (pi sqrt(L))) sin(pi n / L) / (1 - (n/L)^2); the 0/0 point at
     n/L = 1 is filled with the analytic limit 1/sqrt(L) via a local expansion.
     """
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
+    if not isinstance(n_modes, numbers.Integral) or n_modes < 1:
+        raise ValueError(f"need a whole number of modes >= 1, got {n_modes!r}")
     L = config.width
     u = np.arange(1, n_modes + 1, dtype=float)
     u /= L
@@ -320,21 +321,21 @@ def _window_sums(theta, c, P: int) -> np.ndarray:
     return out if np.ndim(c) > 1 else out[0]
 
 
-def _direct_sums(points: np.ndarray, rates: np.ndarray, terms) -> np.ndarray:
-    """S_i = sum_n terms(points_i * rates_n)[..., n] for every point.
+def _direct_sums(points: np.ndarray, rates: np.ndarray, sums) -> np.ndarray:
+    """sums(phases) of every block of points, joined along the last axis.
 
-    ``terms`` maps a block of phases (points down, modes across) to the
-    summands, modes along the last axis: one block of the same shape, or a
-    stack of such blocks, whose sums come back stacked the same way.  Integer
-    ``rates`` give the block the exact turns frac(points_i * rates_n)
-    instead.  Blocks hold whole rows of at most _CHUNK_BUDGET phases, so each
-    S_i is one sum over every n and the budget sets the memory, never the bits.
+    ``sums`` maps a block of phases points_i * rates_n (points down, modes
+    across), which it may overwrite, to the block's sums, points along the
+    last axis.  Integer ``rates`` give the block the exact turns
+    frac(points_i * rates_n) instead.  Blocks hold whole rows of at most
+    _CHUNK_BUDGET phases, so a sum that reads each row alone gets bits the
+    budget never moves; _psi_rows' matrix products can move the last ones.
     """
     chunk = max(1, _CHUNK_BUDGET // max(1, rates.size))
     phases = (lambda x: _turns(rates, x[:, None])) if rates.dtype.kind in "iu" else (
         lambda x: np.outer(x, rates))
     # an empty input still makes one (empty) block, which sets the dtype
-    return np.concatenate([terms(phases(points[i:i + chunk])).sum(axis=-1)
+    return np.concatenate([sums(phases(points[i:i + chunk]))
                            for i in range(0, max(1, points.size), chunk)], axis=-1)
 
 
@@ -426,48 +427,36 @@ def _valid_positions(config: WellConfig, coeffs: ModeCoefficients, x) -> np.ndar
     return xs
 
 
-def _mode_sums(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
-               ts: np.ndarray) -> np.ndarray:
-    """sum_n a_n sin(n pi x/L) e^{-i E_n t}, rows over ``ts``, columns over
-    ``xs``, both validated by the caller: the direct reference of ``_psi_rows``.
-    Within eps sum |a_n| (N + 1 + 5 pi n), eps = 2^-53, of the exact sum of
-    the same c_n: a sine's argument rounds by at most 5 eps pi n, the sine by
-    eps, and N terms add N eps sum |c_n|.  Mode blocks are added up, so unlike
-    _direct_sums the budget can move the last bits (6.7e-16 at N = 5000)."""
-    n = np.arange(1, coeffs.truncation + 1, dtype=float)
-    parts = np.zeros((2 * ts.size, xs.size))
-    # accumulate (times x modes) @ (modes x positions) in mode blocks: real and
-    # imaginary phase rows stacked over one sine table, ~4 doubles an entry
-    chunk = max(1, _CHUNK_BUDGET // 4 // max(1, ts.size, xs.size))
-    for i in range(0, coeffs.truncation, chunk):
-        sl = slice(i, i + chunk)
-        phased = _phased(coeffs.values[sl], coeffs.energies[sl], ts)
-        parts += (np.concatenate((phased.real, phased.imag))
-                  @ np.sin(np.outer(n[sl], math.pi * xs / config.width)))
-    return parts[:ts.size] + 1j * parts[ts.size:]
-
-
 def _psi_rows(config: WellConfig, coeffs: ModeCoefficients, xs: np.ndarray,
               ts: np.ndarray) -> np.ndarray:
-    """sum_n c_n(t) sin(n pi x/L), rows over ``ts``, columns over ``xs``.
+    """sum_n c_n(t) sin(n pi x/L), rows over ``ts``, columns over ``xs``, from
+    blocks of times that stack the real, then the imaginary rows of c_n(t).
 
     Where x / (2L) lies on a lattice j / K, as linspace(0, L, M) does with
     K = 2(M - 1), the sines are Im B of one ``_lattice_sums`` with the rates
-    n over the real, then the imaginary rows of c_n(t) for each block of
-    _ROW_BLOCK // max(N, K) times (the block sets the memory, never the
-    bits): within 1e-16 log2(K) sum |a_n| of exact residues (n j mod K) / K.
-    Every other ``x``, a shifted lattice x0 + j / K too, takes ``_mode_sums``."""
+    n, _ROW_BLOCK // max(N, K) times a block: within 1e-16 log2(K) sum |a_n|
+    of exact residues (n j mod K) / K, the block never moving the bits.
+    Every other ``x``, a shifted lattice x0 + j / K too, is the stack times
+    the sines of each ``_direct_sums`` block of angles pi x / L, with
+    _CHUNK_BUDGET // 4 // N times a block: within eps sum |a_n| (N + 1 +
+    5 pi n), eps = 2^-53, of the exact sum of the same c_n (an argument
+    rounds by 5 eps pi n, a sine by eps, N terms add N eps sum |c_n|); the
+    budget shapes each product, so it can move the last bits."""
     lattice = _lattice_of(xs / (2.0 * config.width), coeffs.truncation)
-    if lattice is None:
-        return _mode_sums(config, coeffs, xs, ts)
-    K, index = lattice
     n = np.arange(1, coeffs.truncation + 1)
+    if lattice is None:
+        angles, rates = math.pi * xs / config.width, n.astype(float)
+        block = max(1, _CHUNK_BUDGET // 4 // n.size)
+    else:
+        K, index = lattice
+        block = max(1, _ROW_BLOCK // max(n.size, K))
     psi = np.empty((ts.size, xs.size), dtype=complex)
-    block = max(1, _ROW_BLOCK // max(n.size, K))
     for i in range(0, ts.size, block):
         c = _phased(coeffs.values, coeffs.energies, ts[i:i + block])
-        sines = _lattice_sums(np.concatenate((c.real, c.imag)), n, K)[:, index]
-        psi[i:i + block] = sines[:len(c)].imag + 1j * sines[len(c):].imag
+        rows = np.concatenate((c.real, c.imag))
+        parts = (_direct_sums(angles, rates, lambda p: rows @ np.sin(p, out=p).T)
+                 if lattice is None else _lattice_sums(rows, n, K)[:, index].imag)
+        psi[i:i + block] = parts[:len(c)] + 1j * parts[len(c):]
     return psi
 
 
@@ -477,7 +466,7 @@ def wavefunction(config: WellConfig, coeffs: ModeCoefficients, x, t: float) -> n
     ``x`` is a scalar or a non-empty array of positions inside [0, width],
     ``t`` one time >= 0; returns complex amplitudes of the shape of ``x``.
     The sum is one row of ``_psi_rows``: on a lattice x / (2L), a residue FFT
-    within 1e-14 absolute of the direct ``_mode_sums``, which the rest takes.
+    within 1e-14 absolute of the direct ``_direct_sums``, which the rest takes.
     """
     if np.ndim(t) != 0:
         raise ValueError("time must be a scalar")
@@ -498,8 +487,8 @@ def density_field(config: WellConfig, coeffs: ModeCoefficients,
     |a_n| E_n absolute of the sum at its own t: 6.3e-12 at evolve's defaults,
     measured 1.7e-13.  ``_psi_rows`` sums the rows: a stacked residue FFT
     where x / (2L) lies on a lattice, as in evolve, psi within 1e-16 log2(K)
-    sum |a_n|; else the direct ``_mode_sums``, within eps sum |a_n| (N + 1 +
-    5 pi n).  At evolve's defaults the two are 1.5e-14 apart in rho.
+    sum |a_n|; else ``_direct_sums``, within eps sum |a_n| (N + 1 + 5 pi n).
+    At evolve's defaults the two are 1.5e-14 apart in rho.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -66,7 +66,8 @@ def survival_amplitude(config: WellConfig, t, n_modes: int):
     """A(t) = sum_{n=1..N} a_n^2 e^{-i E_n t}; scalar or array ``t``."""
     coeffs = mode_coefficients(config, n_modes)
     ts = _valid_times(t)
-    out = _direct_sums(ts, coeffs.energies, lambda p: coeffs.weights * np.exp(-1j * p))
+    out = _direct_sums(ts, coeffs.energies,
+                       lambda p: (coeffs.weights * np.exp(-1j * p)).sum(axis=-1))
     return _shaped(out, t)
 
 
@@ -81,14 +82,14 @@ def _escape_core(a2, energies, ts, reference: float):
     phase block: w sin^2(theta/2) and w sin(theta) are formed in place, and
     doubling the first sum is exact.
     """
-    def terms(p):
+    def sums(p):
         stack = np.empty((2,) + p.shape)
         np.multiply(a2, np.sin(p, out=stack[1]), out=stack[1])
         np.sin(np.multiply(p, 0.5, out=p), out=p)
         np.multiply(a2, np.square(p, out=p), out=stack[0])
-        return stack
+        return stack.sum(axis=-1)
 
-    half, im = _direct_sums(ts, energies, terms)
+    half, im = _direct_sums(ts, energies, sums)
     re_b, im_b = 2.0 * half, -im
     return ((1.0 - reference) * (1.0 + reference)
             + 2.0 * reference * re_b - re_b * re_b - im_b * im_b)
@@ -151,7 +152,7 @@ def escape_small_delta(config: WellConfig, t, n_modes: int):
     half_phase_rates = (math.pi * n) ** 2 / 2.0
     ts = _valid_times(t)
     out = (16.0 / math.pi**2) * _direct_sums(
-        ts, half_phase_rates, lambda p: np.sin(p) ** 2 * weights)
+        ts, half_phase_rates, lambda p: (np.sin(p) ** 2 * weights).sum(axis=-1))
     return _shaped(out, t)
 
 

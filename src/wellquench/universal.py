@@ -13,6 +13,7 @@ give the graph a fractal structure (analyzed in the fractal module).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,7 +95,8 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
         return _shaped(np.maximum(b.real, 0.0), xi)
     window = _window_of(xs)
     if window is None:
-        out = _direct_sums(xs, nsq, lambda t: weights * (1.0 - np.cos(2.0 * math.pi * t)))
+        out = _direct_sums(
+            xs, nsq, lambda t: (weights * (1.0 - np.cos(2.0 * math.pi * t))).sum(axis=-1))
     else:
         origin, step, offsets = window
         twisted = weights * _cis(_turns(nsq, origin))
@@ -108,8 +110,8 @@ def universal_function(xi, n_modes: int = DEFAULT_MODES):
 def _profile_modes(n_modes: int):
     """n^2 as integers and the weights n^2 / (1 - n^2)^2, for n = 2..n_modes;
     every profile reader takes its modes here, so this refuses n_modes < 2."""
-    if n_modes < 2:
-        raise ValueError("need at least the n = 2 mode")
+    if not isinstance(n_modes, numbers.Integral) or n_modes < 2:
+        raise ValueError(f"need at least the n = 2 mode, a whole number, got {n_modes!r}")
     nsq = np.arange(2, n_modes + 1, dtype=np.int64) ** 2
     weights = np.square(np.subtract(1.0, nsq))
     return nsq, np.divide(nsq, weights, out=weights)
@@ -134,8 +136,10 @@ def universal_curve(intervals: int, n_modes: int = DEFAULT_MODES,
     all j collapse onto residues n^2 mod K and are evaluated with one FFT;
     this matches direct summation to roundoff.
     """
-    if intervals < 2:
-        raise ValueError("need at least 2 grid intervals")
+    if not isinstance(intervals, numbers.Integral) or intervals < 2:
+        raise ValueError(f"need at least 2 grid intervals, a whole number, got {intervals!r}")
+    if not isinstance(extra_points, numbers.Integral) or extra_points < 0:
+        raise ValueError(f"extra points must be a whole number >= 0, got {extra_points!r}")
     K = int(intervals)
     idx = np.arange(K + 1 + extra_points)
     nsq, weights = _profile_modes(n_modes)

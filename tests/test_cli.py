@@ -274,9 +274,9 @@ class TestDefaultOutputs:
 
     def test_default_evolve_takes_no_direct_sum(self, tmp_path, monkeypatch):
         # x = linspace(0, L, nx) is a lattice: every row comes from the
-        # residue FFT, none from the direct product _mode_sums
+        # residue FFT, none from the direct sum _direct_sums
         calls = []
-        monkeypatch.setattr(spectral, "_mode_sums", lambda *args: calls.append(args))
+        monkeypatch.setattr(spectral, "_direct_sums", lambda *args: calls.append(args))
         assert run_cli(["evolve", "--out", str(tmp_path / "out")]) == 0
         assert calls == []
 

@@ -1,8 +1,9 @@
 """Rules on the package source as a whole: which module may import the
 quadrature oracle, which may find a residue lattice, which may take an FFT,
-and how many lines the source may take."""
+how many lines the source may take, and which private names README may cite."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,50 @@ def test_source_stays_within_the_line_budget():
     # the newlines `wc -l` counts
     lines = sum(path.read_bytes().count(b"\n") for path in SOURCE.glob("*.py"))
     assert lines <= LINE_BUDGET
+
+
+README = SOURCE.parents[1] / "README.md"
+
+
+def defined_names():
+    """Each module's stem and the names it binds by def, class or assignment."""
+    defined = {}
+    for path in SOURCE.glob("*.py"):
+        names = defined[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    return defined
+
+
+def undefined_citations(text):
+    """The private names ``text`` cites in backticks outside its "## Removed
+    API" section that no module defines; ``spectral._x`` must be in spectral."""
+    defined = defined_names()
+    anywhere = set(defined).union(*defined.values())
+    missing = set()
+    for section in re.split(r"^(?=## )", text, flags=re.M):
+        if section.startswith("## Removed API"):
+            continue
+        for span in re.findall(r"`([^`\n]+)`", section):
+            for qualifier, name in re.findall(r"(?<![\w.])((?:\w+\.)*)(_\w+)", span):
+                module = qualifier.rstrip(".").rpartition(".")[2]
+                if name not in defined.get(module, anywhere):
+                    missing.add(qualifier + name)
+    return sorted(missing)
+
+
+def test_the_citation_scan_sees_a_removed_name():
+    text = ("## Notes\n`spectral._no_such_sum` and `x = _no_such_sum(a)`, `_psi_rows`,\n"
+            "`spectral._psi_rows`, `universal._psi_rows`, `wellquench._special`\n"
+            "## Removed API\n`_gone`\n## Tests\n`_gone_too`\n")
+    assert undefined_citations(text) == [
+        "_gone_too", "_no_such_sum", "spectral._no_such_sum", "universal._psi_rows"]
+
+
+def test_readme_cites_only_defined_private_names():
+    # a private name README explains must still exist, so that the notes
+    # follow the code when a helper is renamed or removed
+    assert undefined_citations(README.read_text()) == []

@@ -229,14 +229,44 @@ def revival_psi(x, a, b, L):
     c_s = (1/b) sum_{r<b} e^{-2 pi i (a r^2 + r s)/b}, and g is the odd,
     2L-periodic extension of psi_0 = sqrt(2) sin(pi x) on [0, 1], 0 on (1, L].
     It sums no modes, so it has no truncation."""
-    r = np.arange(b, dtype=np.int64)
-    residues = (a * r[:, None] ** 2 + np.outer(r, r)) % b  # rows r, columns s
-    c = np.exp(-2j * math.pi * residues / b).sum(axis=0) / b
-    y = np.mod(np.asarray(x)[:, None] + 2.0 * L * r / b, 2.0 * L)
+    y = np.mod(np.asarray(x)[:, None] + 2.0 * L * np.arange(b) / b, 2.0 * L)
     sign = np.where(y > L, -1.0, 1.0)
     y = np.where(y > L, 2.0 * L - y, y)
     g = np.where(y <= 1.0, math.sqrt(2.0) * np.sin(math.pi * y), 0.0)
-    return (sign * g) @ c
+    return (sign * g) @ revival_coefficients(a, b)
+
+
+def revival_coefficients(a, b):
+    """The c_s, s < b, of revival_psi; they sum to 1."""
+    r = np.arange(b, dtype=np.int64)
+    residues = (a * r[:, None] ** 2 + np.outer(r, r)) % b  # rows r, columns s
+    return np.exp(-2j * math.pi * residues / b).sum(axis=0) / b
+
+
+def bump_overlap(e):
+    """K(e) = int 2 sin(pi x) sin(pi (x + e)) dx over x and x + e in [0, 1]:
+    (1 - |e|) cos(pi e) + sin(pi |e|) / pi for |e| < 1, else 0."""
+    e = np.abs(e)
+    return np.where(e < 1.0, (1.0 - e) * np.cos(math.pi * e) + np.sin(math.pi * e) / math.pi,
+                    0.0)
+
+
+def revival_amplitude(a, b, L):
+    """The survival amplitude A = <psi_0|psi(aT/b)> = sum_s c_s J(2Ls/b) and
+    1 - A, with no modes.  J(d) = int_0^1 psi_0(x) g(x + d) dx, and g's
+    bumps, + on [0, 1], - on [2L - 1, 2L] and + on [2L, 2L + 1], make it
+    K(d) - K(d - 2L + 1) + K(d - 2L) for d < 2L (K = bump_overlap).  As
+    sum_s c_s = 1, 1 - A = sum_s c_s (1 - J(d_s)), summed so that nothing
+    cancels: at most one of K(d), K(d - 2L) is non-zero, the one at the e
+    nearer 0, and 1 - K(e) = 2 sin^2(pi e / 2) + |e| cos(pi e) - sin(pi |e|) / pi."""
+    c = revival_coefficients(a, b)
+    d = 2.0 * L * np.arange(b) / b
+    e = np.abs(np.where(d < L, d, d - 2.0 * L))
+    one_minus_k = np.where(e < 1.0, 2.0 * np.sin(math.pi * e / 2.0) ** 2
+                           + e * np.cos(math.pi * e) - np.sin(math.pi * e) / math.pi, 1.0)
+    one_minus_j = one_minus_k + bump_overlap(d - 2.0 * L + 1.0)
+    loss = c @ one_minus_j
+    return 1.0 - loss, loss
 
 
 def psi_tail_bound(w, n_modes, top=10**6):
@@ -262,6 +292,38 @@ class TestRevivals:
         gap = np.abs(psi - revival_psi(x, a, b, w.width)).max()
         assert gap <= psi_tail_bound(w, n_modes)
 
+    @pytest.mark.parametrize("n_modes", [800, 8000])
+    @pytest.mark.parametrize("a, b", [(1, 3), (37, 511)])
+    @pytest.mark.parametrize("grid", ["lattice", "direct"])
+    def test_density_meets_the_revival_form(self, grid, a, b, n_modes):
+        # |rho_N - |psi|^2| <= tau (2 |psi| + tau) at each x, |psi_N - psi| <=
+        # tau; the times aT/b and (b - a)T/b add up to T, so one row is summed
+        # and the other copied, within mirror_bound of its own time
+        w = WellConfig(0.2)
+        coeffs = mode_coefficients(w, n_modes)
+        x = (np.linspace(0.0, w.width, 512) if grid == "lattice"
+             else np.geomspace(1e-3, w.width, 300))
+        assert (lattice_period(w, coeffs, x) > 0) == (grid == "lattice")
+        rho = density_field(w, coeffs, x, np.array([a, b - a]) * w.period / b)
+        psi = np.array([revival_psi(x, a, b, w.width), revival_psi(x, b - a, b, w.width)])
+        tau = psi_tail_bound(w, n_modes)
+        bound = tau * (2.0 * np.abs(psi) + tau) + mirror_bound(w, coeffs, w.period)
+        assert np.all(np.abs(rho - np.abs(psi) ** 2) <= bound)
+
+    @pytest.mark.parametrize("n_modes", [200, 2000])
+    @pytest.mark.parametrize("a, b", [(1, 3), (37, 511), (1, 1000)])
+    @pytest.mark.parametrize("delta", [0.2, 0.01])
+    def test_survival_meets_the_revival_amplitude(self, delta, a, b, n_modes):
+        w = WellConfig(delta)
+        amplitude, loss = revival_amplitude(a, b, w.width)
+        t = a * w.period / b
+        gap = abs(survival.survival_amplitude(w, t, n_modes) - amplitude)
+        assert gap <= coefficient_tail_bound(w, n_modes)
+        # 1 - |A|^2 = 2 Re(1 - A) - |1 - A|^2
+        escape = 2.0 * loss.real - abs(loss) ** 2
+        gap = abs(survival.escape_probability_exact(w, t, n_modes) - escape)
+        assert gap <= survival_tail_bound(w, n_modes)
+
 
 # x / (2L) on the lattice j/128 at this well, and on no lattice at the other
 _ROUTE_WELL, _OFF_WELL = WellConfig(0.2), WellConfig(0.3)
@@ -271,10 +333,21 @@ _ROUTE_INPUTS = {
 }
 
 
+def direct_rows(w, coeffs, x, ts):
+    """sum_n a_n sin(n pi x/L) e^{-i E_n t}, rows over ``ts``: _direct_sums
+    over the angles pi x / L, the real and imaginary phase rows stacked over
+    each block's sine table, as _psi_rows sums every x off a lattice."""
+    c = spectral._phased(coeffs.values, coeffs.energies, np.asarray(ts, dtype=float))
+    rows = np.concatenate((c.real, c.imag))
+    parts = spectral._direct_sums(math.pi * np.atleast_1d(x) / w.width,
+                                  np.arange(1.0, coeffs.truncation + 1),
+                                  lambda p: rows @ np.sin(p, out=p).T)
+    return parts[:len(c)] + 1j * parts[len(c):]
+
+
 def direct_psi(w, coeffs, x, t):
-    """The direct mode sum _mode_sums, scaled as wavefunction scales it."""
-    psi = spectral._mode_sums(w, coeffs, np.atleast_1d(x), np.array([t]))[0]
-    return psi * math.sqrt(2.0 / w.width)
+    """The direct mode sum, scaled as wavefunction scales it."""
+    return direct_rows(w, coeffs, x, [t])[0] * math.sqrt(2.0 / w.width)
 
 
 def lattice_period(w, coeffs, x):
@@ -321,7 +394,7 @@ class TestWavefunctionInputs:
 
 class TestWavefunctionRoute:
     """x / (2L) on a lattice takes _lattice_sums with the rates n; every other
-    x keeps the direct sum _mode_sums, which is the reference."""
+    x keeps the direct sum _direct_sums, which is the reference."""
 
     @pytest.mark.parametrize("delta, M, N, t", [
         (0.2, 1025, 2000, 0.005),   # oracle-check
@@ -556,8 +629,8 @@ class TestDensityField:
 
 
 def direct_density(w, coeffs, x, ts):
-    """|psi|^2 of the direct sum _mode_sums, every row at its own t."""
-    psi = spectral._mode_sums(w, coeffs, x, np.asarray(ts, dtype=float))
+    """|psi|^2 of the direct sum, every row at its own t."""
+    psi = direct_rows(w, coeffs, x, ts)
     return (2.0 / w.width) * (psi.real**2 + psi.imag**2)
 
 
@@ -606,20 +679,21 @@ class TestDensityMirror:
     @pytest.fixture
     def summed(self, monkeypatch):
         """The times each route sums: half the weight rows of every stacked
-        _lattice_sums call, and the times of every _mode_sums call."""
+        _lattice_sums call, and half the rows of every _direct_sums call."""
         counts = collections.Counter()
-        lattice_sums, mode_sums = spectral._lattice_sums, spectral._mode_sums
+        lattice_sums, direct_sums = spectral._lattice_sums, spectral._direct_sums
 
         def lattice_spy(weights, *args):
             counts["lattice"] += len(weights) // 2
             return lattice_sums(weights, *args)
 
-        def direct_spy(config, coeffs, xs, ts):
-            counts["direct"] += ts.size
-            return mode_sums(config, coeffs, xs, ts)
+        def direct_spy(*args):
+            sums = direct_sums(*args)
+            counts["direct"] += len(sums) // 2
+            return sums
 
         monkeypatch.setattr(spectral, "_lattice_sums", lattice_spy)
-        monkeypatch.setattr(spectral, "_mode_sums", direct_spy)
+        monkeypatch.setattr(spectral, "_direct_sums", direct_spy)
         return counts
 
     @pytest.mark.parametrize("delta, nx, nt", _EVOLVE_GRIDS)
@@ -694,8 +768,9 @@ class TestDensityMirror:
 
 
 class TestModeSums:
-    """_mode_sums stacks the real and imaginary rows of its phases over one
-    real sine table; the complex product of the same blocks is the reference."""
+    """_psi_rows off a lattice stacks the real and imaginary rows of its phases
+    over one real sine table per block of points; the complex product of the
+    same phases is the reference."""
 
     @staticmethod
     def complex_product(w, coeffs, xs, ts):
@@ -707,30 +782,31 @@ class TestModeSums:
     @pytest.mark.parametrize("delta, M, N, ts", [
         (0.2, 129, 800, np.linspace(0.0, 0.9167, 9)),
         (0.07, 384, 800, np.linspace(0.0, 0.4, 50)),
-        (0.3, 4097, 2000, np.array([0.0, 0.01, 1.3])),  # two mode blocks
+        (0.3, 4097, 2000, np.array([0.0, 0.01, 1.3])),
         (1.5, 1, 5000, np.array([0.37])),
     ])
     def test_real_product_matches_complex_product(self, delta, M, N, ts):
         w = WellConfig(delta)
         coeffs = mode_coefficients(w, N)
         xs = np.linspace(0.01, w.width, M)
-        psi = spectral._mode_sums(w, coeffs, xs, ts)
+        assert lattice_period(w, coeffs, xs) == 0
+        psi = spectral._psi_rows(w, coeffs, xs, ts)
         assert psi.shape == (ts.size, M) and psi.dtype == complex
         assert np.abs(psi - self.complex_product(w, coeffs, xs, ts)).max() <= 1e-14
 
     @pytest.mark.parametrize("blocks", [2, 3, 7, 50])
     def test_a_smaller_budget_moves_only_the_last_bits(self, monkeypatch, blocks):
-        # unlike _direct_sums the mode blocks are added up, so the budget can
-        # move the last bits: measured 3.3e-15 at most, about 10 ulps of sum |a_n|
+        # the budget cuts the points and times into blocks, and the shape of
+        # each product can move the last bits: measured 3.1e-15 at most
         w, N, X = WellConfig(0.2), 2000, 300
         coeffs = mode_coefficients(w, N)
         xs = np.sort(np.random.default_rng(1).uniform(0.0, w.width, X))
-        ts = np.array([0.0123])
-        default = spectral._mode_sums(w, coeffs, xs, ts)
+        ts = np.array([0.0123, 0.4, 1.3])
+        default = spectral._psi_rows(w, coeffs, xs, ts)
         monkeypatch.setattr(spectral, "_CHUNK_BUDGET", 2**40)
-        assert np.array_equal(spectral._mode_sums(w, coeffs, xs, ts), default)
-        monkeypatch.setattr(spectral, "_CHUNK_BUDGET", 4 * X * -(-N // blocks))
-        assert np.abs(spectral._mode_sums(w, coeffs, xs, ts) - default).max() <= 1e-14
+        assert np.array_equal(spectral._psi_rows(w, coeffs, xs, ts), default)
+        monkeypatch.setattr(spectral, "_CHUNK_BUDGET", N * -(-X // blocks))
+        assert np.abs(spectral._psi_rows(w, coeffs, xs, ts) - default).max() <= 1e-14
 
     def test_off_lattice_wavefunction_matches_complex_product(self):
         w = _OFF_WELL
@@ -794,15 +870,17 @@ class TestDirectSums:
         points = np.array([0.1234, -3.7, 1e6 / 3])
         nsq = np.arange(2, 40, dtype=np.int64) ** 2
         blocks = []
-        spectral._direct_sums(points, nsq, lambda p: blocks.append(p) or p)
-        spectral._direct_sums(points, nsq.astype(float), lambda p: blocks.append(p) or p)
+        spectral._direct_sums(points, nsq, lambda p: blocks.append(p) or p.sum(axis=-1))
+        spectral._direct_sums(points, nsq.astype(float),
+                              lambda p: blocks.append(p) or p.sum(axis=-1))
         assert np.array_equal(blocks[0], spectral._turns(nsq, points[:, None]))
         assert np.array_equal(blocks[1], np.outer(points, nsq.astype(float)))
 
     def test_empty_points_give_an_empty_sum_of_the_terms_dtype(self):
         rates = np.arange(1.0, 5.0)
         for terms, dtype in ((np.sin, float), (lambda p: np.exp(1j * p), complex)):
-            sums = spectral._direct_sums(np.empty(0), rates, terms)
+            sums = spectral._direct_sums(np.empty(0), rates,
+                                         lambda p: terms(p).sum(axis=-1))
             assert sums.shape == (0,) and sums.dtype == dtype
 
 
@@ -953,6 +1031,23 @@ _REFUSALS = {
                   "state needs matching 1-d grids with >= 3 points"),
     "initial_state": (lambda: oracle.initial_state(WellConfig(0.1), 2),
                       "need at least 3 grid points"),
+    # sizes that are not integers were truncated or rounded
+    "mode_coefficients-fraction": (lambda: mode_coefficients(WellConfig(0.1), 10.5),
+                                   "whole number of modes"),
+    "universal_function-fraction": (lambda: universal.universal_function(0.3, 10.5),
+                                    "need at least the n = 2 mode, a whole number"),
+    "universal_curve-fraction": (lambda: universal.universal_curve(10.9),
+                                 "need at least 2 grid intervals, a whole number"),
+    "universal_curve-extra_points": (lambda: universal.universal_curve(10, extra_points=-3),
+                                     "extra points must be a whole number >= 0"),
+    "universal_curve-fraction_extra_points": (
+        lambda: universal.universal_curve(10, extra_points=1.5),
+        "extra points must be a whole number >= 0"),
+    "profile_dimension-fraction": (lambda: fractal.profile_dimension([1.5, 2]),
+                                   "strides must be positive integers"),
+    "profile_dimension-fraction_base_intervals": (
+        lambda: fractal.profile_dimension([1, 2], base_intervals=1000.5, n_modes=100),
+        "need at least 2 grid intervals, a whole number"),
 }
 
 
@@ -962,6 +1057,17 @@ class TestRecords:
         call, match = _REFUSALS[name]
         with pytest.raises(ValueError, match=match):
             call()
+
+    def test_numpy_integer_sizes_pass(self):
+        well = WellConfig(0.1)
+        assert mode_coefficients(well, np.int64(10)).truncation == 10
+        assert universal.universal_function(0.3, np.int32(11)) == (
+            universal.universal_function(0.3, 11))
+        curve = universal.universal_curve(np.int64(10), np.int64(50), extra_points=np.int64(2))
+        assert np.array_equal(curve.values, universal.universal_curve(10, 50, 2).values)
+        strides = [1, 2, 5, 10, 100]
+        fit, _ = fractal.profile_dimension(np.array(strides), np.int64(1000), 100)
+        assert fit.dimension == fractal.profile_dimension(strides, 1000, 100)[0].dimension
 
     @pytest.mark.parametrize("name", sorted(_record_builds()))
     def test_array_records_compare_and_hash_by_identity(self, name):
